@@ -32,7 +32,6 @@ from .state_space import SpaceDiagram
 from .trace_core import (
     STAR,
     check_word,
-    equivalent,
     is_independence_preserving,
     normal_form,
 )
@@ -165,13 +164,13 @@ def cmd_normalize(args, bundle):
 
 def cmd_equiv(args, bundle):
     m = bundle.get(args.monoid, "monoid")
-    left = parse_word(args.left, m)
-    right = parse_word(args.right, m)
-    eq = equivalent(left, right, m)
+    left = normal_form(parse_word(args.left, m), m)
+    right = normal_form(parse_word(args.right, m), m)
+    eq = left == right
     summary = {
         "equivalent": eq,
-        "left_normal_form": list(normal_form(left, m)),
-        "right_normal_form": list(normal_form(right, m)),
+        "left_normal_form": list(left),
+        "right_normal_form": list(right),
     }
     return None, summary, ["equivalent" if eq else "not equivalent"]
 

@@ -46,6 +46,8 @@ class Bundle:
     kinds: dict  # name -> kind string
 
     def get(self, name: str, kind: Optional[str] = None):
+        if not isinstance(name, str):
+            raise SchemaError(f"document reference {name!r} is not a string")
         if name not in self.documents:
             raise DanglingReference(f"no document named {name!r}")
         if kind is not None and self.kinds[name] != kind:
@@ -64,24 +66,50 @@ def _require(doc, field, typ, where):
     return v
 
 
+def _names(doc, field, where) -> list:
+    """Required list of event, state or object names."""
+    names = _require(doc, field, list, where)
+    if not all(isinstance(x, str) for x in names):
+        raise SchemaError(f"{where}: field {field!r} must hold only strings")
+    return names
+
+
+def _tuples(doc, field, size, where) -> list:
+    """Optional list of ``size``-element lists of names, as tuples."""
+    items = doc.get(field, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: field {field!r} has wrong type")
+    for item in items:
+        if not (isinstance(item, list) and len(item) == size and all(isinstance(x, str) for x in item)):
+            raise SchemaError(f"{where}: {field!r} entry {item!r} is not a list of {size} strings")
+    return [tuple(item) for item in items]
+
+
+def _name_map(doc, field, where) -> dict:
+    """Required object mapping names to a name or ``null``."""
+    mapping = _require(doc, field, dict, where)
+    if not all(v is None or isinstance(v, str) for v in mapping.values()):
+        raise SchemaError(f"{where}: values of field {field!r} must be strings or null")
+    return mapping
+
+
 def _parse_monoid(doc, where) -> TraceMonoid:
-    events = _require(doc, "events", list, where)
-    pairs = doc.get("independence", [])
-    return make_monoid(events, [tuple(p) for p in pairs])
+    return make_monoid(_names(doc, "events", where), _tuples(doc, "independence", 2, where))
 
 
 def _parse_hom(doc, bundle, where) -> BasicHom:
     src = bundle.get(_require(doc, "source", str, where), "monoid")
     tgt = bundle.get(_require(doc, "target", str, where), "monoid")
-    image = _require(doc, "image", dict, where)
-    return make_hom(src, tgt, {e: v for e, v in image.items()})
+    return make_hom(src, tgt, _name_map(doc, "image", where))
 
 
 def _parse_space(doc, bundle, where) -> ss.StateSpace:
     monoid = bundle.get(_require(doc, "monoid", str, where), "monoid")
-    states = _require(doc, "states", list, where)
+    states = _names(doc, "states", where)
     action = {}
     for x, row in _require(doc, "action", dict, where).items():
+        if not isinstance(row, dict) or not all(isinstance(y, str) for y in row.values()):
+            raise SchemaError(f"{where}: action row {x!r} must map events to state names")
         for e, y in row.items():
             action[(x, e)] = y
     return ss.make_space(monoid, states, action)
@@ -90,23 +118,21 @@ def _parse_space(doc, bundle, where) -> ss.StateSpace:
 def _parse_space_morphism(doc, bundle, where) -> ss.StateSpaceMorphism:
     src = bundle.get(_require(doc, "source", str, where), "space")
     tgt = bundle.get(_require(doc, "target", str, where), "space")
-    events = _require(doc, "events", dict, where)
-    states = _require(doc, "states", dict, where)
+    events = _name_map(doc, "events", where)
+    states = _name_map(doc, "states", where)
     monoid_part = make_hom(src.monoid, tgt.monoid, dict(events))
     state_part = {x: (STAR if v is None else v) for x, v in states.items()}
     return ss.make_space_morphism(src, tgt, monoid_part, state_part)
 
 
 def _parse_system(doc, where) -> asys.WeakAsyncSystem:
-    states = _require(doc, "states", list, where)
+    states = _names(doc, "states", where)
     initial = doc.get("initial")
-    monoid = make_monoid(
-        _require(doc, "events", list, where),
-        [tuple(p) for p in doc.get("independence", [])],
-    )
+    if initial is not None and not isinstance(initial, str):
+        raise SchemaError(f"{where}: field 'initial' must be a string or null")
+    monoid = make_monoid(_names(doc, "events", where), _tuples(doc, "independence", 2, where))
     transitions = {}
-    for triple in doc.get("transitions", []):
-        s, e, t = triple
+    for s, e, t in _tuples(doc, "transitions", 3, where):
         if (s, e) in transitions:
             raise SchemaError(f"{where}: duplicate transition on ({s!r}, {e!r})")
         transitions[(s, e)] = t
@@ -116,15 +142,15 @@ def _parse_system(doc, where) -> asys.WeakAsyncSystem:
 def _parse_system_morphism(doc, bundle, where) -> asys.SystemMorphism:
     src = bundle.get(_require(doc, "source", str, where), "system")
     tgt = bundle.get(_require(doc, "target", str, where), "system")
-    events = _require(doc, "events", dict, where)
-    states = _require(doc, "states", dict, where)
+    events = _name_map(doc, "events", where)
+    states = _name_map(doc, "states", where)
     state_part = {x: (STAR if v is None else v) for x, v in states.items()}
     return asys.make_morphism(src, tgt, dict(events), state_part)
 
 
 def _parse_shape(doc, where) -> DiagramShape:
-    objects = _require(doc, "objects", list, where)
-    arrows = tuple(tuple(a) for a in doc.get("arrows", []))
+    objects = _names(doc, "objects", where)
+    arrows = tuple(_tuples(doc, "arrows", 3, where))
     shape = DiagramShape(tuple(objects), arrows)
     problems = validate_shape(shape)
     if problems:
@@ -137,6 +163,8 @@ def _parse_diagram(doc, bundle, where):
     over = _require(doc, "over", str, where)
     objects = _require(doc, "objects", dict, where)
     arrows = doc.get("arrows", {})
+    if not isinstance(arrows, dict):
+        raise SchemaError(f"{where}: field 'arrows' has wrong type")
     if over == "monoid":
         d = MonoidDiagram(
             shape,
@@ -164,8 +192,10 @@ def _parse_diagram(doc, bundle, where):
 
 
 def _parse_table(doc, where) -> MonoidTable:
-    elements = _require(doc, "elements", list, where)
+    elements = _names(doc, "elements", where)
     table = _require(doc, "table", list, where)
+    if not all(isinstance(row, list) and all(isinstance(x, str) for x in row) for row in table):
+        raise SchemaError(f"{where}: field 'table' must be a list of lists of strings")
     return MonoidTable(tuple(elements), tuple(tuple(row) for row in table))
 
 

@@ -17,8 +17,10 @@ from typing import Optional, Sequence, Union
 from . import fpcm_cat
 from .diagrams import DiagramShape, MonoidDiagram, validate_shape
 from .errors import (
+    InvalidSpace,
     MalformedDiagram,
     MonoidMismatch,
+    NotAMorphism,
     NotParallel,
     SizeLimit,
     UnknownState,
@@ -58,7 +60,7 @@ def make_space(monoid: TraceMonoid, states: Sequence[str], action) -> StateSpace
     s = StateSpace(monoid, tuple(states), dict(action))
     problems = validate_space(s)
     if problems:
-        raise UnknownState("; ".join(problems))
+        raise InvalidSpace("; ".join(problems))
     return s
 
 
@@ -153,7 +155,7 @@ def make_space_morphism(source, target, monoid_part, state_part, flag=Category.F
     m = StateSpaceMorphism(source, target, monoid_part, dict(state_part))
     problems = validate_morphism(m, flag)
     if problems:
-        raise UnknownState("; ".join(problems))
+        raise NotAMorphism("; ".join(problems))
     return m
 
 
@@ -426,7 +428,7 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                 continue
             min_member = min(members, key=_term_key)
             for e in m.events:
-                collected = [succ(t, e) for t in members if succ(t, e) in parent]
+                collected = [s for s in (succ(t, e) for t in members) if s in parent]
                 if len(min_member[1]) + 1 <= bound:
                     s0 = succ(min_member, e)
                     if s0 not in parent:

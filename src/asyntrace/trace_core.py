@@ -11,11 +11,14 @@ generator to a generator of the target or to the empty trace (encoded as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicateEvent,
     InvalidHom,
+    MalformedRelation,
     MonoidMismatch,
     ReflexivePair,
     UnknownEvent,
@@ -34,15 +37,44 @@ class TraceMonoid:
     used for canonical forms and for deterministic output everywhere else.
     ``independence`` stores each unordered pair once, ordered by alphabet
     position.
+
+    The alphabet is indexed once: the position map is built on construction,
+    the sorted pair list and the dependence table on first use.  These caches
+    are plain instance attributes, not dataclass fields, so they take no part
+    in ``==``, ``hash`` or ``repr``.
     """
 
     events: tuple[str, ...]
     independence: frozenset[tuple[str, str]]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.events)})
+
+    def _positions_of(self, pair: tuple[str, str]) -> tuple[int, int]:
+        try:
+            return self._position[pair[0]], self._position[pair[1]]
+        except KeyError as exc:
+            raise UnknownEvent(f"independence pair mentions unknown event {exc.args[0]!r}") from None
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(self.independence, key=self._positions_of))
+
+    @cached_property
+    def _dependents(self) -> tuple[tuple[int, ...], ...]:
+        """Per letter position, the positions of the letters that depend on it."""
+        k = len(self.events)
+        indep = [set() for _ in range(k)]
+        for pair in self.independence:
+            i, j = self._positions_of(pair)
+            indep[i].add(j)
+            indep[j].add(i)
+        return tuple(tuple(d for d in range(k) if d not in indep[c]) for c in range(k))
+
     def index(self, e: str) -> int:
         try:
-            return self.events.index(e)
-        except ValueError:
+            return self._position[e]
+        except KeyError:
             raise UnknownEvent(f"unknown event {e!r}") from None
 
     def independent(self, a: str, b: str) -> bool:
@@ -50,10 +82,10 @@ class TraceMonoid:
 
     def pairs(self) -> list[tuple[str, str]]:
         """Unordered independent pairs in deterministic (alphabet) order."""
-        return sorted(self.independence, key=lambda p: (self.events.index(p[0]), self.events.index(p[1])))
+        return list(self._pairs)
 
     def __repr__(self) -> str:
-        return f"TraceMonoid({list(self.events)!r}, {self.pairs()!r})"
+        return f"TraceMonoid({list(self.events)!r}, {list(self._pairs)!r})"
 
 
 def make_monoid(events: Sequence[str], independence: Iterable[Sequence[str]] = ()) -> TraceMonoid:
@@ -65,7 +97,10 @@ def make_monoid(events: Sequence[str], independence: Iterable[Sequence[str]] = (
     pos = {e: i for i, e in enumerate(events)}
     pairs = set()
     for pair in independence:
-        a, b = pair
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise MalformedRelation(f"independence entry {pair!r} is not a pair of events") from None
         if a not in pos:
             raise UnknownEvent(f"independence pair mentions unknown event {a!r}")
         if b not in pos:
@@ -90,9 +125,9 @@ def free_commutative_monoid(events: Sequence[str]) -> TraceMonoid:
 
 def check_word(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     letters = tuple(letters)
-    known = set(m.events)
+    position = m._position
     for x in letters:
-        if x not in known:
+        if x not in position:
             raise UnknownEvent(f"letter {x!r} not in alphabet {list(m.events)}")
     return letters
 
@@ -100,24 +135,58 @@ def check_word(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
 def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     """Lexicographically least word equivalent to ``letters``.
 
-    Greedy selection: at each step, take the least letter (in alphabet order)
-    whose occurrence can be commuted to the front, i.e. all letters to its
-    left are independent of it.  At most the leftmost occurrence of each
-    letter qualifies, so the choice is unambiguous.
+    The lexicographic sort of Anisimov and Knuth (Inhomogeneous sorting,
+    IJCIS 8, 1979; see also Diekert and Rozenberg (eds.), The Book of Traces,
+    1995): a topological sort of the word's dependence graph that always
+    emits the least available letter.  Each position gets an edge from the
+    previous occurrence of its own letter and from the last earlier
+    occurrence of every dependent letter that comes after that one (earlier
+    ones are implied through the previous occurrence).  Kahn's algorithm then
+    pops letter codes from a min-heap; at most one occurrence of each letter
+    is available at a time, so the heap holds at most one entry per letter.
+    Cost O(n * |alphabet| + n * log |alphabet|) for a word of n letters.
     """
-    pos = {e: i for i, e in enumerate(m.events)}
-    indep = m.independent
-    rem = list(letters)
+    events = m.events
+    position = m._position
+    dependents = m._dependents
+    try:
+        word = [position[x] for x in letters]
+    except KeyError as exc:
+        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(events)}") from None
+    n = len(word)
+    last = [-1] * len(events)  # letter code -> its last position read so far
+    at = [0] * len(events)  # letter code -> its available position
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    heap = []
+    for j, c in enumerate(word):
+        p = last[c]
+        k = 0
+        if p >= 0:
+            succ[p].append(j)
+            k = 1
+        for d in dependents[c]:
+            i = last[d]
+            if i > p:
+                succ[i].append(j)
+                k += 1
+        if k:
+            indeg[j] = k
+        else:
+            at[c] = j
+            heap.append(c)
+        last[c] = j
+    heapify(heap)
     out = []
-    while rem:
-        best = None
-        best_rank = None
-        for i, x in enumerate(rem):
-            if all(indep(x, y) for y in rem[:i]):
-                r = pos[x]
-                if best_rank is None or r < best_rank:
-                    best, best_rank = i, r
-        out.append(rem.pop(best))
+    while heap:
+        c = heappop(heap)
+        out.append(events[c])
+        for s in succ[at[c]]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                d = word[s]
+                at[d] = s
+                heappush(heap, d)
     return tuple(out)
 
 
@@ -175,7 +244,10 @@ class BasicHom:
     image: tuple[Optional[str], ...]
 
     def __call__(self, e: str) -> Optional[str]:
-        return self.image[self.source.index(e)]
+        try:
+            return self.image[self.source._position[e]]
+        except KeyError:
+            raise UnknownEvent(f"unknown event {e!r}") from None
 
     @property
     def mapping(self) -> dict[str, Optional[str]]:
@@ -190,14 +262,14 @@ def make_hom(
     source: TraceMonoid, target: TraceMonoid, image: Mapping[str, Optional[str]]
 ) -> BasicHom:
     for e in image:
-        if e not in source.events:
+        if e not in source._position:
             raise UnknownEvent(f"image defined on unknown event {e!r}")
     values = []
     for e in source.events:
         if e not in image:
             raise UnknownEvent(f"image missing for event {e!r}")
         v = image[e]
-        if v is not None and v not in target.events:
+        if v is not None and v not in target._position:
             raise UnknownEvent(f"image of {e!r} is unknown target event {v!r}")
         values.append(v)
     h = BasicHom(source, target, tuple(values))
@@ -212,7 +284,7 @@ def make_hom(
 
 
 def _invalid_pair(h: BasicHom) -> Optional[tuple[str, str]]:
-    for a, b in h.source.pairs():
+    for a, b in h.source._pairs:
         fa, fb = h(a), h(b)
         if fa is None or fb is None or fa == fb:
             continue
@@ -237,7 +309,7 @@ def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:
 
 
 def is_independence_preserving(h: BasicHom) -> bool:
-    for a, b in h.source.pairs():
+    for a, b in h.source._pairs:
         fa, fb = h(a), h(b)
         if fa == fb and fa is not None:
             return False

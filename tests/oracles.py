@@ -39,6 +39,24 @@ def words_equivalent_bfs(w1, w2, m: TraceMonoid) -> bool:
     return tuple(w2) in transposition_class(w1, m)
 
 
+def greedy_normal_form(letters, m: TraceMonoid) -> tuple:
+    """Lexicographically least equivalent word by greedy selection: at each
+    step take the least letter (in alphabet order) whose leftmost occurrence
+    commutes with every letter to its left.  O(n^3) for a word of n letters;
+    it uses only ``m.events`` and ``m.independent``."""
+    pos = {e: i for i, e in enumerate(m.events)}
+    rem = list(letters)
+    out = []
+    while rem:
+        best = None
+        for i, x in enumerate(rem):
+            if all(m.independent(x, y) for y in rem[:i]):
+                if best is None or pos[x] < pos[rem[best]]:
+                    best = i
+        out.append(rem.pop(best))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Pointed quotient of a family of actions over a single monoid
 

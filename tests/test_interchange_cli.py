@@ -136,6 +136,22 @@ class TestParsing:
         with pytest.raises(SchemaError):
             ix.parse(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "monoid", "events": ["a", 1]},
+            {"kind": "monoid", "events": ["a", "b"], "independence": [["a", 2]]},
+            {"kind": "monoid", "events": ["a", "b"], "independence": ["ab"]},
+            {"kind": "system", "states": [["p"]], "events": ["a"]},
+            {"kind": "system", "states": ["p"], "events": ["a"], "transitions": [["p", "a", "p", "p"]]},
+            {"kind": "shape", "objects": ["x"], "arrows": [["f", "x"]]},
+        ],
+        ids=["event-name", "pair-member", "pair-string", "state-name", "transition-quad", "shape-arrow"],
+    )
+    def test_malformed_entries_are_schema_errors(self, doc):
+        with pytest.raises(SchemaError):
+            ix.parse(json.dumps({"version": 1, "documents": {"d": doc}}))
+
     def test_order_independent(self):
         docs = FULL_BUNDLE["documents"]
         reordered = {
@@ -335,6 +351,30 @@ class TestCli:
         bad.write_text("{broken")
         rc = main(["normalize", str(bad), "--monoid", "m", "--word", "a"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (
+                {"kind": "monoid", "events": ["a", "b", "c"], "independence": [["a", "b", "c"]]},
+                ["normalize", "BUNDLE", "--monoid", "d", "--word", "ab"],
+            ),
+            (
+                {"kind": "system", "states": ["p"], "initial": "p", "events": ["a"],
+                 "transitions": [["p", "a"]]},
+                ["asys", "validate", "BUNDLE", "--system", "d"],
+            ),
+        ],
+        ids=["independence-triple", "transition-pair"],
+    )
+    def test_wrong_arity_exits_two(self, tmp_path, capsys, doc, argv):
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": {"d": doc}}))
+        rc = main([str(bundle) if a == "BUNDLE" else a for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "[SchemaError]" in err
+        assert "Traceback" not in err
 
     def test_iso_check(self, fixtures_dir, capsys):
         rc = main(

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from asyntrace.diagrams import DiagramShape, discrete, parallel_pair, span
-from asyntrace.errors import SizeLimit, TraceError
+from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import (
     EXACT,
@@ -76,6 +76,10 @@ class TestSpaceBasics:
         with pytest.raises(TraceError):
             make_space(IND, ["x"], {("x", "a"): "nowhere"})
 
+    def test_make_space_names_diamond_violation(self):
+        with pytest.raises(InvalidSpace, match="diamond violation"):
+            make_space(IND, ["x", "y"], {("x", "a"): "y", ("x", "b"): "x", ("y", "b"): "x"})
+
     def test_star_not_a_state(self):
         s = StateSpace(IND, ("*",), {})
         assert any("reserved" in p for p in validate_space(s))
@@ -121,6 +125,12 @@ class TestSpaceMorphisms:
         s = diamond_space()
         t = make_space(IND, ["u"], {})
         with pytest.raises(TraceError):
+            make_space_morphism(s, t, identity_hom(IND), {x: "u" for x in s.states})
+
+    def test_non_equivariant_is_not_a_morphism(self):
+        s = diamond_space()
+        t = make_space(IND, ["u"], {})
+        with pytest.raises(NotAMorphism, match="equivariance violation"):
             make_space_morphism(s, t, identity_hom(IND), {x: "u" for x in s.states})
 
     def test_fpcm_par_requires_ip_monoid_part(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from asyntrace.errors import (
     DuplicateEvent,
     InvalidHom,
+    MalformedRelation,
     MonoidMismatch,
     ReflexivePair,
     UnknownEvent,
 )
 from asyntrace.trace_core import (
+    TraceMonoid,
     apply,
     apply_word,
     compose,
@@ -34,8 +38,8 @@ MUTEX = make_monoid(
 )
 
 
-def small_monoid():
-    alphabets = st.sampled_from(["a", "ab", "abc", "abcd"])
+def small_monoid(alphabets=("a", "ab", "abc", "abcd")):
+    alphabets = st.sampled_from(alphabets)
 
     def build(events):
         pairs = list(itertools.combinations(events, 2))
@@ -57,6 +61,26 @@ monoid_and_word = small_monoid().flatmap(
 monoid_and_two_words = small_monoid().flatmap(
     lambda m: st.tuples(st.just(m), word_over(m), word_over(m))
 )
+
+
+monoid_and_long_word = small_monoid(["abcdefghij"[:k] for k in range(1, 11)]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.sampled_from(m.events), max_size=60))
+)
+
+
+def has_ak_factor(word, m):
+    """Anisimov-Knuth: a word is its lexicographic normal form iff it has no
+    factor b.u.a with a < b and a independent of every letter of b.u.
+    Such a factor exists iff some letter a is preceded, within the run of
+    letters independent of a that ends just before it, by a larger letter."""
+    pos = {e: i for i, e in enumerate(m.events)}
+    for j, a in enumerate(word):
+        i = j - 1
+        while i >= 0 and m.independent(word[i], a):
+            if pos[word[i]] > pos[a]:
+                return True
+            i -= 1
+    return False
 
 
 class TestMonoidConstruction:
@@ -85,10 +109,51 @@ class TestMonoidConstruction:
         m = free_commutative_monoid("abc")
         assert len(m.pairs()) == 3
 
+    @pytest.mark.parametrize("bad", [("a", "b", "c"), ("a",), 3])
+    def test_non_pair_rejected(self, bad):
+        with pytest.raises(MalformedRelation):
+            make_monoid("abc", [bad])
+
+
+class TestMonoidIndex:
+    def test_caches_stay_out_of_eq_hash_repr(self):
+        m1 = make_monoid("abc", [("a", "b"), ("b", "c")])
+        m2 = make_monoid("abc", [("c", "b"), ("b", "a")])
+        normal_form(tuple("cba"), m1)  # fills m1's caches, not m2's
+        m1.pairs()
+        assert m1 == m2
+        assert hash(m1) == hash(m2)
+        assert repr(m1) == repr(m2) == "TraceMonoid(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')])"
+        assert [f.name for f in dataclasses.fields(m1)] == ["events", "independence"]
+
+    def test_direct_construction_with_reversed_pair(self):
+        m = TraceMonoid(("a", "b", "c"), frozenset({("c", "a")}))
+        for w in itertools.product("abc", repeat=4):
+            assert normal_form(w, m) == oracles.greedy_normal_form(w, m)
+        assert normal_form(tuple("ca"), m) == ("a", "c")
+
+    def test_direct_construction_with_unknown_event(self):
+        m = TraceMonoid(("a", "b"), frozenset({("a", "z")}))
+        with pytest.raises(UnknownEvent):
+            m.pairs()
+        with pytest.raises(UnknownEvent):
+            normal_form(("a", "b"), m)
+
+    def test_index(self):
+        assert [MUTEX.index(e) for e in "abcde"] == [0, 1, 2, 3, 4]
+        with pytest.raises(UnknownEvent):
+            MUTEX.index("z")
+        with pytest.raises(UnknownEvent):
+            identity_hom(MUTEX)("z")
+
 
 class TestNormalForm:
     def test_running_example(self):
         assert normal_form(tuple("adecc"), MUTEX) == tuple("accde")
+
+    def test_running_example_has_no_ak_factor(self):
+        assert has_ak_factor(tuple("adecc"), MUTEX)
+        assert not has_ak_factor(tuple("accde"), MUTEX)
 
     def test_running_example_equivalence(self):
         assert equivalent(tuple("adecc"), tuple("accde"), MUTEX)
@@ -129,6 +194,24 @@ class TestNormalForm:
         assert normal_form(w, m) == min(
             cls, key=lambda v: [m.events.index(x) for x in v]
         )
+
+    @settings(max_examples=200)
+    @given(monoid_and_long_word)
+    def test_agrees_with_greedy(self, mw):
+        m, w = mw
+        assert normal_form(w, m) == oracles.greedy_normal_form(w, m)
+
+    def test_long_mutex_word(self):
+        rng = random.Random(20000)
+        w = tuple(rng.choice(MUTEX.events) for _ in range(20000))
+        nf = normal_form(w, MUTEX)
+        assert Counter(nf) == Counter(w)
+        assert normal_form(nf, MUTEX) == nf
+        assert not has_ak_factor(nf, MUTEX)
+
+    def test_unknown_letter(self):
+        with pytest.raises(UnknownEvent):
+            normal_form(("a", "z"), MUTEX)
 
     @settings(max_examples=100)
     @given(monoid_and_two_words)

@@ -33,8 +33,8 @@ from .trace_core import (
     STAR,
     BasicHom,
     TraceMonoid,
+    extend_normal_form,
     is_independence_preserving,
-    normal_form,
 )
 
 
@@ -371,20 +371,19 @@ def colimit(d: SystemDiagram, flag: Category = Category.FPCM_PAR, bound: int = 8
 
 
 def reachable(a: WeakAsyncSystem) -> WeakAsyncSystem:
-    seen = []
+    keep = set()
     if a.initial != STAR:
-        seen.append(a.initial)
+        keep.add(a.initial)
         frontier = [a.initial]
         while frontier:
             nxt = []
             for s in frontier:
                 for e in a.monoid.events:
                     s2 = a.step(s, e)
-                    if s2 != STAR and s2 not in seen:
-                        seen.append(s2)
+                    if s2 != STAR and s2 not in keep:
+                        keep.add(s2)
                         nxt.append(s2)
             frontier = nxt
-    keep = set(seen)
     states = tuple(s for s in a.states if s in keep)
     transitions = {
         (s, e): s2 for (s, e), s2 in a.transitions.items() if s in keep and s2 in keep
@@ -405,7 +404,7 @@ def unfold(a: WeakAsyncSystem, depth: int) -> list[tuple[tuple[str, ...], str]]:
                 s2 = a.step(s, e)
                 if s2 == STAR:
                     continue
-                t2 = normal_form(t + (e,), a.monoid)
+                t2 = extend_normal_form(t, e, a.monoid)
                 nxt[t2] = s2
         current = nxt
         out.update(nxt)

@@ -369,18 +369,19 @@ def cmd_space_colimit(args, bundle):
     w.seed("result", "space", sat.space)
     for o in sorted(res.cocone.legs):
         w.space_morphism(res.cocone.legs[o], f"leg_{o}")
+    frontier = [_render_term(t) for t in sat.frontier]
     summary = {
         "status": sat.status,
         "states": list(sat.space.states),
         "class_map": dict(sorted(sat.class_map.items())),
-        "frontier": [_render_term(t) for t in sat.frontier],
+        "frontier": frontier,
     }
     lines = [
         f"status: {sat.status}",
         f"colimit states: {len(sat.space.states)}",
     ]
-    if sat.frontier:
-        lines.append("frontier: " + ", ".join(_render_term(t) for t in sat.frontier))
+    if frontier:
+        lines.append("frontier: " + ", ".join(frontier))
     return w, summary, lines
 
 
@@ -465,16 +466,17 @@ def cmd_asys_colimit(args, bundle):
     w.seed("result", "system", cocone.apex)
     for o in sorted(cocone.legs):
         w.system_morphism(cocone.legs[o], f"leg_{o}")
+    frontier = [_render_term(t) for t in sat.frontier]
     summary = {
         "status": sat.status,
         "states": list(cocone.apex.states),
         "initial": None if cocone.apex.initial == STAR else cocone.apex.initial,
         "class_map": dict(sorted(sat.class_map.items())),
-        "frontier": [_render_term(t) for t in sat.frontier],
+        "frontier": frontier,
     }
     lines = [f"status: {sat.status}", f"colimit states: {len(cocone.apex.states)}"]
-    if sat.frontier:
-        lines.append("frontier: " + ", ".join(_render_term(t) for t in sat.frontier))
+    if frontier:
+        lines.append("frontier: " + ", ".join(frontier))
     return w, summary, lines
 
 

@@ -32,6 +32,7 @@ from .trace_core import (
     Trace,
     TraceMonoid,
     compose,
+    extend_normal_form,
     is_independence_preserving,
     make_hom,
     normal_form,
@@ -361,11 +362,25 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     union-find seeded by rules and identifications, merging of classes merges
     their explored successors, star absorbs.  EXACT when the settled classes
     are closed under every event.
+
+    Each fixpoint pass regroups the terms by class and, for every member and
+    event, looks up its successor in a ``(term, event) -> term`` table local
+    to the call (the memoized successor table of congruence closure;
+    Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2),
+    1980), so each successor is computed once for all passes and for the
+    final classification.  A new successor extends its term's canonical
+    trace by one letter (``extend_normal_form``) instead of sorting the whole
+    word again; identifications, whose words are arbitrary, go through
+    ``normal_form``.  ``union`` keeps the term with the smaller
+    ``_term_key`` as root, so the root of a class without star is its least
+    member: it names the class and is the term extended at the bound.
     """
     if bound < 0:
         raise MalformedDiagram("saturation bound must be >= 0")
     m = p.monoid
+    events = m.events
     parent: dict = {}
+    successors: dict = {}
 
     def add(x):
         parent.setdefault(x, x)
@@ -380,15 +395,19 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         rx, ry = find(x), find(y)
         if rx == ry:
             return False
-        # star wins; otherwise keep the smaller term as representative
+        # star wins, so it is always its own root; otherwise keep the smaller
+        # term as representative
         if rx == STAR or (ry != STAR and _term_key(rx) < _term_key(ry)):
             rx, ry = ry, rx
         parent[rx] = ry
         return True
 
     def succ(term: Term, e: str) -> Term:
-        g, t = term
-        return (g, normal_form(t + (e,), m))
+        s = successors.get((term, e))
+        if s is None:
+            g, t = term
+            s = successors[term, e] = (g, extend_normal_form(t, e, m))
+        return s
 
     add(STAR)
     for g in p.generators:
@@ -421,16 +440,17 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                 for t in members:
                     if t == STAR:
                         continue
-                    for e in m.events:
+                    for e in events:
                         s = succ(t, e)
                         if s in parent:
                             changed |= union(s, STAR)
                 continue
-            min_member = min(members, key=_term_key)
-            for e in m.events:
+            # union keeps the least term as root: no scan for the least member
+            extend = len(root[1]) + 1 <= bound
+            for e in events:
                 collected = [s for s in (succ(t, e) for t in members) if s in parent]
-                if len(min_member[1]) + 1 <= bound:
-                    s0 = succ(min_member, e)
+                if extend:
+                    s0 = succ(root, e)
                     if s0 not in parent:
                         add(s0)
                         changed = True
@@ -438,64 +458,38 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                 for a, b in zip(collected, collected[1:]):
                     changed |= union(a, b)
 
-    # classify classes and detect the frontier
+    # classify classes, then detect the frontier and read off the action
     groups = {}
     for node in parent:
         groups.setdefault(find(node), []).append(node)
-    star_root = find(STAR)
-    info = {}
-    for root, members in groups.items():
-        if root == star_root:
-            continue
-        min_member = min(members, key=_term_key)
-        settled = len(min_member[1]) <= bound
-        info[root] = (min_member, settled, members)
-    frontier = []
-    for root, (min_member, settled, members) in info.items():
-        if not settled:
-            frontier.append(min_member)
-            continue
-        for e in m.events:
-            known = None
-            for t in members:
-                s = succ(t, e)
-                if s in parent:
-                    known = find(s)
-                    break
-            if known is None:
-                frontier.append(succ(min_member, e))
-            elif known != star_root and not info[known][1]:
-                frontier.append(succ(min_member, e))
-    frontier = sorted(set(frontier), key=lambda t: (t[0], t[1]))
-    status = EXACT if not frontier else TRUNCATED
+    classes = {root: members for root, members in groups.items() if root != STAR}
 
     def state_name(term: Term) -> str:
         g, t = term
         return g if not t else g + "@" + ".".join(t)
 
-    names = {}
-    for root, (min_member, settled, _) in sorted(info.items(), key=lambda kv: _term_key(kv[1][0])):
-        if settled:
-            names[root] = state_name(min_member)
-    states = tuple(names[r] for r in sorted(names, key=_term_key))
+    names = {root: state_name(root) for root in sorted(classes, key=_term_key) if len(root[1]) <= bound}
+    frontier = []
     action = {}
-    for root, (min_member, settled, members) in info.items():
-        if not settled:
+    for root, members in classes.items():
+        if root not in names:
+            frontier.append(root)
             continue
-        for e in m.events:
+        for e in events:
             known = None
             for t in members:
                 s = succ(t, e)
                 if s in parent:
                     known = find(s)
                     break
-            if known is not None and known in names:
+            if known in names:
                 action[(names[root], e)] = names[known]
-    space = StateSpace(m, states, action)
-    class_map = {}
-    for g in p.generators:
-        r = find((g, ()))
-        class_map[g] = STAR if r == star_root or r not in names else names[r]
+            elif known != STAR:
+                frontier.append(succ(root, e))
+    frontier = sorted(set(frontier), key=lambda t: (t[0], t[1]))
+    status = EXACT if not frontier else TRUNCATED
+    space = StateSpace(m, tuple(names.values()), action)
+    class_map = {g: names.get(find((g, ())), STAR) for g in p.generators}
     return SaturationResult(status, space, class_map, tuple(frontier))
 
 

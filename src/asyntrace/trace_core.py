@@ -39,7 +39,7 @@ class TraceMonoid:
     position.
 
     The alphabet is indexed once: the position map is built on construction,
-    the sorted pair list and the dependence table on first use.  These caches
+    the sorted pair list and the dependence tables on first use.  These caches
     are plain instance attributes, not dataclass fields, so they take no part
     in ``==``, ``hash`` or ``repr``.
     """
@@ -70,6 +70,12 @@ class TraceMonoid:
             indep[i].add(j)
             indep[j].add(i)
         return tuple(tuple(d for d in range(k) if d not in indep[c]) for c in range(k))
+
+    @cached_property
+    def _dependent_events(self) -> dict[str, frozenset[str]]:
+        """Per event, the set of events that depend on it (itself included)."""
+        events = self.events
+        return {e: frozenset(events[d] for d in ds) for e, ds in zip(events, self._dependents)}
 
     def index(self, e: str) -> int:
         try:
@@ -188,6 +194,33 @@ def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
                 at[d] = s
                 heappush(heap, d)
     return tuple(out)
+
+
+def extend_normal_form(u: tuple[str, ...], e: str, m: TraceMonoid) -> tuple[str, ...]:
+    """``normal_form(u + (e,), m)`` for a word ``u`` that is already a normal
+    form, in one pass over ``u``.
+
+    Precondition: ``u == normal_form(u, m)``; it is not checked.  The new
+    letter cannot move left of the last letter of ``u`` that depends on it,
+    say at position ``k - 1``.  Deleting that ``e`` from the normal form of
+    ``u.e`` leaves a word with no Anisimov-Knuth factor, so it is ``u``
+    itself: the result is ``u`` with ``e`` inserted at some position ``>= k``.
+    Of those, the least word puts ``e`` before the first letter of ``u[k:]``
+    whose code is greater than that of ``e``, or at the end if there is none.
+    """
+    position = m._position
+    try:
+        code = position[e]
+    except KeyError:
+        raise UnknownEvent(f"letter {e!r} not in alphabet {list(m.events)}") from None
+    dependent = m._dependent_events[e]
+    k = len(u)
+    while k and u[k - 1] not in dependent:
+        k -= 1
+    for j in range(k, len(u)):
+        if position[u[j]] > code:
+            return u[:j] + (e,) + u[j:]
+    return u + (e,)
 
 
 @dataclass(frozen=True)

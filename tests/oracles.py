@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own algorithms: the
 transposition closure is a plain BFS over adjacent swaps, the quotient of a
 pointed action is a naive congruence-closure fixpoint, and the random
 generators repair invalid tables by deleting entries rather than reusing the
-library validators' logic.
+library validators' logic.  The one exception is ``reference_saturate``, a
+frozen copy of the package's pass-based saturation kept as a regression
+reference for its memoized successor table.
 """
 
 from __future__ import annotations
@@ -13,9 +15,17 @@ import itertools
 import string
 from collections import deque
 
-from asyntrace.state_space import StateSpace
+from asyntrace.errors import MalformedDiagram
+from asyntrace.state_space import (
+    EXACT,
+    TRUNCATED,
+    PresentedAction,
+    SaturationResult,
+    StateSpace,
+    Term,
+)
 from asyntrace.async_system import WeakAsyncSystem
-from asyntrace.trace_core import STAR, TraceMonoid, make_monoid
+from asyntrace.trace_core import STAR, TraceMonoid, make_monoid, normal_form
 
 
 def transposition_class(word, m: TraceMonoid) -> frozenset:
@@ -140,6 +150,168 @@ def pointed_quotient(spaces, maps):
 
 
 # ---------------------------------------------------------------------------
+# Saturation of a presented action, without the successor table
+
+
+def _term_key(t) -> tuple:
+    if t == STAR:
+        return (-1, "", ())
+    return (len(t[1]), t[0], t[1])
+
+
+def reference_saturate(p: PresentedAction, bound: int) -> SaturationResult:
+    """``state_space.saturate`` as it was before its successor table: every
+    pass computes ``succ(t, e)`` afresh with a full ``normal_form``, and each
+    class's least member is found by a scan.  It is a regression reference
+    for the memoized version, not an independent algorithm: the results,
+    down to the order of states, action entries and frontier, must agree.
+
+    Materialize the quotient of a presented action up to trace depth
+    ``bound``.
+
+    Breadth-first congruence closure over terms (generator, canonical trace):
+    union-find seeded by rules and identifications, merging of classes merges
+    their explored successors, star absorbs.  EXACT when the settled classes
+    are closed under every event.
+    """
+    if bound < 0:
+        raise MalformedDiagram("saturation bound must be >= 0")
+    m = p.monoid
+    parent: dict = {}
+
+    def add(x):
+        parent.setdefault(x, x)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        # star wins; otherwise keep the smaller term as representative
+        if rx == STAR or (ry != STAR and _term_key(rx) < _term_key(ry)):
+            rx, ry = ry, rx
+        parent[rx] = ry
+        return True
+
+    def succ(term: Term, e: str) -> Term:
+        g, t = term
+        return (g, normal_form(t + (e,), m))
+
+    add(STAR)
+    for g in p.generators:
+        add((g, ()))
+    for g, e, rhs in p.transitions:
+        lhs = (g, (e,))
+        add(lhs)
+        if rhs == STAR:
+            union(lhs, STAR)
+        else:
+            add((rhs, ()))
+            union(lhs, (rhs, ()))
+    for t1, t2 in p.identifications:
+        for t in (t1, t2):
+            if t != STAR:
+                add((t[0], normal_form(t[1], m)))
+        a = t1 if t1 == STAR else (t1[0], normal_form(t1[1], m))
+        b = t2 if t2 == STAR else (t2[0], normal_form(t2[1], m))
+        union(a, b)
+
+    changed = True
+    while changed:
+        changed = False
+        groups: dict = {}
+        for node in parent:
+            groups.setdefault(find(node), []).append(node)
+        for root in sorted(groups, key=_term_key):
+            members = groups[root]
+            if root == STAR:
+                for t in members:
+                    if t == STAR:
+                        continue
+                    for e in m.events:
+                        s = succ(t, e)
+                        if s in parent:
+                            changed |= union(s, STAR)
+                continue
+            min_member = min(members, key=_term_key)
+            for e in m.events:
+                collected = [s for s in (succ(t, e) for t in members) if s in parent]
+                if len(min_member[1]) + 1 <= bound:
+                    s0 = succ(min_member, e)
+                    if s0 not in parent:
+                        add(s0)
+                        changed = True
+                    collected.append(s0)
+                for a, b in zip(collected, collected[1:]):
+                    changed |= union(a, b)
+
+    # classify classes and detect the frontier
+    groups = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    star_root = find(STAR)
+    info = {}
+    for root, members in groups.items():
+        if root == star_root:
+            continue
+        min_member = min(members, key=_term_key)
+        settled = len(min_member[1]) <= bound
+        info[root] = (min_member, settled, members)
+    frontier = []
+    for root, (min_member, settled, members) in info.items():
+        if not settled:
+            frontier.append(min_member)
+            continue
+        for e in m.events:
+            known = None
+            for t in members:
+                s = succ(t, e)
+                if s in parent:
+                    known = find(s)
+                    break
+            if known is None:
+                frontier.append(succ(min_member, e))
+            elif known != star_root and not info[known][1]:
+                frontier.append(succ(min_member, e))
+    frontier = sorted(set(frontier), key=lambda t: (t[0], t[1]))
+    status = EXACT if not frontier else TRUNCATED
+
+    def state_name(term: Term) -> str:
+        g, t = term
+        return g if not t else g + "@" + ".".join(t)
+
+    names = {}
+    for root, (min_member, settled, _) in sorted(info.items(), key=lambda kv: _term_key(kv[1][0])):
+        if settled:
+            names[root] = state_name(min_member)
+    states = tuple(names[r] for r in sorted(names, key=_term_key))
+    action = {}
+    for root, (min_member, settled, members) in info.items():
+        if not settled:
+            continue
+        for e in m.events:
+            known = None
+            for t in members:
+                s = succ(t, e)
+                if s in parent:
+                    known = find(s)
+                    break
+            if known is not None and known in names:
+                action[(names[root], e)] = names[known]
+    space = StateSpace(m, states, action)
+    class_map = {}
+    for g in p.generators:
+        r = find((g, ()))
+        class_map[g] = STAR if r == star_root or r not in names else names[r]
+    return SaturationResult(status, space, class_map, tuple(frontier))
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 
 
@@ -194,8 +366,9 @@ def random_system(rng, max_states=6, max_events=4) -> WeakAsyncSystem:
     return WeakAsyncSystem(tuple(states), initial, m, transitions)
 
 
-def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x") -> StateSpace:
-    n = rng.randint(1, max_states)
+def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x", n=None) -> StateSpace:
+    if n is None:
+        n = rng.randint(1, max_states)
     states = [f"{prefix}{i}" for i in range(n)]
     action = {}
     for s in states:

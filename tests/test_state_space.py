@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from asyntrace import async_system, state_space
 from asyntrace.diagrams import DiagramShape, discrete, parallel_pair, span
 from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError
 from asyntrace.fpcm_cat import Category
@@ -273,6 +276,71 @@ class TestSaturation:
         assert r.space.step(r.space.step("g", "a"), "b") == r.space.step(
             r.space.step("g", "b"), "a"
         )
+
+
+@st.composite
+def presentations(draw):
+    """Up to 4 generators over up to 4 events, random rules to a generator or
+    star, and a few identifications of arbitrary (uncanonical) words."""
+    events = tuple("abcd"[: draw(st.integers(1, 4))])
+    pairs = list(itertools.combinations(events, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    m = make_monoid(events, chosen)
+    gens = tuple(f"g{i}" for i in range(draw(st.integers(1, 4))))
+    rules = st.tuples(st.sampled_from(gens), st.sampled_from(events), st.sampled_from(gens + (STAR,)))
+    term = st.one_of(
+        st.just(STAR),
+        st.tuples(st.sampled_from(gens), st.lists(st.sampled_from(events), max_size=3).map(tuple)),
+    )
+    transitions = draw(st.lists(rules, max_size=10))
+    identifications = draw(st.lists(st.tuples(term, term), max_size=3))
+    return PresentedAction(m, gens, tuple(transitions), tuple(identifications))
+
+
+def assert_same_saturation(got, want):
+    """Equal results, in the same order of states, entries and frontier."""
+    assert got.status == want.status
+    assert got.space.states == want.space.states
+    assert list(got.space.action.items()) == list(want.space.action.items())
+    assert list(got.class_map.items()) == list(want.class_map.items())
+    assert got.frontier == want.frontier
+
+
+class TestSaturationReference:
+    @settings(max_examples=300, deadline=None)
+    @given(presentations(), st.integers(0, 3))
+    def test_matches_reference(self, p, bound):
+        assert_same_saturation(saturate(p, bound), oracles.reference_saturate(p, bound))
+
+    def test_successor_in_unsettled_class_joins_frontier(self):
+        # h@a.a is glued to g@a.b, a class deeper than the bound: both the
+        # class and the successor that reaches it are on the frontier
+        glue = (("h", ("a", "a")), ("g", ("a", "b")))
+        p = PresentedAction(free_monoid("ab"), ("g", "h"), (), (glue,))
+        r = saturate(p, 1)
+        assert_same_saturation(r, oracles.reference_saturate(p, 1))
+        assert ("h", ("a", "a")) in r.frontier and ("g", ("a", "b")) in r.frontier
+
+    def test_matches_reference_on_free_extension_of_two_systems(self, monkeypatch):
+        # the discrete diagram of two 5-state systems over 3-letter monoids
+        # with one independent pair each, as in the colimits benchmark
+        rng = random.Random(4336)
+        objects = {}
+        for o, letters, prefix in (("o0", "abc", "p"), ("o1", "def", "q")):
+            m = make_monoid(letters, [rng.choice(list(itertools.combinations(letters, 2)))])
+            s = oracles.random_space(rng, m, prefix=prefix, n=5)
+            objects[o] = async_system.WeakAsyncSystem(s.states, s.states[0], m, dict(s.action))
+        seen = []
+        real = state_space.saturate
+
+        def spy(p, bound):
+            seen.append(p)
+            return real(p, bound)
+
+        monkeypatch.setattr(state_space, "saturate", spy)
+        _, got = async_system.colimit(async_system.SystemDiagram(discrete(2), objects, {}), bound=3)
+        assert (len(got.space.states), len(got.frontier)) == (937, 4336)
+        assert_same_saturation(got, oracles.reference_saturate(seen[0], 3))
 
 
 class TestSpaceColimit:

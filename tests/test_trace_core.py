@@ -21,6 +21,7 @@ from asyntrace.trace_core import (
     compose,
     concat,
     equivalent,
+    extend_normal_form,
     free_commutative_monoid,
     free_monoid,
     identity_hom,
@@ -66,6 +67,19 @@ monoid_and_two_words = small_monoid().flatmap(
 monoid_and_long_word = small_monoid(["abcdefghij"[:k] for k in range(1, 11)]).flatmap(
     lambda m: st.tuples(st.just(m), st.lists(st.sampled_from(m.events), max_size=60))
 )
+
+
+
+@st.composite
+def monoid_and_canonical_word(draw):
+    """A monoid of at most 8 letters, declared in a random order, and the
+    normal form of a word of at most 30 letters over it."""
+    events = draw(st.permutations("abcdefgh"[: draw(st.integers(1, 8))]))
+    pairs = list(itertools.combinations(events, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    m = make_monoid(events, chosen)
+    word = draw(st.lists(st.sampled_from(events), max_size=30))
+    return m, normal_form(word, m)
 
 
 def has_ak_factor(word, m):
@@ -212,6 +226,31 @@ class TestNormalForm:
     def test_unknown_letter(self):
         with pytest.raises(UnknownEvent):
             normal_form(("a", "z"), MUTEX)
+
+    @settings(max_examples=300)
+    @given(monoid_and_canonical_word())
+    def test_extension_agrees_with_both_sorts(self, mu):
+        m, u = mu
+        for e in m.events:
+            longer = u + (e,)
+            got = extend_normal_form(u, e, m)
+            assert got == normal_form(longer, m)
+            assert got == oracles.greedy_normal_form(longer, m)
+
+    def test_extension_examples(self):
+        # e commutes with a, c and d but is the largest letter: it goes last
+        assert extend_normal_form(tuple("accd"), "e", MUTEX) == tuple("accde")
+        # c commutes with b and d: it goes before d, the first larger letter
+        assert extend_normal_form(tuple("bd"), "c", MUTEX) == tuple("bcd")
+        # a commutes with e and comes first in the alphabet
+        assert extend_normal_form(tuple("e"), "a", MUTEX) == tuple("ae")
+        # b cannot move left of e, on which it depends
+        assert extend_normal_form(tuple("ce"), "b", MUTEX) == tuple("ceb")
+        assert extend_normal_form((), "c", MUTEX) == ("c",)
+
+    def test_extension_unknown_letter(self):
+        with pytest.raises(UnknownEvent):
+            extend_normal_form(("a",), "z", MUTEX)
 
     @settings(max_examples=100)
     @given(monoid_and_two_words)

@@ -16,12 +16,14 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import (
+    DuplicateEvent,
     MalformedDiagram,
     MalformedRelation,
     NotAMonoid,
     NotIndependencePreserving,
     NotParallel,
     SizeLimit,
+    TraceError,
 )
 from .trace_core import (
     STAR,
@@ -115,22 +117,56 @@ def from_ind_rel(v: IndRelView) -> TraceMonoid:
     return make_monoid(v.events, pairs)
 
 
-def _in_com(m: TraceMonoid, x: str, y: str) -> bool:
-    # membership in T for pointed elements of m
-    return x == y or x == STAR or y == STAR or m.independent(x, y)
-
-
-def _in_ind(m: TraceMonoid, x: str, y: str) -> bool:
-    # membership in R for pointed elements of m
-    return x == STAR or y == STAR or m.independent(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Products
 
 
 def render_tuple(parts: Sequence[str]) -> str:
     return "(" + ",".join(parts) + ")"
+
+
+class PointedGrid:
+    """The tuples of a product of pointed sets, indexed in mixed radix.
+
+    Factor ``j`` contributes the axis ``axes[j]``: its names with ``*`` last.
+    ``itertools.product(*axes)`` lists the tuples so that the one with axis
+    indices ``(i_0, ..., i_{k-1})`` has index ``sum(i_j * strides[j])``.  The
+    all-star tuple, the basepoint, has the last index, ``size``; the product's
+    elements are the ``size`` tuples before it.  Both products use this one
+    convention: generators of the monoid product and states of the space
+    product.
+    """
+
+    def __init__(self, factors: Sequence[Sequence[str]]):
+        self.axes = tuple(tuple(f) + (STAR,) for f in factors)
+        strides = []
+        size = 1
+        for axis in reversed(self.axes):
+            strides.append(size)
+            size *= len(axis)
+        self.strides = tuple(reversed(strides))
+        self.size = size - 1
+
+    def digits(self, j: int) -> list[int]:
+        """Axis index of factor ``j`` in each element, by element index."""
+        stride, radix = self.strides[j], len(self.axes[j])
+        return [i // stride % radix for i in range(self.size)]
+
+    def components(self, clash: type[TraceError], what: str) -> dict[str, tuple[str, ...]]:
+        """Rendered name -> tuple for every element, in index order.
+
+        ``render_tuple`` is not injective once names hold commas; a name
+        rendered from two tuples raises ``clash``."""
+        tuples = list(itertools.product(*self.axes))[: self.size]
+        components = {render_tuple(t): t for t in tuples}
+        if len(components) < len(tuples):
+            seen: dict = {}
+            for t in tuples:
+                name = render_tuple(t)
+                if name in seen:
+                    raise clash(f"product {what} name {name!r} renders both {seen[name]!r} and {t!r}")
+                seen[name] = t
+        return components
 
 
 @dataclass
@@ -141,31 +177,36 @@ class ProductResult:
 
 
 def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:
-    """Product of a finite family; the empty product is the trivial monoid."""
+    """Product of a finite family; the empty product is the trivial monoid.
+
+    Two generators are independent when they are distinct and every pair of
+    components lies in the factor's pointed relation: the commutativity
+    relation T under FPCM, the partial independence relation R under
+    FPCM_PAR.  Each factor's relation becomes ordered pairs of axis offsets
+    (axis index times stride); the product's related index pairs are the sums
+    of one pair per factor, of which the pairs ``u < v`` below the all-star
+    index are kept.
+    """
     ms = list(ms)
     if not ms:
         return ProductResult(TRIVIAL, (), {})
-    axes = [tuple(m.events) + (STAR,) for m in ms]
-    gens = []
-    components = {}
-    for combo in itertools.product(*axes):
-        if all(x == STAR for x in combo):
-            continue
-        name = render_tuple(combo)
-        gens.append(name)
-        components[name] = combo
-    rel = _in_ind if flag is Category.FPCM_PAR else _in_com
-    pairs = []
-    for i, u in enumerate(gens):
-        cu = components[u]
-        for v in gens[i + 1 :]:
-            cv = components[v]
-            if all(rel(m, x, y) for m, x, y in zip(ms, cu, cv)):
-                pairs.append((u, v))
-    monoid = make_monoid(gens, pairs)
+    grid = PointedGrid([m.events for m in ms])
+    components = grid.components(DuplicateEvent, "generator")
+    gens = list(components)
+    related = [(0, 0)]
+    for m, axis, stride in zip(ms, grid.axes, grid.strides):
+        if flag is Category.FPCM_PAR:
+            rel = to_ind_rel(m).partial_independence
+        else:
+            rel = to_com_rel(m).commutativity
+        offset = {x: i * stride for i, x in enumerate(axis)}
+        steps = [(offset[x], offset[y]) for x, y in rel]
+        related = [(u + du, v + dv) for u, v in related for du, dv in steps]
+    n = grid.size
+    monoid = make_monoid(gens, [(gens[u], gens[v]) for u, v in related if u < v < n])
     projections = []
     for j, m in enumerate(ms):
-        image = {g: (None if components[g][j] == STAR else components[g][j]) for g in gens}
+        image = {g: (None if c[j] == STAR else c[j]) for g, c in components.items()}
         projections.append(make_hom(monoid, m, image))
     return ProductResult(monoid, tuple(projections), components)
 

@@ -25,7 +25,7 @@ from .errors import (
     SizeLimit,
     UnknownState,
 )
-from .fpcm_cat import Category, ProductResult, render_tuple, tag
+from .fpcm_cat import Category, PointedGrid, ProductResult, render_tuple, tag
 from .trace_core import (
     STAR,
     BasicHom,
@@ -187,32 +187,40 @@ class SpaceProductResult:
 
 def product(spaces: Sequence[StateSpace], flag: Category = Category.FPCM) -> SpaceProductResult:
     """Monoid product acting componentwise on the product of pointed state
-    sets; only the all-star tuple plays the basepoint."""
+    sets; only the all-star tuple plays the basepoint.
+
+    States and generators are indexed by ``fpcm_cat.PointedGrid``.  Factor
+    ``j`` gives a table: for each axis index ``x`` of its states and ``u`` of
+    its events, the axis index of ``x`` acted on by ``u`` (``x`` itself when
+    ``u`` is star) times the state stride.  Spread over the generators, the
+    table's rows add up, factor by factor, to the target index of every
+    (state, generator) entry; entries that reach the all-star index are left
+    out of the action.
+    """
     spaces = list(spaces)
     mp = fpcm_cat.product([s.monoid for s in spaces], flag)
     if not spaces:
         space = StateSpace(mp.monoid, (), {})
         return SpaceProductResult(space, (), mp, {})
-    axes = [tuple(s.states) + (STAR,) for s in spaces]
-    states = []
-    state_components = {}
-    for combo in itertools.product(*axes):
-        if all(x == STAR for x in combo):
-            continue
-        name = render_tuple(combo)
-        states.append(name)
-        state_components[name] = combo
+    grid = PointedGrid([s.states for s in spaces])
+    state_components = grid.components(InvalidSpace, "state")
+    states = list(state_components)
+    gens = mp.monoid.events
+    gen_grid = PointedGrid([s.monoid.events for s in spaces])
+    rows = [[0] * len(gens)]  # per state index so far, target offsets by generator
+    for j, s in enumerate(spaces):
+        offset = {x: i * grid.strides[j] for i, x in enumerate(grid.axes[j])}
+        events = s.monoid.events
+        table = [[offset[s.step(x, e)] for e in events] + [offset[x]] for x in grid.axes[j]]
+        digits = gen_grid.digits(j)
+        spread = [[row[u] for u in digits] for row in table]
+        rows = [[a + b for a, b in zip(r, t)] for r in rows for t in spread]
+    basepoint = grid.size
     action = {}
-    for name in states:
-        xs = state_components[name]
-        for gen in mp.monoid.events:
-            parts = mp.components[gen]
-            ys = tuple(
-                x if u == STAR else s.step(x, u)
-                for s, x, u in zip(spaces, xs, parts)
-            )
-            if not all(y == STAR for y in ys):
-                action[(name, gen)] = render_tuple(ys)
+    for name, row in zip(states, rows):
+        for gen, t in zip(gens, row):
+            if t != basepoint:
+                action[(name, gen)] = states[t]
     space = StateSpace(mp.monoid, tuple(states), action)
     projections = []
     for i, s in enumerate(spaces):

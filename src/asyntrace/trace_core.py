@@ -57,8 +57,14 @@ class TraceMonoid:
             raise UnknownEvent(f"independence pair mentions unknown event {exc.args[0]!r}") from None
 
     @cached_property
+    def _pair_positions(self) -> tuple[tuple[int, int], ...]:
+        """The independent pairs as position pairs, in alphabet order."""
+        return tuple(sorted(map(self._positions_of, self.independence)))
+
+    @cached_property
     def _pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.independence, key=self._positions_of))
+        events = self.events
+        return tuple((events[i], events[j]) for i, j in self._pair_positions)
 
     @cached_property
     def _dependents(self) -> tuple[tuple[int, ...], ...]:
@@ -317,12 +323,17 @@ def make_hom(
 
 
 def _invalid_pair(h: BasicHom) -> Optional[tuple[str, str]]:
-    for a, b in h.source._pairs:
-        fa, fb = h(a), h(b)
+    """The first independent source pair, in alphabet order, whose images do
+    not commute; images are read by position."""
+    image = h.image
+    independence = h.target.independence
+    for i, j in h.source._pair_positions:
+        fa, fb = image[i], image[j]
         if fa is None or fb is None or fa == fb:
             continue
-        if not h.target.independent(fa, fb):
-            return (a, b)
+        if (fa, fb) not in independence and (fb, fa) not in independence:
+            events = h.source.events
+            return (events[i], events[j])
     return None
 
 
@@ -342,9 +353,10 @@ def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:
 
 
 def is_independence_preserving(h: BasicHom) -> bool:
-    for a, b in h.source._pairs:
-        fa, fb = h(a), h(b)
-        if fa == fb and fa is not None:
+    image = h.image
+    for i, j in h.source._pair_positions:
+        fa = image[i]
+        if fa is not None and fa == image[j]:
             return False
     return True
 

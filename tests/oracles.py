@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own algorithms: the
 transposition closure is a plain BFS over adjacent swaps, the quotient of a
 pointed action is a naive congruence-closure fixpoint, and the random
 generators repair invalid tables by deleting entries rather than reusing the
-library validators' logic.  The one exception is ``reference_saturate``, a
-frozen copy of the package's pass-based saturation kept as a regression
-reference for its memoized successor table.
+library validators' logic.  The exceptions are frozen copies of earlier
+versions of the package, kept as regression references: ``reference_saturate``
+(pass-based saturation, for the memoized successor table), and
+``reference_product`` and ``reference_space_product`` (pairwise and per-entry
+products, for the index arithmetic over per-factor tables).
 """
 
 from __future__ import annotations
@@ -15,17 +17,21 @@ import itertools
 import string
 from collections import deque
 
+from asyntrace import fpcm_cat
 from asyntrace.errors import MalformedDiagram
+from asyntrace.fpcm_cat import TRIVIAL, Category, ProductResult, render_tuple
 from asyntrace.state_space import (
     EXACT,
     TRUNCATED,
     PresentedAction,
     SaturationResult,
+    SpaceProductResult,
     StateSpace,
+    StateSpaceMorphism,
     Term,
 )
 from asyntrace.async_system import WeakAsyncSystem
-from asyntrace.trace_core import STAR, TraceMonoid, make_monoid, normal_form
+from asyntrace.trace_core import STAR, TraceMonoid, make_hom, make_monoid, normal_form
 
 
 def transposition_class(word, m: TraceMonoid) -> frozenset:
@@ -312,6 +318,92 @@ def reference_saturate(p: PresentedAction, bound: int) -> SaturationResult:
 
 
 # ---------------------------------------------------------------------------
+# Products, pair by pair and entry by entry
+
+
+def _in_com(m: TraceMonoid, x: str, y: str) -> bool:
+    # membership in T for pointed elements of m
+    return x == y or x == STAR or y == STAR or m.independent(x, y)
+
+
+def _in_ind(m: TraceMonoid, x: str, y: str) -> bool:
+    # membership in R for pointed elements of m
+    return x == STAR or y == STAR or m.independent(x, y)
+
+
+def reference_product(ms, flag=Category.FPCM) -> ProductResult:
+    """``fpcm_cat.product`` as it was before index arithmetic: every pair of
+    generators is tested factor by factor against the pointed relation.  A
+    regression reference: generators, pairs, projections and components must
+    agree, in order."""
+    ms = list(ms)
+    if not ms:
+        return ProductResult(TRIVIAL, (), {})
+    axes = [tuple(m.events) + (STAR,) for m in ms]
+    gens = []
+    components = {}
+    for combo in itertools.product(*axes):
+        if all(x == STAR for x in combo):
+            continue
+        name = render_tuple(combo)
+        gens.append(name)
+        components[name] = combo
+    rel = _in_ind if flag is Category.FPCM_PAR else _in_com
+    pairs = []
+    for i, u in enumerate(gens):
+        cu = components[u]
+        for v in gens[i + 1 :]:
+            cv = components[v]
+            if all(rel(m, x, y) for m, x, y in zip(ms, cu, cv)):
+                pairs.append((u, v))
+    monoid = make_monoid(gens, pairs)
+    projections = []
+    for j, m in enumerate(ms):
+        image = {g: (None if components[g][j] == STAR else components[g][j]) for g in gens}
+        projections.append(make_hom(monoid, m, image))
+    return ProductResult(monoid, tuple(projections), components)
+
+
+def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
+    """``state_space.product`` as it was before per-factor tables: every
+    (state, generator) entry is computed component by component and
+    rendered.  A regression reference, down to the order of action entries.
+    Its monoid part is the package's ``fpcm_cat.product``, which
+    ``reference_product`` checks on its own."""
+    spaces = list(spaces)
+    mp = fpcm_cat.product([s.monoid for s in spaces], flag)
+    if not spaces:
+        space = StateSpace(mp.monoid, (), {})
+        return SpaceProductResult(space, (), mp, {})
+    axes = [tuple(s.states) + (STAR,) for s in spaces]
+    states = []
+    state_components = {}
+    for combo in itertools.product(*axes):
+        if all(x == STAR for x in combo):
+            continue
+        name = render_tuple(combo)
+        states.append(name)
+        state_components[name] = combo
+    action = {}
+    for name in states:
+        xs = state_components[name]
+        for gen in mp.monoid.events:
+            parts = mp.components[gen]
+            ys = tuple(
+                x if u == STAR else s.step(x, u)
+                for s, x, u in zip(spaces, xs, parts)
+            )
+            if not all(y == STAR for y in ys):
+                action[(name, gen)] = render_tuple(ys)
+    space = StateSpace(mp.monoid, tuple(states), action)
+    projections = []
+    for i, s in enumerate(spaces):
+        state_part = {name: state_components[name][i] for name in states}
+        projections.append(StateSpaceMorphism(space, s, mp.projections[i], state_part))
+    return SpaceProductResult(space, tuple(projections), mp, state_components)
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 
 
@@ -375,6 +467,12 @@ def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x", n=None) -> 
         for e in monoid.events:
             if rng.random() < 0.6:
                 action[(s, e)] = rng.choice(states)
+    return StateSpace(monoid, tuple(states), repair_diamond(monoid, states, action))
+
+
+def repair_diamond(monoid: TraceMonoid, states, action: dict) -> dict:
+    """Delete action entries, one at a time, until every independent pair
+    closes its diamond at every state; ``action`` is changed in place."""
 
     def step(x, e):
         if x == STAR:
@@ -395,9 +493,8 @@ def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x", n=None) -> 
     while True:
         v = violation()
         if v is None:
-            break
+            return action
         del action[v]
-    return StateSpace(monoid, tuple(states), action)
 
 
 def random_equivariant_map(rng, src: StateSpace, tgt: StateSpace, tries=200):

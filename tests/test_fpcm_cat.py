@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyntrace.diagrams import (
     DiagramShape,
@@ -11,7 +12,7 @@ from asyntrace.diagrams import (
     parallel_pair,
     span,
 )
-from asyntrace.errors import MalformedRelation, NotAMonoid, SizeLimit
+from asyntrace.errors import DuplicateEvent, MalformedRelation, NotAMonoid, SizeLimit
 from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
@@ -117,6 +118,40 @@ class TestProduct:
         med = tupling([f1, f2], res)
         assert compose(res.projections[0], med).mapping == f1.mapping
         assert compose(res.projections[1], med).mapping == f2.mapping
+
+
+@st.composite
+def small_monoids(draw, prefix=""):
+    """Up to 3 events, any subset of pairs independent."""
+    events = tuple(prefix + c for c in "abc"[: draw(st.integers(0, 3))])
+    pairs = list(itertools.combinations(events, 2))
+    return make_monoid(events, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+def assert_same_product(got, want):
+    """Equal generators, pairs, projections and components, in order."""
+    assert got.monoid.events == want.monoid.events
+    assert got.monoid.pairs() == want.monoid.pairs()
+    assert [(p.source, p.target, p.image) for p in got.projections] == [
+        (p.source, p.target, p.image) for p in want.projections
+    ]
+    assert list(got.components.items()) == list(want.components.items())
+
+
+class TestProductReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_monoids(), max_size=4), st.sampled_from(BOTH))
+    def test_matches_pairwise_reference(self, ms, flag):
+        assert_same_product(product(ms, flag), oracles.reference_product(ms, flag))
+
+    def test_clashing_generator_names_are_named(self):
+        # "(a,b,c)" renders both ("a,b", "c") and ("a", "b,c")
+        ms = [free_monoid(["a,b", "a"]), free_monoid(["c", "b,c"])]
+        for flag in BOTH:
+            with pytest.raises(DuplicateEvent) as exc:
+                product(ms, flag)
+            msg = str(exc.value)
+            assert "'(a,b,c)'" in msg and "('a,b', 'c')" in msg and "('a', 'b,c')" in msg
 
 
 class TestEqualizer:

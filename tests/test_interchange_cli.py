@@ -376,6 +376,36 @@ class TestCli:
         assert "[SchemaError]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["monoid", "product", "BUNDLE", "--objects", "m1", "m2"], "DuplicateEvent"),
+            (["space", "product", "BUNDLE", "--objects", "s1", "s2"], "InvalidSpace"),
+            (["asys", "product", "BUNDLE", "--objects", "A", "B"], "InvalidSpace"),
+        ],
+        ids=["monoid", "space", "asys"],
+    )
+    def test_product_name_clash_exits_one(self, tmp_path, capsys, argv, code):
+        # "(a,b,c)" renders both ("a,b", "c") and ("a", "b,c")
+        docs = {
+            "m1": {"kind": "monoid", "events": ["a,b", "a"], "independence": []},
+            "m2": {"kind": "monoid", "events": ["c", "b,c"], "independence": []},
+            "n": {"kind": "monoid", "events": ["e"], "independence": []},
+            "s1": {"kind": "space", "monoid": "n", "states": ["a,b", "a"], "action": {}},
+            "s2": {"kind": "space", "monoid": "n", "states": ["c", "b,c"], "action": {}},
+            "A": {"kind": "system", "states": ["a,b", "a"], "initial": "a", "events": ["e"], "transitions": []},
+            "B": {"kind": "system", "states": ["c", "b,c"], "initial": "c", "events": ["e"], "transitions": []},
+        }
+        bundle = tmp_path / "clash.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": docs}))
+        rc = main([str(bundle) if a == "BUNDLE" else a for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"[{code}]" in captured.err
+        assert "'(a,b,c)'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_iso_check(self, fixtures_dir, capsys):
         rc = main(
             [

@@ -190,6 +190,49 @@ class TestSpaceProduct:
             assert comp.monoid_part.mapping == leg.monoid_part.mapping
 
 
+@st.composite
+def small_spaces(draw):
+    """Up to 3 events with any pairs independent, up to 4 states, and a
+    random action with the entries that break a diamond deleted."""
+    events = tuple("abc"[: draw(st.integers(0, 3))])
+    pairs = list(itertools.combinations(events, 2))
+    m = make_monoid(events, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    states = tuple(f"x{i}" for i in range(draw(st.integers(0, 4))))
+    action = {}
+    for x in states:
+        for e in events:
+            y = draw(st.sampled_from(states + (STAR,)))
+            if y != STAR:
+                action[(x, e)] = y
+    return StateSpace(m, states, oracles.repair_diamond(m, states, action))
+
+
+class TestSpaceProductReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_spaces(), max_size=4), st.sampled_from((Category.FPCM, Category.FPCM_PAR)))
+    def test_matches_per_entry_reference(self, spaces, flag):
+        got = product(spaces, flag)
+        want = oracles.reference_space_product(spaces, flag)
+        assert got.space.monoid.events == want.space.monoid.events
+        assert got.space.monoid.pairs() == want.space.monoid.pairs()
+        assert got.space.states == want.space.states
+        assert list(got.space.action.items()) == list(want.space.action.items())
+        assert list(got.state_components.items()) == list(want.state_components.items())
+        assert [list(p.state_part.items()) for p in got.projections] == [
+            list(p.state_part.items()) for p in want.projections
+        ]
+        assert [p.monoid_part for p in got.projections] == [p.monoid_part for p in want.projections]
+
+    def test_clashing_state_names_are_named(self):
+        # "(a,b,c)" renders both ("a,b", "c") and ("a", "b,c")
+        s1 = make_space(free_monoid("e"), ["a,b", "a"], {})
+        s2 = make_space(free_monoid("f"), ["c", "b,c"], {})
+        with pytest.raises(InvalidSpace) as exc:
+            product([s1, s2])
+        msg = str(exc.value)
+        assert "'(a,b,c)'" in msg and "('a,b', 'c')" in msg and "('a', 'b,c')" in msg
+
+
 class TestSpaceEqualizerAndLimit:
     def test_equalizer_keeps_agreeing_states(self):
         m = free_monoid("a")

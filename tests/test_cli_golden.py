@@ -1,11 +1,14 @@
-"""CLI golden digests: every command on every fixture, in text and JSON.
+"""CLI golden digests: every command on every fixture, in text and JSON,
+and argparse's own help and usage-error output.
 
 Each case runs ``cli.main`` in-process and compares the SHA-256 of its
-stdout, the SHA-256 of its stderr and its exit code with the values stored
-in ``tests/data/cli_golden.json``.  A command is given the first documents
+stdout, the SHA-256 of its stderr and its exit code (the code of argparse's
+``SystemExit`` where it exits) with the values stored in
+``tests/data/cli_golden.json``.  A command is given the first documents
 of the kinds it needs from the fixture, or, where the fixture has none of
 that kind, its first document, so that wrong-kind and missing-document
-errors are pinned too.
+errors are pinned too.  Help text is wrapped to ``COLUMNS=80``; its digests
+hold for the argparse of the Python that captured them (3.11).
 
 Regenerate the digests (only when an output change is intended) with::
 
@@ -18,8 +21,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -58,6 +63,34 @@ COMMANDS = (
 
 CATEGORIES = {"hom-check", "product", "coproduct", "equalize", "coequalize", "limit", "colimit"}
 
+# argparse's own exits: (label, argv); "{fixture}" is systems.json, which
+# argparse never opens
+USAGE_ERRORS = (
+    ("usage no command", []),
+    ("usage monoid no subcommand", ["monoid"]),
+    ("usage space no subcommand", ["space"]),
+    ("usage asys no subcommand", ["asys"]),
+    ("usage unknown command", ["bogus"]),
+    ("usage monoid unknown subcommand", ["monoid", "bogus", "{fixture}"]),
+    ("usage space unknown subcommand", ["space", "bogus", "{fixture}"]),
+    ("usage asys unknown subcommand", ["asys", "bogus", "{fixture}"]),
+    ("usage normalize missing bundle", ["normalize", "--monoid", "m", "--word", "a"]),
+    ("usage equiv missing options", ["equiv", "{fixture}"]),
+    ("usage monoid product missing --objects", ["monoid", "product", "{fixture}"]),
+    ("usage space limit missing --diagram", ["space", "limit", "{fixture}"]),
+    ("usage asys colimit missing --diagram", ["asys", "colimit", "{fixture}", "--bound", "3"]),
+    ("usage asys unfold missing --depth", ["asys", "unfold", "{fixture}", "--system", "A"]),
+    ("usage normalize bad --format", ["normalize", "{fixture}", "--monoid", "m", "--word", "a", "--format", "xml"]),
+    ("usage monoid product bad --category", ["monoid", "product", "{fixture}", "--objects", "A", "--category", "par"]),
+    ("usage asys product bad --category", ["asys", "product", "{fixture}", "--objects", "A", "--category", "par"]),
+    ("usage space colimit non-integer --bound", ["space", "colimit", "{fixture}", "--diagram", "pair", "--bound", "x"]),
+    ("usage asys colimit non-integer --bound", ["asys", "colimit", "{fixture}", "--diagram", "pair", "--bound", "3.5"]),
+    ("usage asys unfold non-integer --depth", ["asys", "unfold", "{fixture}", "--system", "A", "--depth", "x"]),
+    ("usage normalize unknown option", ["normalize", "{fixture}", "--monoid", "m", "--word", "a", "--bogus"]),
+    ("usage asys reach takes no --category", ["asys", "reach", "{fixture}", "--system", "A", "--category", "fpcm"]),
+    ("usage monoid colimit takes no --bound", ["monoid", "colimit", "{fixture}", "--diagram", "pair", "--bound", "3"]),
+)
+
 
 def _names_by_kind(fixture: str) -> tuple[dict, str]:
     docs = json.loads((FIXTURES / fixture).read_text())["documents"]
@@ -91,6 +124,13 @@ def cases() -> list[tuple[str, list[str]]]:
                     argv = base + (["--category", cat] if cat else []) + ["--format", fmt]
                     label = " ".join(words) + f" {fixture}" + (f" {cat}" if cat else "") + f" {fmt}"
                     out.append((label, argv))
+    helps = [()]
+    for words, _ in COMMANDS:
+        if len(words) == 2 and words[:1] not in helps:
+            helps.append(words[:1])
+        helps.append(words)
+    out.extend((" ".join(words + ("--help",)), list(words) + ["--help"]) for words in helps)
+    out.extend((label, list(argv)) for label, argv in USAGE_ERRORS)
     return out
 
 
@@ -99,8 +139,12 @@ def run(argv: list[str], fixture_path: str) -> dict:
 
     argv = [fixture_path if a == "{fixture}" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help and usage errors
+            rc = exc.code
     return {
         "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
@@ -109,7 +153,7 @@ def run(argv: list[str], fixture_path: str) -> dict:
 
 
 def _fixture_of(label: str) -> str:
-    return str(FIXTURES / next(f for f in FIXTURE_FILES if f in label.split()))
+    return str(FIXTURES / next((f for f in FIXTURE_FILES if f in label.split()), "systems.json"))
 
 
 CASES = cases()
@@ -124,6 +168,28 @@ def test_golden_covers_every_case():
 def test_cli_output_matches_golden(label, argv):
     stored = json.loads(GOLDEN.read_text())
     assert run(argv, _fixture_of(label)) == stored[label]
+
+
+def test_repeated_calls_in_one_process_leak_no_state():
+    # every case in reverse order, each followed by a usage error that
+    # leaves argparse mid-parse, in one process: a parser or handler that
+    # kept state from an earlier call would change some digest
+    stored = json.loads(GOLDEN.read_text())
+    errors = [(label, argv) for label, argv in CASES if label.startswith("usage ")]
+    for i, (label, argv) in enumerate(reversed(CASES)):
+        assert run(argv, _fixture_of(label)) == stored[label], label
+        err_label, err_argv = errors[i % len(errors)]
+        assert run(err_argv, _fixture_of(err_label)) == stored[err_label], err_label
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path):
+    label = "asys product systems.json fpcm-par json"
+    argv, path = dict(CASES)[label], tmp_path / "out.json"
+    got = run(argv + ["--output", str(path)], _fixture_of(label))
+    empty = hashlib.sha256(b"").hexdigest()
+    want = json.loads(GOLDEN.read_text())[label]
+    assert got == {"stdout": empty, "stderr": want["stderr"], "exit": 0}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want["stdout"]
 
 
 if __name__ == "__main__":

@@ -214,7 +214,9 @@ def induced_space_morphism(m: SystemMorphism) -> StateSpaceMorphism:
 
 def is_polygonal(m: SystemMorphism) -> bool:
     """Transition-reflection criterion: wherever the image state can do the
-    image event, the source state must be able to do the event."""
+    image event, the source state must be able to do the event.  An event
+    sent to the identity can always be done by the image state, so the
+    source state must be able to do it."""
     problems = morphism_violations(m)
     if problems:
         raise NotAMorphism("; ".join(problems))
@@ -225,9 +227,8 @@ def is_polygonal(m: SystemMorphism) -> bool:
             continue
         for e in a.monoid.events:
             fe = m.event(e)
-            if fe is None:
-                continue
-            if b.step(t1, fe) != STAR and a.step(s1, e) == STAR:
+            image = t1 if fe is None else b.step(t1, fe)
+            if image != STAR and a.step(s1, e) == STAR:
                 return False
     return True
 

@@ -7,13 +7,21 @@ the same inputs always produce byte-identical output.
 
 Exit codes: 0 on success, 1 on a domain error (invalid homomorphism,
 diamond violation, size limit, ...), 2 on usage, parse, or schema errors.
+
+Every command is one row of ``COMMANDS``: its words, its handler and its
+options.  One loop over the table builds the argparse tree, and ``main``
+builds it once per process.  The shared code fetches the documents that a
+row's option style names, writes the output bundle and emits it, so a
+handler holds only its construction, its summary and its text lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
+from typing import Callable, NamedTuple, Sequence
 
 from . import async_system as asys
 from . import fpcm_cat
@@ -35,10 +43,6 @@ from .trace_core import (
     is_independence_preserving,
     normal_form,
 )
-
-
-def _category(name: str) -> Category:
-    return Category(name)
 
 
 def parse_word(text: str, monoid) -> list[str]:
@@ -150,8 +154,40 @@ def _emit(args, writer, summary, lines) -> None:
         sys.stdout.write(text)
 
 
+class Output(NamedTuple):
+    """What a handler computed: the JSON summary and the text lines, and,
+    for a construction, its result and the morphisms written after it."""
+
+    summary: dict
+    lines: list
+    result: object = None
+    morphisms: Sequence = ()  # (document name, morphism) pairs
+
+
+def _listing(names) -> str:
+    return ", ".join(names) or "(none)"
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _numbered(prefix, morphisms) -> list:
+    return [(f"{prefix}_{i}", m) for i, m in enumerate(morphisms)]
+
+
+def _legs(prefix, legs) -> list:
+    return [(f"{prefix}_{o}", legs[o]) for o in sorted(legs)]
+
+
+def _initial(a):
+    return None if a.initial == STAR else a.initial
+
+
 # ---------------------------------------------------------------------------
-# Command handlers
+# Command handlers.  A handler whose command has an option style gets the
+# documents its options name (a list for "objects", two morphisms for
+# "pair", a diagram for "diagram"); any other handler gets the bundle.
 
 
 def cmd_normalize(args, bundle):
@@ -159,7 +195,7 @@ def cmd_normalize(args, bundle):
     word = parse_word(args.word, m)
     nf = normal_form(word, m)
     summary = {"input": word, "normal_form": list(nf), "rendered": render_word(nf)}
-    return None, summary, [render_word(nf)]
+    return Output(summary, [render_word(nf)])
 
 
 def cmd_equiv(args, bundle):
@@ -172,330 +208,29 @@ def cmd_equiv(args, bundle):
         "left_normal_form": list(left),
         "right_normal_form": list(right),
     }
-    return None, summary, ["equivalent" if eq else "not equivalent"]
+    return Output(summary, ["equivalent" if eq else "not equivalent"])
 
 
 def cmd_hom_check(args, bundle):
     h = bundle.get(args.hom, "hom")
     ip = is_independence_preserving(h)
-    if _category(args.category) is Category.FPCM_PAR and not ip:
+    if Category(args.category) is Category.FPCM_PAR and not ip:
         raise NotIndependencePreserving(
             f"hom {args.hom!r} is not a morphism in the {args.category} category"
         )
     summary = {"valid": True, "independence_preserving": ip}
-    lines = [
-        "valid basic homomorphism",
-        f"independence-preserving: {'yes' if ip else 'no'}",
-    ]
-    return None, summary, lines
-
-
-def cmd_monoid_product(args, bundle):
-    flag = _category(args.category)
-    w = _Writer()
-    ms = []
-    for name in args.objects:
-        m = bundle.get(name, "monoid")
-        w.seed(name, "monoid", m)
-        ms.append(m)
-    res = fpcm_cat.product(ms, flag)
-    w.seed("result", "monoid", res.monoid)
-    for i, p in enumerate(res.projections):
-        w.hom(p, f"proj_{i}")
-    summary = {"events": list(res.monoid.events), "category": args.category}
-    lines = [f"product events: {', '.join(res.monoid.events) or '(none)'}"]
-    return w, summary, lines
-
-
-def cmd_monoid_coproduct(args, bundle):
-    flag = _category(args.category)
-    w = _Writer()
-    ms = []
-    for name in args.objects:
-        m = bundle.get(name, "monoid")
-        w.seed(name, "monoid", m)
-        ms.append(m)
-    res = fpcm_cat.coproduct(ms, flag)
-    w.seed("result", "monoid", res.monoid)
-    for i, inj in enumerate(res.injections):
-        w.hom(inj, f"inj_{i}")
-    summary = {"events": list(res.monoid.events), "category": args.category}
-    lines = [f"coproduct events: {', '.join(res.monoid.events) or '(none)'}"]
-    return w, summary, lines
-
-
-def cmd_monoid_equalize(args, bundle):
-    flag = _category(args.category)
-    f = bundle.get(args.left, "hom")
-    g = bundle.get(args.right, "hom")
-    w = _Writer()
-    sub, incl = fpcm_cat.equalizer(f, g, flag)
-    w.seed("result", "monoid", sub)
-    w.hom(incl, "include")
-    summary = {"events": list(sub.events), "category": args.category}
-    lines = [f"equalizer events: {', '.join(sub.events) or '(none)'}"]
-    return w, summary, lines
-
-
-def cmd_monoid_coequalize(args, bundle):
-    flag = _category(args.category)
-    f = bundle.get(args.left, "hom")
-    g = bundle.get(args.right, "hom")
-    w = _Writer()
-    res = fpcm_cat.coequalizer(f, g, flag)
-    w.seed("result", "monoid", res.monoid)
-    w.hom(res.quotient, "quotient")
-    summary = {
-        "events": list(res.monoid.events),
-        "classes": {e: c for e, c in sorted(res.classes.items())},
-        "category": args.category,
-    }
-    lines = [f"coequalizer events: {', '.join(res.monoid.events) or '(none)'}"]
-    for e, c in sorted(res.classes.items()):
-        lines.append(f"  {e} -> {c if c is not None else '(identity)'}")
-    return w, summary, lines
-
-
-def _monoid_diagram(bundle, name) -> MonoidDiagram:
-    d = bundle.get(name, "diagram")
-    if not isinstance(d, MonoidDiagram):
-        raise SchemaError(f"diagram {name!r} is not a monoid diagram")
-    return d
-
-
-def cmd_monoid_limit(args, bundle):
-    flag = _category(args.category)
-    d = _monoid_diagram(bundle, args.diagram)
-    cone = fpcm_cat.limit(d, flag)
-    w = _Writer()
-    w.seed("result", "monoid", cone.apex)
-    for o in sorted(cone.legs):
-        w.hom(cone.legs[o], f"leg_{o}")
-    summary = {"events": list(cone.apex.events), "category": args.category}
-    lines = [f"limit events: {', '.join(cone.apex.events) or '(none)'}"]
-    return w, summary, lines
-
-
-def cmd_monoid_colimit(args, bundle):
-    flag = _category(args.category)
-    d = _monoid_diagram(bundle, args.diagram)
-    cocone = fpcm_cat.colimit(d, flag)
-    w = _Writer()
-    w.seed("result", "monoid", cocone.apex)
-    for o in sorted(cocone.legs):
-        w.hom(cocone.legs[o], f"leg_{o}")
-    summary = {"events": list(cocone.apex.events), "category": args.category}
-    lines = [f"colimit events: {', '.join(cocone.apex.events) or '(none)'}"]
-    return w, summary, lines
+    return Output(summary, ["valid basic homomorphism", f"independence-preserving: {_yes(ip)}"])
 
 
 def cmd_radjoint(args, bundle):
     t = bundle.get(args.table, "monoid_table")
     res = fpcm_cat.right_adjoint_R(t.elements, t.table)
-    w = _Writer()
-    w.seed("result", "monoid", res.monoid)
     summary = {
         "events": list(res.monoid.events),
         "identity": res.identity,
         "counit": dict(sorted(res.counit.items())),
     }
-    lines = [f"generators: {', '.join(res.monoid.events) or '(none)'}"]
-    return w, summary, lines
-
-
-def cmd_space_product(args, bundle):
-    flag = _category(args.category)
-    w = _Writer()
-    spaces = []
-    for name in args.objects:
-        s = bundle.get(name, "space")
-        w.seed(name, "space", s)
-        spaces.append(s)
-    res = ss.product(spaces, flag)
-    w.seed("result", "space", res.space)
-    for i, p in enumerate(res.projections):
-        w.space_morphism(p, f"proj_{i}")
-    summary = {
-        "states": list(res.space.states),
-        "events": list(res.space.monoid.events),
-        "category": args.category,
-    }
-    lines = [
-        f"product states: {len(res.space.states)}",
-        f"product events: {len(res.space.monoid.events)}",
-    ]
-    return w, summary, lines
-
-
-def cmd_space_equalize(args, bundle):
-    flag = _category(args.category)
-    m1 = bundle.get(args.left, "space_morphism")
-    m2 = bundle.get(args.right, "space_morphism")
-    sub, incl = ss.equalizer(m1, m2, flag)
-    w = _Writer()
-    w.seed("result", "space", sub)
-    w.space_morphism(incl, "include")
-    summary = {"states": list(sub.states), "events": list(sub.monoid.events)}
-    lines = [f"equalizer states: {', '.join(sub.states) or '(none)'}"]
-    return w, summary, lines
-
-
-def _space_diagram(bundle, name) -> SpaceDiagram:
-    d = bundle.get(name, "diagram")
-    if not isinstance(d, SpaceDiagram):
-        raise SchemaError(f"diagram {name!r} is not a state-space diagram")
-    return d
-
-
-def cmd_space_limit(args, bundle):
-    flag = _category(args.category)
-    d = _space_diagram(bundle, args.diagram)
-    cone = ss.limit(d, flag)
-    w = _Writer()
-    w.seed("result", "space", cone.apex)
-    for o in sorted(cone.legs):
-        w.space_morphism(cone.legs[o], f"leg_{o}")
-    summary = {"states": list(cone.apex.states), "events": list(cone.apex.monoid.events)}
-    lines = [f"limit states: {len(cone.apex.states)}"]
-    return w, summary, lines
-
-
-def cmd_space_colimit(args, bundle):
-    flag = _category(args.category)
-    d = _space_diagram(bundle, args.diagram)
-    res = ss.colimit(d, flag, bound=args.bound)
-    sat = res.saturation
-    w = _Writer()
-    w.seed("result", "space", sat.space)
-    for o in sorted(res.cocone.legs):
-        w.space_morphism(res.cocone.legs[o], f"leg_{o}")
-    frontier = [_render_term(t) for t in sat.frontier]
-    summary = {
-        "status": sat.status,
-        "states": list(sat.space.states),
-        "class_map": dict(sorted(sat.class_map.items())),
-        "frontier": frontier,
-    }
-    lines = [
-        f"status: {sat.status}",
-        f"colimit states: {len(sat.space.states)}",
-    ]
-    if frontier:
-        lines.append("frontier: " + ", ".join(frontier))
-    return w, summary, lines
-
-
-def cmd_asys_validate(args, bundle):
-    a = bundle.get(args.system, "system")
-    cls = asys.classify(a)
-    summary = {"valid": True, "classification": cls}
-    return None, summary, ["valid weak asynchronous system", f"classification: {cls}"]
-
-
-def cmd_asys_classify(args, bundle):
-    a = bundle.get(args.system, "system")
-    cls = asys.classify(a)
-    return None, {"classification": cls}, [cls]
-
-
-def cmd_asys_morphism_check(args, bundle):
-    m = bundle.get(args.morphism, "system_morphism")
-    poly = asys.is_polygonal(m)
-    summary = {"valid": True, "polygonal": poly}
-    return None, summary, ["valid system morphism", f"polygonal: {'yes' if poly else 'no'}"]
-
-
-def cmd_asys_polygonal_check(args, bundle):
-    m = bundle.get(args.morphism, "system_morphism")
-    poly = asys.is_polygonal(m)
-    return None, {"polygonal": poly}, ["polygonal" if poly else "not polygonal"]
-
-
-def cmd_asys_product(args, bundle):
-    flag = _category(args.category)
-    w = _Writer()
-    systems = []
-    for name in args.objects:
-        a = bundle.get(name, "system")
-        w.seed(name, "system", a)
-        systems.append(a)
-    cone = asys.product(systems, flag)
-    w.seed("result", "system", cone.apex)
-    for o in sorted(cone.legs):
-        w.system_morphism(cone.legs[o], f"proj_{o}")
-    summary = {
-        "states": list(cone.apex.states),
-        "initial": None if cone.apex.initial == STAR else cone.apex.initial,
-        "events": list(cone.apex.monoid.events),
-    }
-    lines = [
-        f"product states: {len(cone.apex.states)}",
-        f"product events: {len(cone.apex.monoid.events)}",
-    ]
-    return w, summary, lines
-
-
-def _system_diagram(bundle, name) -> asys.SystemDiagram:
-    d = bundle.get(name, "diagram")
-    if not isinstance(d, asys.SystemDiagram):
-        raise SchemaError(f"diagram {name!r} is not a system diagram")
-    return d
-
-
-def cmd_asys_limit(args, bundle):
-    flag = _category(args.category)
-    d = _system_diagram(bundle, args.diagram)
-    cone = asys.limit(d, flag)
-    w = _Writer()
-    w.seed("result", "system", cone.apex)
-    for o in sorted(cone.legs):
-        w.system_morphism(cone.legs[o], f"leg_{o}")
-    summary = {
-        "states": list(cone.apex.states),
-        "initial": None if cone.apex.initial == STAR else cone.apex.initial,
-    }
-    lines = [f"limit states: {len(cone.apex.states)}"]
-    return w, summary, lines
-
-
-def cmd_asys_colimit(args, bundle):
-    flag = _category(args.category)
-    d = _system_diagram(bundle, args.diagram)
-    cocone, sat = asys.colimit(d, flag, bound=args.bound)
-    w = _Writer()
-    w.seed("result", "system", cocone.apex)
-    for o in sorted(cocone.legs):
-        w.system_morphism(cocone.legs[o], f"leg_{o}")
-    frontier = [_render_term(t) for t in sat.frontier]
-    summary = {
-        "status": sat.status,
-        "states": list(cocone.apex.states),
-        "initial": None if cocone.apex.initial == STAR else cocone.apex.initial,
-        "class_map": dict(sorted(sat.class_map.items())),
-        "frontier": frontier,
-    }
-    lines = [f"status: {sat.status}", f"colimit states: {len(cocone.apex.states)}"]
-    if frontier:
-        lines.append("frontier: " + ", ".join(frontier))
-    return w, summary, lines
-
-
-def cmd_asys_reach(args, bundle):
-    a = bundle.get(args.system, "system")
-    r = asys.reachable(a)
-    w = _Writer()
-    w.seed("result", "system", r)
-    summary = {"states": list(r.states), "removed": len(a.states) - len(r.states)}
-    lines = [f"reachable states: {len(r.states)} of {len(a.states)}"]
-    return w, summary, lines
-
-
-def cmd_asys_unfold(args, bundle):
-    a = bundle.get(args.system, "system")
-    rows = asys.unfold(a, args.depth)
-    summary = {"traces": [[list(t), s] for t, s in rows]}
-    lines = [f"{render_word(t)} -> {s}" for t, s in rows] or ["(no runs)"]
-    return None, summary, lines
+    return Output(summary, [f"generators: {_listing(res.monoid.events)}"], res.monoid)
 
 
 def cmd_iso_check(args, bundle):
@@ -518,157 +253,284 @@ def cmd_iso_check(args, bundle):
             emap, smap = res
             summary["events"] = dict(sorted(emap.items()))
             summary["states"] = dict(sorted(smap.items()))
-    return None, summary, ["isomorphic" if found else "not isomorphic"]
+    return Output(summary, ["isomorphic" if found else "not isomorphic"])
+
+
+def _monoid_output(what, m, args, morphisms, **more) -> Output:
+    summary = {"events": list(m.events), "category": args.category, **more}
+    return Output(summary, [f"{what} events: {_listing(m.events)}"], m, morphisms)
+
+
+def cmd_monoid_product(args, monoids):
+    res = fpcm_cat.product(monoids, Category(args.category))
+    return _monoid_output("product", res.monoid, args, _numbered("proj", res.projections))
+
+
+def cmd_monoid_coproduct(args, monoids):
+    res = fpcm_cat.coproduct(monoids, Category(args.category))
+    return _monoid_output("coproduct", res.monoid, args, _numbered("inj", res.injections))
+
+
+def cmd_monoid_equalize(args, f, g):
+    sub, incl = fpcm_cat.equalizer(f, g, Category(args.category))
+    return _monoid_output("equalizer", sub, args, [("include", incl)])
+
+
+def cmd_monoid_coequalize(args, f, g):
+    res = fpcm_cat.coequalizer(f, g, Category(args.category))
+    classes = dict(sorted(res.classes.items()))
+    out = _monoid_output("coequalizer", res.monoid, args, [("quotient", res.quotient)], classes=classes)
+    out.lines.extend(f"  {e} -> {c if c is not None else '(identity)'}" for e, c in classes.items())
+    return out
+
+
+def cmd_monoid_limit(args, d):
+    cone = fpcm_cat.limit(d, Category(args.category))
+    return _monoid_output("limit", cone.apex, args, _legs("leg", cone.legs))
+
+
+def cmd_monoid_colimit(args, d):
+    cocone = fpcm_cat.colimit(d, Category(args.category))
+    return _monoid_output("colimit", cocone.apex, args, _legs("leg", cocone.legs))
+
+
+def _colimit_output(sat, apex, legs, **more) -> Output:
+    frontier = [_render_term(t) for t in sat.frontier]
+    summary = {
+        "status": sat.status,
+        "states": list(apex.states),
+        "class_map": dict(sorted(sat.class_map.items())),
+        "frontier": frontier,
+        **more,
+    }
+    lines = [f"status: {sat.status}", f"colimit states: {len(apex.states)}"]
+    if frontier:
+        lines.append("frontier: " + ", ".join(frontier))
+    return Output(summary, lines, apex, _legs("leg", legs))
+
+
+def cmd_space_product(args, spaces):
+    res = ss.product(spaces, Category(args.category))
+    s = res.space
+    summary = {"states": list(s.states), "events": list(s.monoid.events), "category": args.category}
+    lines = [f"product states: {len(s.states)}", f"product events: {len(s.monoid.events)}"]
+    return Output(summary, lines, s, _numbered("proj", res.projections))
+
+
+def cmd_space_equalize(args, m1, m2):
+    sub, incl = ss.equalizer(m1, m2, Category(args.category))
+    summary = {"states": list(sub.states), "events": list(sub.monoid.events)}
+    return Output(summary, [f"equalizer states: {_listing(sub.states)}"], sub, [("include", incl)])
+
+
+def cmd_space_limit(args, d):
+    cone = ss.limit(d, Category(args.category))
+    summary = {"states": list(cone.apex.states), "events": list(cone.apex.monoid.events)}
+    return Output(summary, [f"limit states: {len(cone.apex.states)}"], cone.apex, _legs("leg", cone.legs))
+
+
+def cmd_space_colimit(args, d):
+    res = ss.colimit(d, Category(args.category), bound=args.bound)
+    return _colimit_output(res.saturation, res.saturation.space, res.cocone.legs)
+
+
+def cmd_asys_validate(args, bundle):
+    cls = asys.classify(bundle.get(args.system, "system"))
+    summary = {"valid": True, "classification": cls}
+    return Output(summary, ["valid weak asynchronous system", f"classification: {cls}"])
+
+
+def cmd_asys_classify(args, bundle):
+    cls = asys.classify(bundle.get(args.system, "system"))
+    return Output({"classification": cls}, [cls])
+
+
+def cmd_asys_reach(args, bundle):
+    a = bundle.get(args.system, "system")
+    r = asys.reachable(a)
+    summary = {"states": list(r.states), "removed": len(a.states) - len(r.states)}
+    return Output(summary, [f"reachable states: {len(r.states)} of {len(a.states)}"], r)
+
+
+def cmd_asys_unfold(args, bundle):
+    rows = asys.unfold(bundle.get(args.system, "system"), args.depth)
+    summary = {"traces": [[list(t), s] for t, s in rows]}
+    return Output(summary, [f"{render_word(t)} -> {s}" for t, s in rows] or ["(no runs)"])
+
+
+def cmd_asys_morphism_check(args, bundle):
+    poly = asys.is_polygonal(bundle.get(args.morphism, "system_morphism"))
+    summary = {"valid": True, "polygonal": poly}
+    return Output(summary, ["valid system morphism", f"polygonal: {_yes(poly)}"])
+
+
+def cmd_asys_polygonal_check(args, bundle):
+    poly = asys.is_polygonal(bundle.get(args.morphism, "system_morphism"))
+    return Output({"polygonal": poly}, ["polygonal" if poly else "not polygonal"])
+
+
+def cmd_asys_product(args, systems):
+    cone = asys.product(systems, Category(args.category))
+    a = cone.apex
+    summary = {"states": list(a.states), "initial": _initial(a), "events": list(a.monoid.events)}
+    lines = [f"product states: {len(a.states)}", f"product events: {len(a.monoid.events)}"]
+    return Output(summary, lines, a, _legs("proj", cone.legs))
+
+
+def cmd_asys_limit(args, d):
+    cone = asys.limit(d, Category(args.category))
+    a = cone.apex
+    summary = {"states": list(a.states), "initial": _initial(a)}
+    return Output(summary, [f"limit states: {len(a.states)}"], a, _legs("leg", cone.legs))
+
+
+def cmd_asys_colimit(args, d):
+    cocone, sat = asys.colimit(d, Category(args.category), bound=args.bound)
+    return _colimit_output(sat, cocone.apex, cocone.legs, initial=_initial(cocone.apex))
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# The command table
 
 
-def _add_common(p):
+class Command(NamedTuple):
+    words: tuple  # the command words: one, or a group and a subcommand
+    kind: str | None  # document kind that a style reads and the result is
+    handler: Callable
+    options: str | tuple  # a style ("objects", "pair", "diagram") or option names
+    category: str | None = None  # the default of --category, if it takes one
+    extra: tuple = ()  # options after the style's
+    help: str | None = None
+
+
+COMMANDS = (
+    Command(("normalize",), None, cmd_normalize, ("--monoid", "--word"), help="canonical form of a word"),
+    Command(("equiv",), None, cmd_equiv, ("--monoid", "--left", "--right"),
+            help="decide trace equivalence of two words"),
+    Command(("hom-check",), None, cmd_hom_check, ("--hom",), "fpcm", help="validate a basic homomorphism"),
+    Command(("radjoint",), "monoid", cmd_radjoint, ("--table",), help="reflect a finite monoid table"),
+    Command(("iso-check",), None, cmd_iso_check, ("--left", "--right"), help="search for an isomorphism"),
+    Command(("monoid", "product"), "monoid", cmd_monoid_product, "objects", "fpcm"),
+    Command(("monoid", "coproduct"), "monoid", cmd_monoid_coproduct, "objects", "fpcm"),
+    Command(("monoid", "equalize"), "monoid", cmd_monoid_equalize, "pair", "fpcm"),
+    Command(("monoid", "coequalize"), "monoid", cmd_monoid_coequalize, "pair", "fpcm"),
+    Command(("monoid", "limit"), "monoid", cmd_monoid_limit, "diagram", "fpcm"),
+    Command(("monoid", "colimit"), "monoid", cmd_monoid_colimit, "diagram", "fpcm"),
+    Command(("space", "product"), "space", cmd_space_product, "objects", "fpcm"),
+    Command(("space", "equalize"), "space", cmd_space_equalize, "pair", "fpcm"),
+    Command(("space", "limit"), "space", cmd_space_limit, "diagram", "fpcm"),
+    Command(("space", "colimit"), "space", cmd_space_colimit, "diagram", "fpcm", ("--bound",)),
+    Command(("asys", "validate"), "system", cmd_asys_validate, ("--system",)),
+    Command(("asys", "classify"), "system", cmd_asys_classify, ("--system",)),
+    Command(("asys", "reach"), "system", cmd_asys_reach, ("--system",)),
+    Command(("asys", "unfold"), "system", cmd_asys_unfold, ("--system", "--depth")),
+    Command(("asys", "morphism-check"), "system", cmd_asys_morphism_check, ("--morphism",)),
+    Command(("asys", "polygonal-check"), "system", cmd_asys_polygonal_check, ("--morphism",)),
+    Command(("asys", "product"), "system", cmd_asys_product, "objects", "fpcm-par"),
+    Command(("asys", "limit"), "system", cmd_asys_limit, "diagram", "fpcm-par"),
+    Command(("asys", "colimit"), "system", cmd_asys_colimit, "diagram", "fpcm-par", ("--bound",)),
+)
+
+GROUPS = {
+    "monoid": "monoid category constructions",
+    "space": "state-space constructions",
+    "asys": "weak asynchronous system constructions",
+}
+
+STYLES = {"objects": ("--objects",), "pair": ("--left", "--right"), "diagram": ("--diagram",)}
+
+# argparse settings by option name; any other option is a required string
+OPTIONS = {
+    "--objects": {"nargs": "+", "required": True},
+    "--bound": {"type": int, "default": 8},
+    "--depth": {"type": int, "required": True},
+}
+
+# per document kind: the kind of its morphisms, its diagram class and name,
+# and the writer of its morphisms
+KINDS = {
+    "monoid": ("hom", MonoidDiagram, "monoid", _Writer.hom),
+    "space": ("space_morphism", SpaceDiagram, "state-space", _Writer.space_morphism),
+    "system": ("system_morphism", asys.SystemDiagram, "system", _Writer.system_morphism),
+}
+
+
+def _add_command(sub, cmd: Command) -> None:
+    p = sub.add_parser(cmd.words[-1], **({"help": cmd.help} if cmd.help else {}))
     p.add_argument("bundle", help="path to a JSON bundle")
     p.add_argument("--output", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_category(p):
-    p.add_argument("--category", choices=("fpcm", "fpcm-par"), default="fpcm")
+    names = STYLES.get(cmd.options, cmd.options) + cmd.extra
+    if cmd.category:
+        # the asys commands, whose default is fpcm-par, list --category last
+        names = names + ("--category",) if cmd.category == "fpcm-par" else ("--category",) + names
+    for name in names:
+        if name == "--category":
+            p.add_argument(name, choices=("fpcm", "fpcm-par"), default=cmd.category)
+        else:
+            p.add_argument(name, **OPTIONS.get(name, {"required": True}))
+    p.set_defaults(cmd=cmd)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser with one subcommand per row of ``COMMANDS``."""
     top = argparse.ArgumentParser(prog="asyntrace")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="canonical form of a word")
-    _add_common(p)
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("equiv", help="decide trace equivalence of two words")
-    _add_common(p)
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("hom-check", help="validate a basic homomorphism")
-    _add_common(p)
-    _add_category(p)
-    p.add_argument("--hom", required=True)
-    p.set_defaults(func=cmd_hom_check)
-
-    p = sub.add_parser("radjoint", help="reflect a finite monoid table")
-    _add_common(p)
-    p.add_argument("--table", required=True)
-    p.set_defaults(func=cmd_radjoint)
-
-    p = sub.add_parser("iso-check", help="search for an isomorphism")
-    _add_common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_iso_check)
-
-    mon = sub.add_parser("monoid", help="monoid category constructions")
-    msub = mon.add_subparsers(dest="subcommand", required=True)
-    for name, func, style in (
-        ("product", cmd_monoid_product, "objects"),
-        ("coproduct", cmd_monoid_coproduct, "objects"),
-        ("equalize", cmd_monoid_equalize, "pair"),
-        ("coequalize", cmd_monoid_coequalize, "pair"),
-        ("limit", cmd_monoid_limit, "diagram"),
-        ("colimit", cmd_monoid_colimit, "diagram"),
-    ):
-        p = msub.add_parser(name)
-        _add_common(p)
-        _add_category(p)
-        if style == "objects":
-            p.add_argument("--objects", nargs="+", required=True)
-        elif style == "pair":
-            p.add_argument("--left", required=True)
-            p.add_argument("--right", required=True)
-        else:
-            p.add_argument("--diagram", required=True)
-        p.set_defaults(func=func)
-
-    spc = sub.add_parser("space", help="state-space constructions")
-    ssub = spc.add_subparsers(dest="subcommand", required=True)
-    for name, func, style in (
-        ("product", cmd_space_product, "objects"),
-        ("equalize", cmd_space_equalize, "pair"),
-        ("limit", cmd_space_limit, "diagram"),
-        ("colimit", cmd_space_colimit, "diagram"),
-    ):
-        p = ssub.add_parser(name)
-        _add_common(p)
-        _add_category(p)
-        if style == "objects":
-            p.add_argument("--objects", nargs="+", required=True)
-        elif style == "pair":
-            p.add_argument("--left", required=True)
-            p.add_argument("--right", required=True)
-        else:
-            p.add_argument("--diagram", required=True)
-            if name == "colimit":
-                p.add_argument("--bound", type=int, default=8)
-        p.set_defaults(func=func)
-
-    asp = sub.add_parser("asys", help="weak asynchronous system constructions")
-    asub = asp.add_subparsers(dest="subcommand", required=True)
-
-    for name, func in (
-        ("validate", cmd_asys_validate),
-        ("classify", cmd_asys_classify),
-        ("reach", cmd_asys_reach),
-    ):
-        p = asub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--system", required=True)
-        p.set_defaults(func=func)
-
-    p = asub.add_parser("unfold")
-    _add_common(p)
-    p.add_argument("--system", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_asys_unfold)
-
-    for name, func in (
-        ("morphism-check", cmd_asys_morphism_check),
-        ("polygonal-check", cmd_asys_polygonal_check),
-    ):
-        p = asub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--morphism", required=True)
-        p.set_defaults(func=func)
-
-    p = asub.add_parser("product")
-    _add_common(p)
-    p.add_argument("--objects", nargs="+", required=True)
-    p.add_argument("--category", choices=("fpcm", "fpcm-par"), default="fpcm-par")
-    p.set_defaults(func=cmd_asys_product)
-
-    p = asub.add_parser("limit")
-    _add_common(p)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--category", choices=("fpcm", "fpcm-par"), default="fpcm-par")
-    p.set_defaults(func=cmd_asys_limit)
-
-    p = asub.add_parser("colimit")
-    _add_common(p)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--category", choices=("fpcm", "fpcm-par"), default="fpcm-par")
-    p.set_defaults(func=cmd_asys_colimit)
-
+    groups: dict = {}
+    for cmd in COMMANDS:
+        parent = sub
+        if len(cmd.words) == 2:
+            group = cmd.words[0]
+            if group not in groups:
+                grp = sub.add_parser(group, help=GROUPS[group])
+                groups[group] = grp.add_subparsers(dest="subcommand", required=True)
+            parent = groups[group]
+        _add_command(parent, cmd)
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, reused after."""
+    return build_parser()
+
+
+def _inputs(cmd: Command, args, bundle) -> tuple:
+    """The documents that the options of ``cmd``'s style name."""
+    morphism, diagram, noun, _ = KINDS[cmd.kind]
+    if cmd.options == "objects":
+        return ([bundle.get(name, cmd.kind) for name in args.objects],)
+    if cmd.options == "pair":
+        return bundle.get(args.left, morphism), bundle.get(args.right, morphism)
+    d = bundle.get(args.diagram, "diagram")
+    if not isinstance(d, diagram):
+        raise SchemaError(f"diagram {args.diagram!r} is not a {noun} diagram")
+    return (d,)
+
+
+def _write(cmd: Command, args, inputs, out: Output) -> _Writer:
+    """The output bundle: the ``--objects`` inputs under their names, the
+    result, then its morphisms."""
+    w = _Writer()
+    if cmd.options == "objects":
+        for name, obj in zip(args.objects, inputs[0]):
+            w.seed(name, cmd.kind, obj)
+    w.seed("result", cmd.kind, out.result)
+    write = KINDS[cmd.kind][3]
+    for name, m in out.morphisms:
+        write(w, m, name)
+    return w
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    cmd, writer = args.cmd, None
     try:
         bundle = ix.parse_file(args.bundle)
-        writer, summary, lines = args.func(args, bundle)
+        inputs = _inputs(cmd, args, bundle) if cmd.options in STYLES else (bundle,)
+        out = cmd.handler(args, *inputs)
+        if out.result is not None:
+            writer = _write(cmd, args, inputs, out)
     except (ParseError, SchemaError, DanglingReference) as exc:
         sys.stderr.write(f"asyntrace: error [{exc.code}]: {exc}\n")
         return 2
@@ -678,7 +540,7 @@ def main(argv=None) -> int:
     except TraceError as exc:
         sys.stderr.write(f"asyntrace: error [{exc.code}]: {exc}\n")
         return 1
-    _emit(args, writer, summary, lines)
+    _emit(args, writer, out.summary, out.lines)
     return 0
 
 

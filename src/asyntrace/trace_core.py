@@ -265,10 +265,6 @@ def concat(t1: Trace, t2: Trace) -> Trace:
     return Trace(t1.monoid, normal_form(t1.letters + t2.letters, t1.monoid))
 
 
-def length(t: Trace) -> int:
-    return len(t.letters)
-
-
 @dataclass(frozen=True)
 class BasicHom:
     """Generator-level homomorphism; ``image`` is aligned with source events.

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyntrace.async_system import (
     ATS,
@@ -213,6 +215,40 @@ class TestPolygonal:
             assert is_polygonal(m) == (validate_morphism(cand) == [])
             checked += 1
         assert checked == 200
+
+    def test_erasing_event_is_reflected(self):
+        # y is sent to the identity, so p0 can "do" it while x0 cannot:
+        # x0·y = * but f(x0)·1 = p0
+        src = make_system(["x0"], "x0", make_monoid("xy", []), {})
+        tgt = make_system(["p0"], "p0", make_monoid("a", []), {})
+        m = make_morphism(src, tgt, {"x": "a", "y": None}, {"x0": "p0"})
+        problems = validate_morphism(induced_space_morphism(m))
+        assert any("('x0', 'y')" in p for p in problems)
+        assert not is_polygonal(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_polygonal_iff_space_equivariant_over_all_morphisms(self, rng):
+        # every morphism between two small random systems, erasing and
+        # merging event maps and starred states included
+        a = oracles.random_system(rng, max_states=2, max_events=2)
+        b = oracles.random_system(rng, max_states=2, max_events=2)
+        for m in all_morphisms(a, b):
+            cand = induced_space_morphism(m)
+            assert is_polygonal(m) == (validate_morphism(cand) == [])
+
+
+def all_morphisms(a, b):
+    """Every system morphism from a to b: each event to an event of b or the
+    identity, each state to a state of b or the star."""
+    from asyntrace.async_system import SystemMorphism
+
+    events, states = a.monoid.events, a.states
+    for images in itertools.product((None, *b.monoid.events), repeat=len(events)):
+        for targets in itertools.product((*b.states, STAR), repeat=len(states)):
+            m = SystemMorphism(a, b, dict(zip(events, images)), dict(zip(states, targets)))
+            if is_morphism(m):
+                yield m
 
 
 def subsystem_inclusion(rng, b):

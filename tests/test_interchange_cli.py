@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -419,3 +423,30 @@ class TestCli:
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "isomorphic"
+
+
+class TestEntryPoint:
+    """The installed ``asyntrace`` script runs ``asyntrace.cli:main`` in a
+    process of its own; these run the same code that way."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    def _run(self, *argv):
+        path = os.pathsep.join(filter(None, [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, cwd=self.ROOT, env=env, timeout=60
+        )
+
+    def test_module_run_matches_in_process_main(self, fixtures_dir, capsys):
+        argv = ["normalize", str(fixtures_dir / "mutex.json"), "--monoid", "mutex",
+                "--word", "adecc", "--format", "json"]
+        rc = main(argv)
+        out = capsys.readouterr().out
+        proc = self._run("-m", "asyntrace.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (rc, out.encode())
+        assert rc == 0
+
+    def test_worked_examples_script_exits_zero(self):
+        proc = self._run("scripts/worked_examples.py")
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -531,16 +531,16 @@ def main(argv=None) -> int:
         out = cmd.handler(args, *inputs)
         if out.result is not None:
             writer = _write(cmd, args, inputs, out)
+        _emit(args, writer, out.summary, out.lines)
     except (ParseError, SchemaError, DanglingReference) as exc:
         sys.stderr.write(f"asyntrace: error [{exc.code}]: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"asyntrace: error: {exc}\n")
         return 2
     except TraceError as exc:
         sys.stderr.write(f"asyntrace: error [{exc.code}]: {exc}\n")
         return 1
-    _emit(args, writer, out.summary, out.lines)
     return 0
 
 

@@ -356,12 +356,6 @@ class SaturationResult:
     frontier: tuple[Term, ...] = ()
 
 
-def _term_key(t) -> tuple:
-    if t == STAR:
-        return (-1, "", ())
-    return (len(t[1]), t[0], t[1])
-
-
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     """Materialize the quotient of a presented action up to trace depth
     ``bound``.
@@ -371,95 +365,159 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     their explored successors, star absorbs.  EXACT when the settled classes
     are closed under every event.
 
-    Each fixpoint pass regroups the terms by class and, for every member and
-    event, looks up its successor in a ``(term, event) -> term`` table local
-    to the call (the memoized successor table of congruence closure;
-    Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2),
-    1980), so each successor is computed once for all passes and for the
-    final classification.  A new successor extends its term's canonical
-    trace by one letter (``extend_normal_form``) instead of sorting the whole
-    word again; identifications, whose words are arbitrary, go through
-    ``normal_form``.  ``union`` keeps the term with the smaller
-    ``_term_key`` as root, so the root of a class without star is its least
-    member: it names the class and is the term extended at the bound.
+    The call keeps a trace table: each canonical trace gets an integer id and
+    a successor row per event, shared by every generator, since the successor
+    of a trace does not depend on its generator.  A missing entry is filled
+    by one-letter ``extend_normal_form``, so it runs once per (trace, event);
+    identifications, whose words are arbitrary, go through ``normal_form``.
+    A term is an integer id for (generator, trace id), with star as id 0;
+    ``parent``, the present flag (the term belongs to the closure), the term
+    successor rows and the sort key ``(len(trace), generator, trace)`` are
+    lists indexed by it.  This is the memoized successor table of congruence
+    closure (Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen,
+    JACM 27(2), 1980).
+
+    Each fixpoint pass groups the present terms by class and visits the
+    classes in key order.  ``union`` keeps the term with the smaller key as
+    root, so the root of a class without star is its least member: it names
+    the class and is the term extended at the bound, the root the class had
+    when the pass started.  A class with one member only extends its root,
+    since unions among its successors would be no-ops.  The final
+    classification looks successors up without interning new terms, and
+    renders the ``(generator, trace)`` names only for the output.
     """
     if bound < 0:
         raise MalformedDiagram("saturation bound must be >= 0")
     m = p.monoid
     events = m.events
-    parent: dict = {}
-    successors: dict = {}
+    indices = range(len(events))
+    traces: list[tuple[str, ...]] = []  # trace id -> canonical trace
+    trace_ids: dict = {}
+    trace_next: list[list[int]] = [[] for _ in events]  # event -> trace id -> trace id, -1 if unknown
+    terms: list[tuple[str, int]] = [(STAR, -1)]  # term id -> (generator, trace id)
+    term_ids: dict = {}  # the inverse of ``terms``, star left out
+    keys: list[tuple] = [(-1, "", ())]  # star sorts first, so it is always its own root
+    parent = [0]
+    present = [True]
+    term_next: list[list[int]] = [[-1] for _ in events]  # event -> term id -> term id, -1 if unknown
+    order = [0]  # present terms in the order they joined
 
-    def add(x):
-        parent.setdefault(x, x)
+    def trace_id(t: tuple[str, ...]) -> int:
+        i = trace_ids.get(t)
+        if i is None:
+            i = trace_ids[t] = len(traces)
+            traces.append(t)
+            for row in trace_next:
+                row.append(-1)
+        return i
 
-    def find(x):
+    def next_trace(i: int, e: int) -> int:
+        row = trace_next[e]
+        u = row[i]
+        if u < 0:
+            u = row[i] = trace_id(extend_normal_form(traces[i], events[e], m))
+        return u
+
+    def term_id(g: str, i: int) -> int:
+        k = (g, i)
+        t = term_ids.get(k)
+        if t is None:
+            t = term_ids[k] = len(terms)
+            terms.append(k)
+            keys.append((len(traces[i]), g, traces[i]))
+            parent.append(t)
+            present.append(False)
+            for row in term_next:
+                row.append(-1)
+        return t
+
+    def probe(t: int, e: int) -> int:
+        g, i = terms[t]
+        s = term_next[e][t] = term_id(g, next_trace(i, e))
+        return s
+
+    def add(t: int) -> None:
+        if not present[t]:
+            present[t] = True
+            order.append(t)
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x, y) -> bool:
+    def union(x: int, y: int) -> bool:
         rx, ry = find(x), find(y)
         if rx == ry:
             return False
-        # star wins, so it is always its own root; otherwise keep the smaller
-        # term as representative
-        if rx == STAR or (ry != STAR and _term_key(rx) < _term_key(ry)):
+        if keys[rx] < keys[ry]:
             rx, ry = ry, rx
         parent[rx] = ry
         return True
 
-    def succ(term: Term, e: str) -> Term:
-        s = successors.get((term, e))
-        if s is None:
-            g, t = term
-            s = successors[term, e] = (g, extend_normal_form(t, e, m))
-        return s
+    def groups() -> dict[int, list[int]]:
+        out: dict = {}
+        for t in order:
+            out.setdefault(t if parent[t] == t else find(t), []).append(t)
+        return out
 
-    add(STAR)
+    empty = trace_id(())
     for g in p.generators:
-        add((g, ()))
+        add(term_id(g, empty))
     for g, e, rhs in p.transitions:
-        lhs = (g, (e,))
+        lhs = term_id(g, trace_id((e,)))
         add(lhs)
         if rhs == STAR:
-            union(lhs, STAR)
+            union(lhs, 0)
         else:
-            add((rhs, ()))
-            union(lhs, (rhs, ()))
+            r = term_id(rhs, empty)
+            add(r)
+            union(lhs, r)
     for t1, t2 in p.identifications:
-        for t in (t1, t2):
-            if t != STAR:
-                add((t[0], normal_form(t[1], m)))
-        a = t1 if t1 == STAR else (t1[0], normal_form(t1[1], m))
-        b = t2 if t2 == STAR else (t2[0], normal_form(t2[1], m))
+        a, b = (0 if t == STAR else term_id(t[0], trace_id(normal_form(t[1], m))) for t in (t1, t2))
+        add(a)
+        add(b)
         union(a, b)
 
     changed = True
     while changed:
         changed = False
-        groups: dict = {}
-        for node in parent:
-            groups.setdefault(find(node), []).append(node)
-        for root in sorted(groups, key=_term_key):
-            members = groups[root]
-            if root == STAR:
-                for t in members:
-                    if t == STAR:
-                        continue
-                    for e in events:
-                        s = succ(t, e)
-                        if s in parent:
-                            changed |= union(s, STAR)
+        classes = groups()
+        for root in sorted(classes, key=keys.__getitem__):
+            members = classes[root]
+            if root == 0:
+                for t in members[1:]:  # star joined first
+                    for e in indices:
+                        s = term_next[e][t]
+                        if s < 0:
+                            s = probe(t, e)
+                        if present[s]:
+                            changed |= union(s, 0)
                 continue
-            # union keeps the least term as root: no scan for the least member
-            extend = len(root[1]) + 1 <= bound
-            for e in events:
-                collected = [s for s in (succ(t, e) for t in members) if s in parent]
+            extend = keys[root][0] < bound
+            if len(members) == 1:
                 if extend:
-                    s0 = succ(root, e)
-                    if s0 not in parent:
+                    for e in indices:
+                        s = term_next[e][root]
+                        if s < 0:
+                            s = probe(root, e)
+                        if not present[s]:
+                            add(s)
+                            changed = True
+                continue
+            for e in indices:
+                row = term_next[e]
+                collected = []
+                for t in members:
+                    s = row[t]
+                    if s < 0:
+                        s = probe(t, e)
+                    if present[s]:
+                        collected.append(s)
+                if extend:
+                    s0 = row[root]  # the root is a member, so it was probed
+                    if not present[s0]:
                         add(s0)
                         changed = True
                     collected.append(s0)
@@ -467,38 +525,47 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                     changed |= union(a, b)
 
     # classify classes, then detect the frontier and read off the action
-    groups = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    classes = {root: members for root, members in groups.items() if root != STAR}
+    classes = groups()
+    del classes[0]
 
-    def state_name(term: Term) -> str:
-        g, t = term
-        return g if not t else g + "@" + ".".join(t)
+    def term(t: int) -> Term:
+        g, i = terms[t]
+        return g, traces[i]
 
-    names = {root: state_name(root) for root in sorted(classes, key=_term_key) if len(root[1]) <= bound}
+    def state_name(t: int) -> str:
+        g, trace = term(t)
+        return g if not trace else g + "@" + ".".join(trace)
+
+    names = {root: state_name(root) for root in sorted(classes, key=keys.__getitem__) if keys[root][0] <= bound}
     frontier = []
     action = {}
     for root, members in classes.items():
         if root not in names:
-            frontier.append(root)
+            frontier.append(term(root))
             continue
-        for e in events:
+        for e in indices:
+            row = term_next[e]
             known = None
             for t in members:
-                s = succ(t, e)
-                if s in parent:
+                s = row[t]
+                if s < 0:
+                    g, i = terms[t]
+                    s = term_ids.get((g, next_trace(i, e)), -1)
+                    if s < 0:
+                        continue
+                if present[s]:
                     known = find(s)
                     break
             if known in names:
-                action[(names[root], e)] = names[known]
-            elif known != STAR:
-                frontier.append(succ(root, e))
-    frontier = sorted(set(frontier), key=lambda t: (t[0], t[1]))
+                action[(names[root], events[e])] = names[known]
+            elif known != 0:
+                g, i = terms[root]
+                frontier.append((g, traces[next_trace(i, e)]))
+    frontier = tuple(sorted(set(frontier)))
     status = EXACT if not frontier else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
-    class_map = {g: names.get(find((g, ())), STAR) for g in p.generators}
-    return SaturationResult(status, space, class_map, tuple(frontier))
+    class_map = {g: names.get(find(term_ids[g, empty]), STAR) for g in p.generators}
+    return SaturationResult(status, space, class_map, frontier)
 
 
 # ---------------------------------------------------------------------------

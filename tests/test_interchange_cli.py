@@ -357,6 +357,26 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize(
+        "bundle, output, reason",
+        [
+            ("mutex.json", "missing/x.txt", "No such file or directory"),
+            (".", None, "Is a directory"),
+        ],
+        ids=["output-in-missing-directory", "bundle-is-a-directory"],
+    )
+    def test_os_error_exits_two(self, fixtures_dir, tmp_path, capsys, bundle, output, reason):
+        argv = ["normalize", str(fixtures_dir / bundle), "--monoid", "mutex", "--word", "adecc"]
+        if output:
+            argv += ["--output", str(tmp_path / output)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("asyntrace: error: ")
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "doc, argv",
         [
             (

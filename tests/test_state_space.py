@@ -385,6 +385,93 @@ class TestSaturationReference:
         assert (len(got.space.states), len(got.frontier)) == (937, 4336)
         assert_same_saturation(got, oracles.reference_saturate(seen[0], 3))
 
+    def test_extends_each_trace_once_per_event(self, monkeypatch):
+        # the free extension above: a successor depends on the trace, not on
+        # its generator, so the trace table extends each (trace, event) pair
+        # probed once, however many generators share the trace
+        rng = random.Random(4336)
+        objects = {}
+        for o, letters, prefix in (("o0", "abc", "p"), ("o1", "def", "q")):
+            m = make_monoid(letters, [rng.choice(list(itertools.combinations(letters, 2)))])
+            s = oracles.random_space(rng, m, prefix=prefix, n=5)
+            objects[o] = async_system.WeakAsyncSystem(s.states, s.states[0], m, dict(s.action))
+        calls = []
+        real = state_space.extend_normal_form
+
+        def counting(u, e, m):
+            calls.append((u, e))
+            return real(u, e, m)
+
+        monkeypatch.setattr(state_space, "extend_normal_form", counting)
+        _, got = async_system.colimit(async_system.SystemDiagram(discrete(2), objects, {}), bound=3)
+        assert len(got.space.states) == 937
+        assert len(calls) == len(set(calls))
+        # the root of every state has a successor term of its own per event
+        assert len(calls) < len(got.space.states) * len(got.space.monoid.events)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_glued_covers(self, monkeypatch, seed):
+        # 2-, 3- and 6-fold covers of a 4-state base space glued along a span
+        # and a parallel pair, as in the colimits benchmark's EXACT jobs: the
+        # gluing merges the generators into classes of many members, which
+        # presentations of a few generators rarely reach
+        rng = random.Random(seed)
+        m = make_monoid("abc", [rng.choice(list(itertools.combinations("abc", 2)))])
+        base = oracles.random_space(rng, m, prefix="t", n=4)
+        shifts = {e: rng.randrange(6) for e in m.events}
+
+        def cover(k):
+            # base times Z_k, each event adding its shift; shifts commute
+            states = tuple(f"{t}k{i}" for t in base.states for i in range(k))
+            action = {
+                (f"{t}k{i}", e): f"{u}k{(i + shifts[e]) % k}"
+                for (t, e), u in base.action.items()
+                for i in range(k)
+            }
+            return StateSpace(m, states, action)
+
+        def remap(f):
+            return {f"{t}k{i}": f"{t}k{f(i)}" for t in base.states for i in range(6)}
+
+        covers = {k: cover(k) for k in (2, 3, 6)}
+        diagrams = [
+            (span(), {"apex": 6, "left": 2, "right": 3}, "t0k0",
+             {"l": remap(lambda i: i % 2), "r": remap(lambda i: i % 3)}),
+            (parallel_pair(), {"src": 6, "dst": 6}, STAR,
+             {"f": remap(lambda i: i), "g": remap(lambda i: (i + 1) % 6)}),
+        ]
+        seen = []
+        real = state_space.saturate
+
+        def spy(p, bound):
+            seen.append(p)
+            return real(p, bound)
+
+        monkeypatch.setattr(state_space, "saturate", spy)
+        results = []
+        for shape, sizes, initial, maps in diagrams:
+            spaces = {o: covers[k] for o, k in sizes.items()}
+            arrows = {
+                a: make_space_morphism(spaces[s], spaces[t], identity_hom(m), maps[a])
+                for a, s, t in shape.arrows
+            }
+            results.append(colimit(SpaceDiagram(shape, spaces, arrows), bound=2).saturation)
+            systems = {
+                o: async_system.WeakAsyncSystem(s.states, initial, m, dict(s.action))
+                for o, s in spaces.items()
+            }
+            sys_arrows = {
+                a: async_system.make_morphism(systems[s], systems[t], {e: e for e in m.events}, maps[a])
+                for a, s, t in shape.arrows
+            }
+            diagram = async_system.SystemDiagram(shape, systems, sys_arrows)
+            results.append(async_system.colimit(diagram, bound=2)[1])
+        assert len(seen) == len(results) == 4
+        for p, got in zip(seen, results):
+            assert got.status == EXACT
+            assert len(got.space.states) < len(p.generators)
+            assert_same_saturation(got, oracles.reference_saturate(p, 2))
+
 
 class TestSpaceColimit:
     def test_coequalizer_glues_states(self):

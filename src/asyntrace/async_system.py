@@ -1,10 +1,12 @@
 """Weak asynchronous systems and polygonal morphisms.
 
-A weak asynchronous system is states + initial state (possibly star) + a
-trace monoid of events + a deterministic transition table satisfying the
-independence diamond.  Systems correspond one-to-one with pointed state
-spaces; limits and colimits are computed on the state-space side, with the
-comma-category gluing of initial states on colimits.
+A weak asynchronous system is a pointed state space over a trace monoid of
+events together with an initial state (possibly star), with the one extra
+rule that no transition names star as its target.  ``WeakAsyncSystem.space``
+is that state space, so validation, limits and colimits are the state-space
+ones, taken in FPCM_PAR: a polygonal morphism commutes with the actions and
+preserves the independence of events.  Colimits add the comma-category
+gluing of initial states as extra identifications.
 """
 
 from __future__ import annotations
@@ -12,30 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import fpcm_cat, state_space
+from . import state_space
 from .diagrams import DiagramShape, validate_shape
-from .errors import (
-    InvalidSpace,
-    InvalidSystem,
-    MalformedDiagram,
-    NotAMorphism,
-)
-from .fpcm_cat import Category, tag
+from .errors import InvalidSpace, InvalidSystem, MalformedDiagram, NotAMorphism
+from .fpcm_cat import Category, render_tuple, tag
 from .state_space import (
     SpaceDiagram,
     StateSpace,
     StateSpaceMorphism,
     SaturationResult,
-    act_trace,
+    validate_morphism,
     validate_space,
 )
-from .trace_core import (
-    STAR,
-    BasicHom,
-    TraceMonoid,
-    extend_normal_form,
-    is_independence_preserving,
-)
+from .trace_core import STAR, BasicHom, TraceMonoid, extend_normal_form
 
 
 @dataclass
@@ -44,6 +35,11 @@ class WeakAsyncSystem:
     initial: str  # state name or star
     monoid: TraceMonoid
     transitions: dict[tuple[str, str], str]  # (state, event) -> state
+
+    @property
+    def space(self) -> StateSpace:
+        """The underlying state space; it shares the transition table."""
+        return StateSpace(self.monoid, self.states, self.transitions)
 
     def step(self, s: str, e: str) -> str:
         if s == STAR:
@@ -57,39 +53,13 @@ ATS = "ATS"
 
 
 def validate_system(a: WeakAsyncSystem) -> list[str]:
-    problems = []
-    states = set(a.states)
-    if len(states) != len(a.states):
-        problems.append("duplicate state names")
-    if STAR in states:
-        problems.append(f"{STAR!r} is reserved and cannot be a state name")
-    if a.initial != STAR and a.initial not in states:
+    """The space's problems, an unknown initial state, and transitions into
+    star, which a space allows but a system's table does not hold."""
+    problems = validate_space(a.space)
+    if a.initial != STAR and a.initial not in a.states:
         problems.append(f"initial state {a.initial!r} unknown")
-    events = set(a.monoid.events)
-    for (s, e), s2 in sorted(a.transitions.items()):
-        if s not in states:
-            problems.append(f"transition from unknown state {s!r}")
-        if e not in events:
-            problems.append(f"transition on unknown event {e!r}")
-        if s2 not in states:
-            problems.append(f"transition into unknown state {s2!r}")
-    # the transition table is a map, so determinism is structural; check the
-    # independence diamond
-    for x, y in a.monoid.pairs():
-        for pair in ((x, y), (y, x)):
-            p, q = pair
-            for s in a.states:
-                s1 = a.step(s, p)
-                if s1 == STAR:
-                    continue
-                s2 = a.step(s1, q)
-                if s2 == STAR:
-                    continue
-                mid = a.step(s, q)
-                if mid == STAR or a.step(mid, p) != s2:
-                    problems.append(
-                        f"diamond violation at state {s!r} with events ({p!r}, {q!r})"
-                    )
+    if STAR in a.transitions.values():
+        problems.append(f"transition into unknown state {STAR!r}")
     return problems
 
 
@@ -111,10 +81,7 @@ def classify(a: WeakAsyncSystem) -> str:
 
 
 def to_state_space(a: WeakAsyncSystem) -> tuple[StateSpace, str]:
-    problems = validate_system(a)
-    if problems:
-        raise InvalidSystem("; ".join(problems))
-    return StateSpace(a.monoid, a.states, dict(a.transitions)), a.initial
+    return a.space, a.initial
 
 
 def from_state_space(s: StateSpace, initial: str) -> WeakAsyncSystem:
@@ -207,30 +174,17 @@ def event_hom(m: SystemMorphism) -> BasicHom:
 def induced_space_morphism(m: SystemMorphism) -> StateSpaceMorphism:
     """The candidate state-space morphism; equivariance holds iff the system
     morphism is polygonal."""
-    src, _ = to_state_space(m.source)
-    tgt, _ = to_state_space(m.target)
-    return StateSpaceMorphism(src, tgt, event_hom(m), dict(m.state_part))
+    return StateSpaceMorphism(m.source.space, m.target.space, event_hom(m), dict(m.state_part))
 
 
 def is_polygonal(m: SystemMorphism) -> bool:
-    """Transition-reflection criterion: wherever the image state can do the
-    image event, the source state must be able to do the event.  An event
-    sent to the identity can always be done by the image state, so the
-    source state must be able to do it."""
+    """A morphism is polygonal when its induced state-space map commutes
+    with the actions: wherever the image state can do the image event (the
+    identity included), the source state can do the event."""
     problems = morphism_violations(m)
     if problems:
         raise NotAMorphism("; ".join(problems))
-    a, b = m.source, m.target
-    for s1 in a.states:
-        t1 = m.state(s1)
-        if t1 == STAR:
-            continue
-        for e in a.monoid.events:
-            fe = m.event(e)
-            image = t1 if fe is None else b.step(t1, fe)
-            if image != STAR and a.step(s1, e) == STAR:
-                return False
-    return True
+    return not validate_morphism(induced_space_morphism(m))
 
 
 def compose_system_morphisms(m2: SystemMorphism, m1: SystemMorphism) -> SystemMorphism:
@@ -242,7 +196,7 @@ def compose_system_morphisms(m2: SystemMorphism, m1: SystemMorphism) -> SystemMo
 
 
 # ---------------------------------------------------------------------------
-# Limits and colimits (comma category over the point)
+# Limits and colimits (comma category over the point), in FPCM_PAR
 
 
 @dataclass
@@ -271,16 +225,8 @@ class SystemDiagram:
         return out
 
     def space_diagram(self) -> SpaceDiagram:
-        on_objects = {}
-        for o, a in self.on_objects.items():
-            space, _ = to_state_space(a)
-            on_objects[o] = space
-        on_arrows = {}
-        for name, src, dst in self.shape.arrows:
-            m = self.on_arrows[name]
-            on_arrows[name] = StateSpaceMorphism(
-                on_objects[src], on_objects[dst], event_hom(m), dict(m.state_part)
-            )
+        on_objects = {o: a.space for o, a in self.on_objects.items()}
+        on_arrows = {name: induced_space_morphism(self.on_arrows[name]) for name, _, _ in self.shape.arrows}
         return SpaceDiagram(self.shape, on_objects, on_arrows)
 
 
@@ -301,69 +247,46 @@ def _space_to_system_morphism(m: StateSpaceMorphism, src: WeakAsyncSystem, dst: 
     return SystemMorphism(src, dst, event_part, dict(m.state_part))
 
 
-def product(systems: Sequence[WeakAsyncSystem], flag: Category = Category.FPCM_PAR) -> SystemCone:
+def _checked(d: SystemDiagram) -> SpaceDiagram:
+    problems = d.problems()
+    if problems:
+        raise MalformedDiagram("; ".join(problems))
+    return d.space_diagram()
+
+
+def product(systems: Sequence[WeakAsyncSystem]) -> SystemCone:
     """Product system: product of state spaces with the tuple of initial
     states as the distinguished point."""
     systems = list(systems)
     shape = DiagramShape(tuple(f"o{i}" for i in range(len(systems))), ())
-    d = SystemDiagram(shape, {f"o{i}": a for i, a in enumerate(systems)}, {})
-    return limit(d, flag)
+    return limit(SystemDiagram(shape, {f"o{i}": a for i, a in enumerate(systems)}, {}))
 
 
-def limit(d: SystemDiagram, flag: Category = Category.FPCM_PAR) -> SystemCone:
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
-    sd = d.space_diagram()
-    cone = state_space.limit(sd, flag)
+def limit(d: SystemDiagram) -> SystemCone:
+    """State-space limit pointed at the tuple of initial states (star when
+    all of them are star)."""
+    cone = state_space.limit(_checked(d), Category.FPCM_PAR)
     objs = list(d.shape.objects)
-    if objs:
-        combo = tuple(d.on_objects[o].initial for o in objs)
-        initial = STAR if all(x == STAR for x in combo) else fpcm_cat.render_tuple(combo)
-    else:
-        initial = STAR
-    apex = from_state_space(cone.apex, initial)
+    combo = tuple(d.on_objects[o].initial for o in objs)
+    apex = from_state_space(cone.apex, STAR if all(x == STAR for x in combo) else render_tuple(combo))
     legs = {o: _space_to_system_morphism(cone.legs[o], apex, d.on_objects[o]) for o in objs}
     return SystemCone(apex, legs)
 
 
-def colimit(d: SystemDiagram, flag: Category = Category.FPCM_PAR, bound: int = 8) -> tuple[SystemCocone, SaturationResult]:
+def colimit(d: SystemDiagram, bound: int = 8) -> tuple[SystemCocone, SaturationResult]:
     """State-space colimit with all injected initial states glued into one
     class (star if any component initial is star)."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
-    sd = d.space_diagram()
-    monoid_cocone = fpcm_cat.colimit(sd.monoid_diagram(), flag)
-    presentation = state_space.build_presentation(sd, monoid_cocone)
+    sd = _checked(d)
     objs = list(d.shape.objects)
-    initials = [(i, d.on_objects[o].initial) for i, o in enumerate(objs)]
-    extra = []
-    if any(s == STAR for _, s in initials):
-        for i, s in initials:
-            if s != STAR:
-                extra.append(((tag(i, s), ()), STAR))
-    else:
-        for (i, s), (j, t) in zip(initials, initials[1:]):
-            extra.append(((tag(i, s), ()), (tag(j, t), ())))
-    presentation = state_space.PresentedAction(
-        presentation.monoid,
-        presentation.generators,
-        presentation.transitions,
-        presentation.identifications + tuple(extra),
-    )
-    sat = state_space.saturate(presentation, bound)
-    if initials and all(s != STAR for _, s in initials):
-        initial = sat.class_map[tag(initials[0][0], initials[0][1])]
-    else:
-        initial = STAR
+    systems = [d.on_objects[o] for o in objs]
+    initials = [(tag(i, a.initial), ()) for i, a in enumerate(systems) if a.initial != STAR]
+    no_star = len(initials) == len(objs)
+    glue = tuple(zip(initials, initials[1:])) if no_star else tuple((t, STAR) for t in initials)
+    res = state_space.colimit(sd, Category.FPCM_PAR, bound, glue)
+    sat = res.saturation
+    initial = sat.class_map[initials[0][0]] if initials and no_star else STAR
     apex = WeakAsyncSystem(sat.space.states, initial, sat.space.monoid, dict(sat.space.action))
-    legs = {}
-    for i, o in enumerate(objs):
-        a = d.on_objects[o]
-        event_part = {e: monoid_cocone.legs[o](e) for e in a.monoid.events}
-        state_part = {x: sat.class_map[tag(i, x)] for x in a.states}
-        legs[o] = SystemMorphism(a, apex, event_part, state_part)
+    legs = {o: _space_to_system_morphism(res.cocone.legs[o], a, apex) for o, a in zip(objs, systems)}
     return SystemCocone(apex, legs), sat
 
 

@@ -370,7 +370,7 @@ def cmd_asys_polygonal_check(args, bundle):
 
 
 def cmd_asys_product(args, systems):
-    cone = asys.product(systems, Category(args.category))
+    cone = asys.product(systems)
     a = cone.apex
     summary = {"states": list(a.states), "initial": _initial(a), "events": list(a.monoid.events)}
     lines = [f"product states: {len(a.states)}", f"product events: {len(a.monoid.events)}"]
@@ -378,14 +378,14 @@ def cmd_asys_product(args, systems):
 
 
 def cmd_asys_limit(args, d):
-    cone = asys.limit(d, Category(args.category))
+    cone = asys.limit(d)
     a = cone.apex
     summary = {"states": list(a.states), "initial": _initial(a)}
     return Output(summary, [f"limit states: {len(a.states)}"], a, _legs("leg", cone.legs))
 
 
 def cmd_asys_colimit(args, d):
-    cocone, sat = asys.colimit(d, Category(args.category), bound=args.bound)
+    cocone, sat = asys.colimit(d, bound=args.bound)
     return _colimit_output(sat, cocone.apex, cocone.legs, initial=_initial(cocone.apex))
 
 
@@ -398,7 +398,7 @@ class Command(NamedTuple):
     kind: str | None  # document kind that a style reads and the result is
     handler: Callable
     options: str | tuple  # a style ("objects", "pair", "diagram") or option names
-    category: str | None = None  # the default of --category, if it takes one
+    category: bool = False  # whether it takes --category (before its other options)
     extra: tuple = ()  # options after the style's
     help: str | None = None
 
@@ -407,28 +407,28 @@ COMMANDS = (
     Command(("normalize",), None, cmd_normalize, ("--monoid", "--word"), help="canonical form of a word"),
     Command(("equiv",), None, cmd_equiv, ("--monoid", "--left", "--right"),
             help="decide trace equivalence of two words"),
-    Command(("hom-check",), None, cmd_hom_check, ("--hom",), "fpcm", help="validate a basic homomorphism"),
+    Command(("hom-check",), None, cmd_hom_check, ("--hom",), True, help="validate a basic homomorphism"),
     Command(("radjoint",), "monoid", cmd_radjoint, ("--table",), help="reflect a finite monoid table"),
     Command(("iso-check",), None, cmd_iso_check, ("--left", "--right"), help="search for an isomorphism"),
-    Command(("monoid", "product"), "monoid", cmd_monoid_product, "objects", "fpcm"),
-    Command(("monoid", "coproduct"), "monoid", cmd_monoid_coproduct, "objects", "fpcm"),
-    Command(("monoid", "equalize"), "monoid", cmd_monoid_equalize, "pair", "fpcm"),
-    Command(("monoid", "coequalize"), "monoid", cmd_monoid_coequalize, "pair", "fpcm"),
-    Command(("monoid", "limit"), "monoid", cmd_monoid_limit, "diagram", "fpcm"),
-    Command(("monoid", "colimit"), "monoid", cmd_monoid_colimit, "diagram", "fpcm"),
-    Command(("space", "product"), "space", cmd_space_product, "objects", "fpcm"),
-    Command(("space", "equalize"), "space", cmd_space_equalize, "pair", "fpcm"),
-    Command(("space", "limit"), "space", cmd_space_limit, "diagram", "fpcm"),
-    Command(("space", "colimit"), "space", cmd_space_colimit, "diagram", "fpcm", ("--bound",)),
+    Command(("monoid", "product"), "monoid", cmd_monoid_product, "objects", True),
+    Command(("monoid", "coproduct"), "monoid", cmd_monoid_coproduct, "objects", True),
+    Command(("monoid", "equalize"), "monoid", cmd_monoid_equalize, "pair", True),
+    Command(("monoid", "coequalize"), "monoid", cmd_monoid_coequalize, "pair", True),
+    Command(("monoid", "limit"), "monoid", cmd_monoid_limit, "diagram", True),
+    Command(("monoid", "colimit"), "monoid", cmd_monoid_colimit, "diagram", True),
+    Command(("space", "product"), "space", cmd_space_product, "objects", True),
+    Command(("space", "equalize"), "space", cmd_space_equalize, "pair", True),
+    Command(("space", "limit"), "space", cmd_space_limit, "diagram", True),
+    Command(("space", "colimit"), "space", cmd_space_colimit, "diagram", True, ("--bound",)),
     Command(("asys", "validate"), "system", cmd_asys_validate, ("--system",)),
     Command(("asys", "classify"), "system", cmd_asys_classify, ("--system",)),
     Command(("asys", "reach"), "system", cmd_asys_reach, ("--system",)),
     Command(("asys", "unfold"), "system", cmd_asys_unfold, ("--system", "--depth")),
     Command(("asys", "morphism-check"), "system", cmd_asys_morphism_check, ("--morphism",)),
     Command(("asys", "polygonal-check"), "system", cmd_asys_polygonal_check, ("--morphism",)),
-    Command(("asys", "product"), "system", cmd_asys_product, "objects", "fpcm-par"),
-    Command(("asys", "limit"), "system", cmd_asys_limit, "diagram", "fpcm-par"),
-    Command(("asys", "colimit"), "system", cmd_asys_colimit, "diagram", "fpcm-par", ("--bound",)),
+    Command(("asys", "product"), "system", cmd_asys_product, "objects"),
+    Command(("asys", "limit"), "system", cmd_asys_limit, "diagram"),
+    Command(("asys", "colimit"), "system", cmd_asys_colimit, "diagram", extra=("--bound",)),
 )
 
 GROUPS = {
@@ -441,6 +441,7 @@ STYLES = {"objects": ("--objects",), "pair": ("--left", "--right"), "diagram": (
 
 # argparse settings by option name; any other option is a required string
 OPTIONS = {
+    "--category": {"choices": ("fpcm", "fpcm-par"), "default": "fpcm"},
     "--objects": {"nargs": "+", "required": True},
     "--bound": {"type": int, "default": 8},
     "--depth": {"type": int, "required": True},
@@ -460,15 +461,9 @@ def _add_command(sub, cmd: Command) -> None:
     p.add_argument("bundle", help="path to a JSON bundle")
     p.add_argument("--output", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    names = STYLES.get(cmd.options, cmd.options) + cmd.extra
-    if cmd.category:
-        # the asys commands, whose default is fpcm-par, list --category last
-        names = names + ("--category",) if cmd.category == "fpcm-par" else ("--category",) + names
+    names = (("--category",) if cmd.category else ()) + STYLES.get(cmd.options, cmd.options) + cmd.extra
     for name in names:
-        if name == "--category":
-            p.add_argument(name, choices=("fpcm", "fpcm-par"), default=cmd.category)
-        else:
-            p.add_argument(name, **OPTIONS.get(name, {"required": True}))
+        p.add_argument(name, **OPTIONS.get(name, {"required": True}))
     p.set_defaults(cmd=cmd)
 
 

@@ -352,6 +352,21 @@ def _quotient_by(target: TraceMonoid, uf: _UnionFind) -> CoequalizerResult:
     return CoequalizerResult(monoid, quotient, classes)
 
 
+def _fpcm_closure(f: BasicHom, g: BasicHom) -> _UnionFind:
+    """Target generators and the identity class, modulo f(e) ~ g(e)."""
+    if f.source != g.source or f.target != g.target:
+        raise NotParallel("coequalizer needs a parallel pair")
+    uf = _UnionFind()
+    uf.add(_ONE)
+    for e in f.target.events:
+        uf.add(e)
+    for e in f.source.events:
+        a = f(e) if f(e) is not None else _ONE
+        b = g(e) if g(e) is not None else _ONE
+        uf.union(a, b)
+    return uf
+
+
 def coequalizer_fpcm(f: BasicHom, g: BasicHom) -> CoequalizerResult:
     """Coequalizer in FPCM: target generators modulo f(e) ~ g(e).
 
@@ -359,35 +374,16 @@ def coequalizer_fpcm(f: BasicHom, g: BasicHom) -> CoequalizerResult:
     identity; such classes are removed, and independence pairs touching them
     are dropped.
     """
-    if f.source != g.source or f.target != g.target:
-        raise NotParallel("coequalizer needs a parallel pair")
-    uf = _UnionFind()
-    uf.add(_ONE)
-    for e in f.target.events:
-        uf.add(e)
-    for e in f.source.events:
-        a = f(e) if f(e) is not None else _ONE
-        b = g(e) if g(e) is not None else _ONE
-        uf.union(a, b)
-    return _quotient_by(f.target, uf)
+    return _quotient_by(f.target, _fpcm_closure(f, g))
 
 
 def coequalizer_ip(f: BasicHom, g: BasicHom) -> CoequalizerResult:
     """Coequalizer in FPCM_PAR: the FPCM coequalizer followed by the
     smallest congruence killing independent target pairs with equal images."""
-    if f.source != g.source or f.target != g.target:
-        raise NotParallel("coequalizer needs a parallel pair")
+    uf = _fpcm_closure(f, g)
     for h in (f, g):
         if not is_independence_preserving(h):
             raise NotIndependencePreserving("coequalizer_ip needs independence-preserving homs")
-    uf = _UnionFind()
-    uf.add(_ONE)
-    for e in f.target.events:
-        uf.add(e)
-    for e in f.source.events:
-        a = f(e) if f(e) is not None else _ONE
-        b = g(e) if g(e) is not None else _ONE
-        uf.union(a, b)
     changed = True
     while changed:
         changed = False

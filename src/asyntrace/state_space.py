@@ -586,9 +586,12 @@ class SpaceColimitResult:
     cocone: SpaceCocone
 
 
-def build_presentation(d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone) -> PresentedAction:
+def build_presentation(
+    d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone, identifications: tuple = ()
+) -> PresentedAction:
     """Presented action of a colimit: tagged states, action rules pushed
-    through the colimit cocone, identifications along diagram arrows.
+    through the colimit cocone, identifications along diagram arrows, then
+    the given ``identifications`` of tagged terms.
 
     An event erased by the cocone whose action was undefined collapses the
     state to star (the free extension in pointed sets forces it)."""
@@ -596,7 +599,7 @@ def build_presentation(d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone) ->
     monoid = monoid_cocone.apex
     generators = []
     transitions = []
-    identifications = []
+    equations = []
     for i, o in enumerate(objs):
         space = d.on_objects[o]
         q = monoid_cocone.legs[o]
@@ -609,9 +612,9 @@ def build_presentation(d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone) ->
                 if qe is not None:
                     transitions.append((tag(i, x), qe, STAR if y == STAR else tag(i, y)))
                 elif y == STAR:
-                    identifications.append(((tag(i, x), ()), STAR))
+                    equations.append(((tag(i, x), ()), STAR))
                 else:
-                    identifications.append(((tag(i, x), ()), (tag(i, y), ())))
+                    equations.append(((tag(i, x), ()), (tag(i, y), ())))
     index = {o: i for i, o in enumerate(objs)}
     for name, src, dst in sorted(d.shape.arrows):
         mor = d.on_arrows[name]
@@ -619,18 +622,24 @@ def build_presentation(d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone) ->
             y = mor.state(x)
             lhs = (tag(index[src], x), ())
             if y == STAR:
-                identifications.append((lhs, STAR))
+                equations.append((lhs, STAR))
             else:
-                identifications.append((lhs, (tag(index[dst], y), ())))
-    return PresentedAction(monoid, tuple(generators), tuple(transitions), tuple(identifications))
+                equations.append((lhs, (tag(index[dst], y), ())))
+    equations.extend(identifications)
+    return PresentedAction(monoid, tuple(generators), tuple(transitions), tuple(equations))
 
 
-def colimit(d: SpaceDiagram, flag: Category = Category.FPCM, bound: int = 8) -> SpaceColimitResult:
+def colimit(
+    d: SpaceDiagram, flag: Category = Category.FPCM, bound: int = 8, identifications: tuple = ()
+) -> SpaceColimitResult:
+    """Colimit by saturating the presentation of ``build_presentation``;
+    ``identifications`` equate further tagged terms, such as the initial
+    states of systems."""
     problems = d.problems(flag)
     if problems:
         raise MalformedDiagram("; ".join(problems))
     monoid_cocone = fpcm_cat.colimit(d.monoid_diagram(), flag)
-    presentation = build_presentation(d, monoid_cocone)
+    presentation = build_presentation(d, monoid_cocone, identifications)
     sat = saturate(presentation, bound)
     objs = list(d.shape.objects)
     legs = {}

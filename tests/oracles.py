@@ -30,7 +30,7 @@ from asyntrace.state_space import (
     StateSpaceMorphism,
     Term,
 )
-from asyntrace.async_system import WeakAsyncSystem
+from asyntrace.async_system import SystemMorphism, WeakAsyncSystem
 from asyntrace.trace_core import STAR, TraceMonoid, make_hom, make_monoid, normal_form
 
 
@@ -401,6 +401,49 @@ def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
         state_part = {name: state_components[name][i] for name in states}
         projections.append(StateSpaceMorphism(space, s, mp.projections[i], state_part))
     return SpaceProductResult(space, tuple(projections), mp, state_components)
+
+
+# ---------------------------------------------------------------------------
+# System morphisms by exhaustive search
+
+
+def enumerate_system_morphisms(a: WeakAsyncSystem, b: WeakAsyncSystem, polygonal: bool = False):
+    """Every system morphism from a to b: each event to an event of b or the
+    identity, each state to a state of b or the star, kept when it meets the
+    three conditions, decided here from the transition tables.  With
+    ``polygonal`` only the morphisms that also reflect transitions are kept:
+    wherever the image state can do the image event (any state can do the
+    identity), the source state can do the event."""
+    events, states = a.monoid.events, a.states
+    if a.initial == STAR and b.initial != STAR:
+        return  # the star initial state maps to star
+    # condition 1 fixes the image of the initial state
+    choices = [(b.initial,) if s == a.initial else (*b.states, STAR) for s in states]
+    for images in itertools.product((None, *b.monoid.events), repeat=len(events)):
+        emap = dict(zip(events, images))
+        if any(
+            emap[x] is not None and emap[y] is not None and not b.monoid.independent(emap[x], emap[y])
+            for x, y in a.monoid.pairs()
+        ):
+            continue  # condition 3
+        for targets in itertools.product(*choices):
+            smap = dict(zip(states, targets))
+            smap[STAR] = STAR
+            ok = True
+            for s in states:
+                for e in events:
+                    t, fe = smap[s], emap[e]
+                    image = t if fe is None else b.step(t, fe)
+                    s2 = a.step(s, e)
+                    # condition 2 along transitions, reflection off them
+                    if (s2 != STAR or polygonal) and smap[s2] != image:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                del smap[STAR]
+                yield SystemMorphism(a, b, emap, smap)
 
 
 # ---------------------------------------------------------------------------

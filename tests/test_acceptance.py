@@ -6,17 +6,19 @@ The universal-property checks use a counting argument: a construction is
 mediating morphisms and test (co)cones, both sides enumerated exhaustively.
 """
 
+import dataclasses
 import itertools
 import json
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
 from asyntrace import async_system as asys
 from asyntrace import cli
 from asyntrace import state_space as ss
-from asyntrace.diagrams import DiagramShape, MonoidDiagram, discrete, parallel_pair, span
+from asyntrace.diagrams import DiagramShape, MonoidDiagram, cospan, discrete, parallel_pair, span
 from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
@@ -540,6 +542,122 @@ def test_09_structural_validity(capsys):
                 assert asys.is_morphism(leg)
 
     announce(capsys, "9 all construction outputs validate", run)
+
+
+# -- criterion 11: system (co)limits among polygonal morphisms -------------
+
+
+class _SystemSignature(NamedTuple):
+    """A system morphism's event and state images, under the attribute name
+    that ``_signature`` reads."""
+
+    image: tuple
+
+
+def _system_signature(m):
+    return _SystemSignature((
+        tuple(m.event_part[e] for e in m.source.monoid.events),
+        tuple(m.state(s) for s in m.source.states),
+    ))
+
+
+TEST_OBJECTS = 4  # test systems tried against each (co)limit
+DRAWS = 200  # random diagrams drawn before a check gives up
+
+
+def _tiny_system(rng):
+    """At most 2 states and 2 events; one in four has the star initial."""
+    a = oracles.random_system(rng, max_states=2, max_events=2)
+    return dataclasses.replace(a, initial=STAR) if rng.random() < 0.25 else a
+
+
+def _polygonal(a, b):
+    return list(oracles.enumerate_system_morphisms(a, b, polygonal=True))
+
+
+def _random_system_diagram(rng, shape):
+    """Tiny systems on the objects of ``shape`` and random polygonal
+    morphisms on its arrows, redrawn until every arrow has one."""
+    for _ in range(DRAWS):
+        objs = {o: _tiny_system(rng) for o in shape.objects}
+        arrows = {}
+        for name, src, dst in shape.arrows:
+            pool = _polygonal(objs[src], objs[dst])
+            if not pool:
+                break
+            arrows[name] = rng.choice(pool)
+        else:
+            return asys.SystemDiagram(shape, objs, arrows)
+    pytest.fail(f"no diagram with polygonal arrows in {DRAWS} draws")
+
+
+def _system_cones(d, x, co):
+    """Signatures of the polygonal (co)cones between ``x`` and ``d``."""
+    objs = list(d.shape.objects)
+    pools = [_polygonal(d.on_objects[o], x) if co else _polygonal(x, d.on_objects[o]) for o in objs]
+    out = set()
+    for combo in itertools.product(*pools):
+        legs = dict(zip(objs, combo))
+        if all(
+            _system_signature(
+                asys.compose_system_morphisms(legs[t], d.on_arrows[name]) if co
+                else asys.compose_system_morphisms(d.on_arrows[name], legs[s])
+            ) == _system_signature(legs[s] if co else legs[t])
+            for name, s, t in d.shape.arrows
+        ):
+            out.add(_signature([_system_signature(legs[o]) for o in objs]))
+    return out
+
+
+def _check_system_limit(rng, shape):
+    d = _random_system_diagram(rng, shape)
+    cone = asys.limit(d)
+    assert all(asys.is_polygonal(leg) for leg in cone.legs.values())
+    objs = list(d.shape.objects)
+    for x in [_tiny_system(rng) for _ in range(TEST_OBJECTS)]:
+        _check_bijection(
+            _polygonal(x, cone.apex),
+            lambda u: [_system_signature(asys.compose_system_morphisms(cone.legs[o], u)) for o in objs],
+            _system_cones(d, x, co=False),
+        )
+
+
+def _check_system_colimit(rng, shape):
+    for _ in range(DRAWS):
+        d = _random_system_diagram(rng, shape)
+        cocone, sat = asys.colimit(d, bound=4)
+        if sat.status == EXACT:
+            break
+    else:
+        pytest.fail(f"no EXACT colimit in {DRAWS} draws")
+    assert all(asys.is_polygonal(leg) for leg in cocone.legs.values())
+    objs = list(d.shape.objects)
+    for x in [_tiny_system(rng) for _ in range(TEST_OBJECTS)]:
+        _check_bijection(
+            _polygonal(cocone.apex, x),
+            lambda u: [_system_signature(asys.compose_system_morphisms(u, cocone.legs[o])) for o in objs],
+            _system_cones(d, x, co=True),
+        )
+
+
+def test_11_system_universal_properties(capsys):
+    def run():
+        start = time.perf_counter()
+        rng = random.Random(20261018)
+        checks = (
+            (_check_system_limit, discrete(2), 40),
+            (_check_system_limit, parallel_pair(), 30),
+            (_check_system_limit, span(), 30),
+            (_check_system_limit, cospan(), 30),
+            (_check_system_colimit, discrete(2), 30),
+            (_check_system_colimit, parallel_pair(), 40),
+        )
+        for fn, shape, count in checks:
+            for _ in range(count):
+                fn(rng, shape)
+        assert time.perf_counter() - start < 60.0
+
+    announce(capsys, "11 system limits and EXACT colimits are universal among polygonal morphisms", run)
 
 
 CLI_RUNS = [

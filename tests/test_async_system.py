@@ -9,6 +9,7 @@ from asyntrace.async_system import (
     BEDNARCZYK,
     WEAK,
     SystemDiagram,
+    SystemMorphism,
     WeakAsyncSystem,
     classify,
     colimit,
@@ -233,22 +234,33 @@ class TestPolygonal:
         # merging event maps and starred states included
         a = oracles.random_system(rng, max_states=2, max_events=2)
         b = oracles.random_system(rng, max_states=2, max_events=2)
-        for m in all_morphisms(a, b):
+        for m in oracles.enumerate_system_morphisms(a, b):
             cand = induced_space_morphism(m)
             assert is_polygonal(m) == (validate_morphism(cand) == [])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_polygonal_matches_the_reflection_oracle(self, rng):
+        # the oracle decides the conditions and transition reflection from
+        # the tables, without the library's morphism or space checks
+        a = oracles.random_system(rng, max_states=2, max_events=2)
+        b = oracles.random_system(rng, max_states=2, max_events=2)
+        every = list(oracles.enumerate_system_morphisms(a, b))
+        assert all(is_morphism(m) for m in every)
+        maps = itertools.product(
+            itertools.product((None, *b.monoid.events), repeat=len(a.monoid.events)),
+            itertools.product((*b.states, STAR), repeat=len(a.states)),
+        )
+        assert len(every) == sum(
+            is_morphism(SystemMorphism(a, b, dict(zip(a.monoid.events, e)), dict(zip(a.states, s))))
+            for e, s in maps
+        )
+        poly = [m for m in every if is_polygonal(m)]
+        assert _keys(poly) == _keys(oracles.enumerate_system_morphisms(a, b, polygonal=True))
 
-def all_morphisms(a, b):
-    """Every system morphism from a to b: each event to an event of b or the
-    identity, each state to a state of b or the star."""
-    from asyntrace.async_system import SystemMorphism
 
-    events, states = a.monoid.events, a.states
-    for images in itertools.product((None, *b.monoid.events), repeat=len(events)):
-        for targets in itertools.product((*b.states, STAR), repeat=len(states)):
-            m = SystemMorphism(a, b, dict(zip(events, images)), dict(zip(states, targets)))
-            if is_morphism(m):
-                yield m
+def _keys(morphisms):
+    return [(tuple(m.event_part.items()), tuple(m.state_part.items())) for m in morphisms]
 
 
 def subsystem_inclusion(rng, b):

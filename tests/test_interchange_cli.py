@@ -300,6 +300,28 @@ class TestCli:
         assert rc == 0
         assert "status: TRUNCATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["product", "--objects", "A", "B"],
+            ["product", "--objects", "B", "A", "A"],
+            ["limit", "--diagram", "pair"],
+            ["colimit", "--diagram", "pair", "--bound", "3"],
+        ],
+    )
+    def test_system_legs_pass_morphism_check(self, fixtures_dir, tmp_path, capsys, argv):
+        # every projection and leg written for a system (co)limit is itself
+        # a system morphism, as the morphism-check command reads it back
+        path = tmp_path / "out.json"
+        bundle = str(fixtures_dir / "systems.json")
+        assert main(["asys", argv[0], bundle, *argv[1:], "--format", "json", "--output", str(path)]) == 0
+        docs = json.loads(path.read_text())["documents"]
+        legs = [n for n, doc in docs.items() if doc["kind"] == "system_morphism"]
+        assert legs and all(n.startswith(("proj_", "leg_")) for n in legs)
+        for name in legs:
+            assert main(["asys", "morphism-check", str(path), "--morphism", name]) == 0, name
+        assert "valid system morphism" in capsys.readouterr().out
+
     def test_deterministic_bytes(self, fixtures_dir, tmp_path):
         outs = []
         for i in range(2):

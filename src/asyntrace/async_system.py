@@ -88,6 +88,11 @@ def from_state_space(s: StateSpace, initial: str) -> WeakAsyncSystem:
     problems = validate_space(s)
     if problems:
         raise InvalidSpace("; ".join(problems))
+    return _pointed(s, initial)
+
+
+def _pointed(s: StateSpace, initial: str) -> WeakAsyncSystem:
+    """The system of a valid space and an initial state, which is checked."""
     if initial != STAR and initial not in s.states:
         raise InvalidSpace(f"initial state {initial!r} unknown")
     return WeakAsyncSystem(s.states, initial, s.monoid, dict(s.action))
@@ -264,11 +269,12 @@ def product(systems: Sequence[WeakAsyncSystem]) -> SystemCone:
 
 def limit(d: SystemDiagram) -> SystemCone:
     """State-space limit pointed at the tuple of initial states (star when
-    all of them are star)."""
+    all of them are star).  The apex space is valid by construction, so only
+    the initial state is checked."""
     cone = state_space.limit(_checked(d), Category.FPCM_PAR)
     objs = list(d.shape.objects)
     combo = tuple(d.on_objects[o].initial for o in objs)
-    apex = from_state_space(cone.apex, STAR if all(x == STAR for x in combo) else render_tuple(combo))
+    apex = _pointed(cone.apex, STAR if all(x == STAR for x in combo) else render_tuple(combo))
     legs = {o: _space_to_system_morphism(cone.legs[o], apex, d.on_objects[o]) for o in objs}
     return SystemCone(apex, legs)
 

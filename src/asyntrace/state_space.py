@@ -384,7 +384,16 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     when the pass started.  A class with one member only extends its root,
     since unions among its successors would be no-ops.  The final
     classification looks successors up without interning new terms, and
-    renders the ``(generator, trace)`` names only for the output.
+    renders the ``(generator, trace)`` names only for the output; a name
+    that two classes render raises ``InvalidSpace``.
+
+    The frontier is collected as a set of integer codes ``trace id * width +
+    generator index``, where the generator index is the position in the
+    sorted distinct generators of the term table.  Only the distinct frontier
+    trace ids are sorted, once, by their canonical trace, which gives each a
+    rank; the codes then sort by the integer ``generator rank * n + trace
+    rank`` (``n`` frontier traces), which is the tuple order of
+    ``(generator, trace)``, and are decoded to terms at the end.
     """
     if bound < 0:
         raise MalformedDiagram("saturation bound must be >= 0")
@@ -537,11 +546,21 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         return g if not trace else g + "@" + ".".join(trace)
 
     names = {root: state_name(root) for root in sorted(classes, key=keys.__getitem__) if keys[root][0] <= bound}
-    frontier = []
+    if len(set(names.values())) < len(names):
+        seen: dict = {}
+        for root, name in names.items():
+            if name in seen:
+                raise InvalidSpace(f"colimit state name {name!r} renders both {term(seen[name])!r} and {term(root)!r}")
+            seen[name] = root
+    gens = sorted({g for g, _ in terms[1:]})
+    gen_index = {g: k for k, g in enumerate(gens)}
+    width = len(gens)
+    codes = set()  # frontier terms, each as trace id * width + generator index
     action = {}
     for root, members in classes.items():
         if root not in names:
-            frontier.append(term(root))
+            g, i = terms[root]
+            codes.add(i * width + gen_index[g])
             continue
         for e in indices:
             row = term_next[e]
@@ -560,8 +579,14 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                 action[(names[root], events[e])] = names[known]
             elif known != 0:
                 g, i = terms[root]
-                frontier.append((g, traces[next_trace(i, e)]))
-    frontier = tuple(sorted(set(frontier)))
+                codes.add(next_trace(i, e) * width + gen_index[g])
+    # rank the frontier's traces once, then sort by generator rank * n + trace rank
+    ids = sorted({c // width for c in codes}, key=traces.__getitem__)
+    n = len(ids)
+    rank = {i: r for r, i in enumerate(ids)}
+    ranked = sorted([(c % width) * n + rank[c // width] for c in codes])
+    ranked_traces = [traces[i] for i in ids]
+    frontier = tuple([(gens[k // n], ranked_traces[k % n]) for k in ranked])
     status = EXACT if not frontier else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
     class_map = {g: names.get(find(term_ids[g, empty]), STAR) for g in p.generators}

@@ -452,6 +452,31 @@ class TestCli:
         assert "'(a,b,c)'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("group, kind", [("space", "space"), ("asys", "system")])
+    def test_colimit_name_clash_exits_one(self, tmp_path, capsys, group, kind):
+        # "0:x@1:b" renders both the state x@1:b and x acted on by b; the
+        # systems glue x@1:b, not x, to y, since y cannot do b
+        docs = {
+            "ma": {"kind": "monoid", "events": ["a"], "independence": []},
+            "mb": {"kind": "monoid", "events": ["b"], "independence": []},
+            "S": {"kind": "space", "monoid": "ma", "states": ["x", "x@1:b"], "action": {}},
+            "T": {"kind": "space", "monoid": "mb", "states": ["y"], "action": {}},
+            "A": {"kind": "system", "states": ["x", "x@1:b"], "initial": "x@1:b", "events": ["a"], "transitions": []},
+            "B": {"kind": "system", "states": ["y"], "initial": "y", "events": ["b"], "transitions": []},
+            "disc2": {"kind": "shape", "objects": ["o0", "o1"], "arrows": []},
+            "space": {"kind": "diagram", "shape": "disc2", "over": "space", "objects": {"o0": "S", "o1": "T"}, "arrows": {}},
+            "system": {"kind": "diagram", "shape": "disc2", "over": "system", "objects": {"o0": "A", "o1": "B"}, "arrows": {}},
+        }
+        bundle = tmp_path / "clash.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": docs}))
+        rc = main([group, "colimit", str(bundle), "--diagram", kind, "--bound", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "[InvalidSpace]" in captured.err
+        assert "'0:x@1:b'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_iso_check(self, fixtures_dir, capsys):
         rc = main(
             [

@@ -310,6 +310,16 @@ class TestSaturation:
         assert r.class_map == {"g": "g", "h": STAR}
         assert r.space.action == {}
 
+    def test_clashing_colimit_state_names_are_named(self):
+        # "0:x@1:b" renders both the generator 0:x@1:b and 0:x acted on by 1:b
+        s1 = make_space(free_monoid("a"), ["x", "x@1:b"], {})
+        s2 = make_space(free_monoid("b"), ["y"], {})
+        d = SpaceDiagram(discrete(2), {"o0": s1, "o1": s2}, {})
+        with pytest.raises(InvalidSpace) as exc:
+            colimit(d, bound=1)
+        msg = str(exc.value)
+        assert "'0:x@1:b'" in msg and "('0:x@1:b', ())" in msg and "('0:x', ('1:b',))" in msg
+
     def test_diamond_holds_in_saturated_space(self):
         m = make_monoid("ab", [("a", "b")])
         p = PresentedAction(m, ("g",), ())
@@ -324,12 +334,17 @@ class TestSaturation:
 @st.composite
 def presentations(draw):
     """Up to 4 generators over up to 4 events, random rules to a generator or
-    star, and a few identifications of arbitrary (uncanonical) words."""
-    events = tuple("abcd"[: draw(st.integers(1, 4))])
+    star, and a few identifications of arbitrary (uncanonical) words.
+
+    Names are drawn so that sorting them differs from declaration order:
+    generators such as ``g10``, ``g2`` and ``h`` do not sort in the order
+    they are declared, and events such as ``a``, ``ab`` and ``b`` are
+    prefixes of one another, declared in any order."""
+    events = tuple(draw(st.permutations(("a", "ab", "b", "ba")))[: draw(st.integers(1, 4))])
     pairs = list(itertools.combinations(events, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     m = make_monoid(events, chosen)
-    gens = tuple(f"g{i}" for i in range(draw(st.integers(1, 4))))
+    gens = tuple(draw(st.permutations(("g10", "g2", "h", "g1")))[: draw(st.integers(1, 4))])
     rules = st.tuples(st.sampled_from(gens), st.sampled_from(events), st.sampled_from(gens + (STAR,)))
     term = st.one_of(
         st.just(STAR),

@@ -62,13 +62,6 @@ def render_word(letters) -> str:
     return ".".join(letters) if letters else "(empty)"
 
 
-def _render_term(t) -> str:
-    if isinstance(t, str):
-        return t
-    g, tr = t
-    return f"{g}@{'.'.join(tr)}" if tr else g
-
-
 class _Writer:
     """Collects result documents, inventing names for supporting objects so
     the output bundle is self-contained."""
@@ -295,7 +288,7 @@ def cmd_monoid_colimit(args, d):
 
 
 def _colimit_output(sat, apex, legs, **more) -> Output:
-    frontier = [_render_term(t) for t in sat.frontier]
+    frontier = [ss.term_name(t) for t in sat.frontier]
     summary = {
         "status": sat.status,
         "states": list(apex.states),

@@ -356,6 +356,13 @@ class SaturationResult:
     frontier: tuple[Term, ...] = ()
 
 
+def term_name(t: Term) -> str:
+    """The state name of a term: ``g`` for ``(g, ())``, ``g@a.b`` for
+    ``(g, ("a", "b"))``."""
+    g, trace = t
+    return g + "@" + ".".join(trace) if trace else g
+
+
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     """Materialize the quotient of a presented action up to trace depth
     ``bound``.
@@ -365,33 +372,45 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     their explored successors, star absorbs.  EXACT when the settled classes
     are closed under every event.
 
-    The call keeps a trace table: each canonical trace gets an integer id and
-    a successor row per event, shared by every generator, since the successor
-    of a trace does not depend on its generator.  A missing entry is filled
-    by one-letter ``extend_normal_form``, so it runs once per (trace, event);
+    The call keeps a trace table: each canonical trace gets an integer id,
+    and the first time a term on it is extended, a row of its successors by
+    every event, shared by every generator, since the successor of a trace
+    does not depend on its generator.  The row is filled by one-letter
+    ``extend_normal_form``, so it runs once per (trace, event);
     identifications, whose words are arbitrary, go through ``normal_form``.
-    A term is an integer id for (generator, trace id), with star as id 0;
-    ``parent``, the present flag (the term belongs to the closure), the term
-    successor rows and the sort key ``(len(trace), generator, trace)`` are
-    lists indexed by it.  This is the memoized successor table of congruence
-    closure (Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen,
-    JACM 27(2), 1980).
+    There is no term table: a term is the integer code ``trace id * width +
+    generator index``, where the generator index is the position among the
+    sorted generators that the presentation names anywhere, and star is the
+    code -1.  A row holds its successor trace ids times ``width``, so the
+    successor codes of a term are its trace's row plus its generator index.
+    ``parent`` and the sort key ``(len(trace), generator, trace)`` are dicts
+    over the present terms (those that belong to the closure), in the order
+    they joined.  This is the memoized successor table of congruence closure
+    (Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM
+    27(2), 1980).
 
     Each fixpoint pass groups the present terms by class and visits the
     classes in key order.  ``union`` keeps the term with the smaller key as
     root, so the root of a class without star is its least member: it names
     the class and is the term extended at the bound, the root the class had
     when the pass started.  A class with one member only extends its root,
-    since unions among its successors would be no-ops.  The final
-    classification looks successors up without interning new terms, and
-    renders the ``(generator, trace)`` names only for the output; a name
-    that two classes render raises ``InvalidSpace``.
+    since unions among its successors would be no-ops.
 
-    The frontier is collected as a set of integer codes ``trace id * width +
-    generator index``, where the generator index is the position in the
-    sorted distinct generators of the term table.  Only the distinct frontier
+    The last pass changed nothing, so its classes and sorted roots are the
+    final ones, and at that fixpoint the present successors of a class's
+    members by one event all lie in one class.  The classification reads
+    them: a class below the bound takes the class of its root's successor,
+    which the last pass found present.  A class at the bound scans its
+    members for a present successor, unless no present term is deeper than
+    the bound (a deeper one can only come from a rule or an
+    identification): then every successor of the class is unexplored, so
+    each of its events goes to the frontier, read off the root's trace row
+    that every generator on that trace shares.  A name that two classes
+    render raises ``InvalidSpace``.
+
+    The frontier is collected as a set of codes.  Only the distinct frontier
     trace ids are sorted, once, by their canonical trace, which gives each a
-    rank; the codes then sort by the integer ``generator rank * n + trace
+    rank; the codes then sort by the integer ``generator index * n + trace
     rank`` (``n`` frontier traces), which is the tuple order of
     ``(generator, trace)``, and are decoded to terms at the end.
     """
@@ -399,56 +418,44 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         raise MalformedDiagram("saturation bound must be >= 0")
     m = p.monoid
     events = m.events
-    indices = range(len(events))
+    named = set(p.generators).union(g for g, _, _ in p.transitions)
+    named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
+    named.update(t[0] for pair in p.identifications for t in pair if t != STAR)
+    gens = sorted(named)
+    gen_index = {g: k for k, g in enumerate(gens)}
+    width = len(gens)
     traces: list[tuple[str, ...]] = []  # trace id -> canonical trace
     trace_ids: dict = {}
-    trace_next: list[list[int]] = [[] for _ in events]  # event -> trace id -> trace id, -1 if unknown
-    terms: list[tuple[str, int]] = [(STAR, -1)]  # term id -> (generator, trace id)
-    term_ids: dict = {}  # the inverse of ``terms``, star left out
-    keys: list[tuple] = [(-1, "", ())]  # star sorts first, so it is always its own root
-    parent = [0]
-    present = [True]
-    term_next: list[list[int]] = [[-1] for _ in events]  # event -> term id -> term id, -1 if unknown
-    order = [0]  # present terms in the order they joined
+    rows: list = []  # trace id -> successor trace ids times width, by event; None until asked
+    star = -1
+    parent = {star: star}  # present code -> parent code, in the order the terms joined
+    keys: dict = {star: (-1, "", ())}  # star sorts first, so it is always its own root
 
     def trace_id(t: tuple[str, ...]) -> int:
         i = trace_ids.get(t)
         if i is None:
             i = trace_ids[t] = len(traces)
             traces.append(t)
-            for row in trace_next:
-                row.append(-1)
+            rows.append(None)
         return i
 
-    def next_trace(i: int, e: int) -> int:
-        row = trace_next[e]
-        u = row[i]
-        if u < 0:
-            u = row[i] = trace_id(extend_normal_form(traces[i], events[e], m))
-        return u
+    def successors(c: int) -> list[int]:
+        i, k = divmod(c, width)
+        row = rows[i]
+        if row is None:
+            t = traces[i]
+            row = rows[i] = [trace_id(extend_normal_form(t, e, m)) * width for e in events]
+        return [b + k for b in row]
 
-    def term_id(g: str, i: int) -> int:
-        k = (g, i)
-        t = term_ids.get(k)
-        if t is None:
-            t = term_ids[k] = len(terms)
-            terms.append(k)
-            keys.append((len(traces[i]), g, traces[i]))
-            parent.append(t)
-            present.append(False)
-            for row in term_next:
-                row.append(-1)
-        return t
+    def code(t: Union[Term, str]) -> int:
+        return star if t == STAR else trace_id(t[1]) * width + gen_index[t[0]]
 
-    def probe(t: int, e: int) -> int:
-        g, i = terms[t]
-        s = term_next[e][t] = term_id(g, next_trace(i, e))
-        return s
-
-    def add(t: int) -> None:
-        if not present[t]:
-            present[t] = True
-            order.append(t)
+    def add(c: int) -> int:
+        if c not in parent:
+            i, k = divmod(c, width)
+            parent[c] = c
+            keys[c] = (len(traces[i]), gens[k], traces[i])
+        return c
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -467,120 +474,84 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
 
     def groups() -> dict[int, list[int]]:
         out: dict = {}
-        for t in order:
-            out.setdefault(t if parent[t] == t else find(t), []).append(t)
+        for t, r in parent.items():
+            out.setdefault(t if r == t else find(t), []).append(t)
         return out
 
-    empty = trace_id(())
     for g in p.generators:
-        add(term_id(g, empty))
+        add(code((g, ())))
     for g, e, rhs in p.transitions:
-        lhs = term_id(g, trace_id((e,)))
-        add(lhs)
-        if rhs == STAR:
-            union(lhs, 0)
-        else:
-            r = term_id(rhs, empty)
-            add(r)
-            union(lhs, r)
-    for t1, t2 in p.identifications:
-        a, b = (0 if t == STAR else term_id(t[0], trace_id(normal_form(t[1], m))) for t in (t1, t2))
-        add(a)
-        add(b)
-        union(a, b)
+        union(add(code((g, (e,)))), add(code(rhs if rhs == STAR else (rhs, ()))))
+    for pair in p.identifications:
+        union(*[add(code(t if t == STAR else (t[0], normal_form(t[1], m)))) for t in pair])
+    # the closure adds only terms up to the bound, so this holds to the end
+    shallow = max(key[0] for key in keys.values()) <= bound
 
     changed = True
     while changed:
         changed = False
         classes = groups()
-        for root in sorted(classes, key=keys.__getitem__):
+        roots = sorted(classes, key=keys.__getitem__)
+        for root in roots:
             members = classes[root]
-            if root == 0:
+            if root == star:
                 for t in members[1:]:  # star joined first
-                    for e in indices:
-                        s = term_next[e][t]
-                        if s < 0:
-                            s = probe(t, e)
-                        if present[s]:
-                            changed |= union(s, 0)
+                    for s in successors(t):
+                        if s in parent:
+                            changed |= union(s, star)
                 continue
             extend = keys[root][0] < bound
             if len(members) == 1:
                 if extend:
-                    for e in indices:
-                        s = term_next[e][root]
-                        if s < 0:
-                            s = probe(root, e)
-                        if not present[s]:
+                    for s in successors(root):
+                        if s not in parent:
                             add(s)
                             changed = True
                 continue
-            for e in indices:
-                row = term_next[e]
-                collected = []
-                for t in members:
-                    s = row[t]
-                    if s < 0:
-                        s = probe(t, e)
-                    if present[s]:
-                        collected.append(s)
+            columns = zip(*[successors(t) for t in members])
+            for column, s0 in zip(columns, successors(root)):
+                collected = [s for s in column if s in parent]
                 if extend:
-                    s0 = row[root]  # the root is a member, so it was probed
-                    if not present[s0]:
+                    if s0 not in parent:
                         add(s0)
                         changed = True
                     collected.append(s0)
                 for a, b in zip(collected, collected[1:]):
                     changed |= union(a, b)
 
-    # classify classes, then detect the frontier and read off the action
-    classes = groups()
-    del classes[0]
-
-    def term(t: int) -> Term:
-        g, i = terms[t]
-        return g, traces[i]
-
-    def state_name(t: int) -> str:
-        g, trace = term(t)
-        return g if not trace else g + "@" + ".".join(trace)
-
-    names = {root: state_name(root) for root in sorted(classes, key=keys.__getitem__) if keys[root][0] <= bound}
+    # name and classify the last pass's classes, then read off the action
+    names = {root: term_name(keys[root][1:]) for root in roots[1:] if keys[root][0] <= bound}  # star sorts first
     if len(set(names.values())) < len(names):
         seen: dict = {}
         for root, name in names.items():
             if name in seen:
-                raise InvalidSpace(f"colimit state name {name!r} renders both {term(seen[name])!r} and {term(root)!r}")
+                raise InvalidSpace(
+                    f"colimit state name {name!r} renders both {keys[seen[name]][1:]!r} and {keys[root][1:]!r}"
+                )
             seen[name] = root
-    gens = sorted({g for g, _ in terms[1:]})
-    gen_index = {g: k for k, g in enumerate(gens)}
-    width = len(gens)
-    codes = set()  # frontier terms, each as trace id * width + generator index
+    codes = set()  # frontier terms
     action = {}
     for root, members in classes.items():
         if root not in names:
-            g, i = terms[root]
-            codes.add(i * width + gen_index[g])
+            if root != star:
+                codes.add(root)
             continue
-        for e in indices:
-            row = term_next[e]
-            known = None
-            for t in members:
-                s = row[t]
-                if s < 0:
-                    g, i = terms[t]
-                    s = term_ids.get((g, next_trace(i, e)), -1)
-                    if s < 0:
-                        continue
-                if present[s]:
-                    known = find(s)
-                    break
-            if known in names:
-                action[(names[root], events[e])] = names[known]
-            elif known != 0:
-                g, i = terms[root]
-                codes.add(next_trace(i, e) * width + gen_index[g])
-    # rank the frontier's traces once, then sort by generator rank * n + trace rank
+        succ0 = successors(root)
+        if keys[root][0] < bound:
+            reached = [find(s) for s in succ0]  # the last pass extended the root
+        elif shallow:
+            codes.update(succ0)  # no term past the bound is present
+            continue
+        else:
+            columns = zip(*[successors(t) for t in members])
+            reached = [next((find(s) for s in column if s in parent), None) for column in columns]
+        name = names[root]
+        for e, s0, r in zip(events, succ0, reached):
+            if r in names:
+                action[(name, e)] = names[r]
+            elif r != star:
+                codes.add(s0)
+    # rank the frontier's traces once, then sort by generator index * n + trace rank
     ids = sorted({c // width for c in codes}, key=traces.__getitem__)
     n = len(ids)
     rank = {i: r for r, i in enumerate(ids)}
@@ -589,7 +560,7 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     frontier = tuple([(gens[k // n], ranked_traces[k % n]) for k in ranked])
     status = EXACT if not frontier else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
-    class_map = {g: names.get(find(term_ids[g, empty]), STAR) for g in p.generators}
+    class_map = {g: names.get(find(code((g, ()))), STAR) for g in p.generators}
     return SaturationResult(status, space, class_map, frontier)
 
 

@@ -1,10 +1,13 @@
-"""The benchmark's correctness checkers pass their own self-test, so a
-broken checker fails the test run rather than the benchmark."""
+"""The benchmark's correctness checkers pass their own self-test, and one
+seeded round of each workload passes them, so a broken checker or a broken
+output fails the test run rather than the benchmark."""
 
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -22,3 +25,14 @@ def test_checks_self_test_passes():
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks self-test: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("workload", ["words", "constructions", "colimits"])
+def test_one_round_passes_its_checks(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    jobs = workloads.build(workload, 1, tmp_path, ROOT)
+    assert jobs
+    for job in jobs:
+        job.check(job.call())

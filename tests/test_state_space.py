@@ -339,16 +339,20 @@ def presentations(draw):
     Names are drawn so that sorting them differs from declaration order:
     generators such as ``g10``, ``g2`` and ``h`` do not sort in the order
     they are declared, and events such as ``a``, ``ab`` and ``b`` are
-    prefixes of one another, declared in any order."""
+    prefixes of one another, declared in any order.  Rules and
+    identifications may also name one generator that is not declared, and
+    it may sort anywhere among the declared ones."""
     events = tuple(draw(st.permutations(("a", "ab", "b", "ba")))[: draw(st.integers(1, 4))])
     pairs = list(itertools.combinations(events, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     m = make_monoid(events, chosen)
-    gens = tuple(draw(st.permutations(("g10", "g2", "h", "g1")))[: draw(st.integers(1, 4))])
-    rules = st.tuples(st.sampled_from(gens), st.sampled_from(events), st.sampled_from(gens + (STAR,)))
+    names = draw(st.permutations(("g10", "g2", "h", "g1", "k")))
+    gens = tuple(names[: draw(st.integers(1, 4))])
+    named = gens + (names[len(gens)],)
+    rules = st.tuples(st.sampled_from(named), st.sampled_from(events), st.sampled_from(named + (STAR,)))
     term = st.one_of(
         st.just(STAR),
-        st.tuples(st.sampled_from(gens), st.lists(st.sampled_from(events), max_size=3).map(tuple)),
+        st.tuples(st.sampled_from(named), st.lists(st.sampled_from(events), max_size=3).map(tuple)),
     )
     transitions = draw(st.lists(rules, max_size=10))
     identifications = draw(st.lists(st.tuples(term, term), max_size=3))
@@ -378,6 +382,16 @@ class TestSaturationReference:
         r = saturate(p, 1)
         assert_same_saturation(r, oracles.reference_saturate(p, 1))
         assert ("h", ("a", "a")) in r.frontier and ("g", ("a", "b")) in r.frontier
+
+    def test_present_term_deeper_than_the_bound_is_read(self):
+        # g@a.b is glued to h, so the class of g@a, at the bound, has a
+        # present successor: its entry is read, not sent to the frontier
+        glue = (("g", ("a", "b")), ("h", ()))
+        p = PresentedAction(free_monoid("ab"), ("g", "h"), (), (glue,))
+        r = saturate(p, 1)
+        assert r.space.action[("g@a", "b")] == "h"
+        assert ("g", ("a", "b")) not in r.frontier
+        assert_same_saturation(r, oracles.reference_saturate(p, 1))
 
     def test_matches_reference_on_free_extension_of_two_systems(self, monkeypatch):
         # the discrete diagram of two 5-state systems over 3-letter monoids

@@ -5,7 +5,8 @@ restricts to independence-preserving ones.  Products are computed through the
 pointed-relation views (commutativity relation for FPCM, partial independence
 relation for FPCM_PAR), equalizers by generator agreement, coproducts by
 tagged disjoint union, and coequalizers by congruence closure on target
-generators.  General limits and colimits are driven through these four.
+generators.  Limits are the compatible families of the product's generators;
+colimits are driven through coproducts and coequalizers.
 """
 
 from __future__ import annotations
@@ -168,12 +169,40 @@ class PointedGrid:
                 seen[name] = t
         return components
 
+    def matching(self, shape, maps, clash: type[TraceError], what: str) -> dict[str, tuple[str, ...]]:
+        """Rendered name -> tuple for the elements, in index order, that agree
+        along every arrow ``(name, src, dst)`` of ``shape``, whose objects are
+        the factors: ``maps[name]`` sends component ``src`` to component
+        ``dst``, and a component it lacks, star among them, to star.  Tuples
+        grow one factor at a time, and an arrow is checked once both its ends
+        are placed.  Names are checked over the whole grid, as ``components``
+        checks them; only names with commas can clash."""
+        index = {o: j for j, o in enumerate(shape.objects)}
+        arrows = [(index[src], index[dst], maps[name]) for name, src, dst in shape.arrows]
+        tuples = [()]
+        for j, axis in enumerate(self.axes):
+            checks = [(s, d, f) for s, d, f in arrows if max(s, d) == j]
+            tuples = [t + (x,) for t in tuples for x in axis]
+            if checks:
+                tuples = [t for t in tuples if all(f.get(t[s], STAR) == t[d] for s, d, f in checks)]
+        tuples.pop()  # the all-star basepoint, last in index order, always matches
+        if any("," in x for axis in self.axes for x in axis):
+            self.components(clash, what)
+        return {render_tuple(t): t for t in tuples}
+
 
 @dataclass
 class ProductResult:
     monoid: TraceMonoid
     projections: tuple[BasicHom, ...]
     components: dict[str, tuple[str, ...]]  # generator name -> pointed tuple
+
+
+def pointed_relation(m: TraceMonoid, flag: Category) -> frozenset[tuple[str, str]]:
+    """The relation a product compares components by: R under FPCM_PAR, T under FPCM."""
+    if flag is Category.FPCM_PAR:
+        return to_ind_rel(m).partial_independence
+    return to_com_rel(m).commutativity
 
 
 def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:
@@ -195,12 +224,8 @@ def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> Produc
     gens = list(components)
     related = [(0, 0)]
     for m, axis, stride in zip(ms, grid.axes, grid.strides):
-        if flag is Category.FPCM_PAR:
-            rel = to_ind_rel(m).partial_independence
-        else:
-            rel = to_com_rel(m).commutativity
         offset = {x: i * stride for i, x in enumerate(axis)}
-        steps = [(offset[x], offset[y]) for x, y in rel]
+        steps = [(offset[x], offset[y]) for x, y in pointed_relation(m, flag)]
         related = [(u + du, v + dv) for u, v in related for du, dv in steps]
     n = grid.size
     monoid = make_monoid(gens, [(gens[u], gens[v]) for u, v in related if u < v < n])
@@ -418,24 +443,25 @@ class MonoidCocone:
 
 
 def limit(d, flag: Category = Category.FPCM) -> MonoidCone:
-    """Product over objects equalized against the product over arrow codomains."""
+    """The limit as the compatible families (Mac Lane, Categories for the
+    Working Mathematician, V.2): the generators of the objects' product, in
+    its order and with its names, whose components agree along every arrow,
+    ``h(x_src) == x_dst`` with star for the empty trace.  Two of them are
+    independent as in the product; the legs are the component maps."""
     problems = d.problems(flag)
     if problems:
         raise MalformedDiagram("; ".join(problems))
     objs = list(d.shape.objects)
-    obj_prod = product([d.on_objects[o] for o in objs], flag)
-    arrows = sorted(d.shape.arrows)
-    if not arrows:
-        apex = obj_prod.monoid
-        legs = {o: obj_prod.projections[i] for i, o in enumerate(objs)}
-        return MonoidCone(apex, legs)
-    arr_prod = product([d.on_objects[dst] for _, _, dst in arrows], flag)
-    proj = {o: obj_prod.projections[i] for i, o in enumerate(objs)}
-    s = tupling([proj[dst] for _, _, dst in arrows], arr_prod)
-    t = tupling([compose(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod)
-    _, inclusion = equalizer(s, t, flag)
-    legs = {o: compose(proj[o], inclusion) for o in objs}
-    return MonoidCone(inclusion.source, legs)
+    ms = [d.on_objects[o] for o in objs]
+    maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
+    gens = PointedGrid([m.events for m in ms]).matching(d.shape, maps, DuplicateEvent, "generator")
+    rels = [pointed_relation(m, flag) for m in ms]
+    kept = list(gens.items())
+    apex = make_monoid(gens, [(a, b) for i, (a, s) in enumerate(kept) for b, t in kept[i + 1 :]
+                              if all(map(frozenset.__contains__, rels, zip(s, t)))])
+    legs = {o: BasicHom(apex, m, tuple(None if t[j] == STAR else t[j] for t in gens.values()))
+            for j, (o, m) in enumerate(zip(objs, ms))}
+    return MonoidCone(apex, legs)
 
 
 def colimit(d, flag: Category = Category.FPCM) -> MonoidCocone:

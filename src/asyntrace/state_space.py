@@ -1,8 +1,8 @@
 """Pointed sets with trace-monoid actions, their limits and colimits.
 
 The basepoint ``*`` is an absorbing "undefined" state: the action is total on
-states plus star, and star is a sink.  Limits are computed pointwise (product
-of pointed state sets, subset equalizers).  Colimits go through a presented
+states plus star, and star is a sink.  Limits are computed pointwise, as the
+compatible families of the product's states.  Colimits go through a presented
 action (generators, transition rules, identifications) which is materialized
 by bounded saturation; the result carries an EXACT/TRUNCATED certificate so
 an infinite free extension is never silently cut off.
@@ -23,6 +23,7 @@ from .errors import (
     NotAMorphism,
     NotParallel,
     SizeLimit,
+    UnknownEvent,
     UnknownState,
 )
 from .fpcm_cat import Category, PointedGrid, ProductResult, render_tuple, tag
@@ -303,22 +304,33 @@ class SpaceCone:
 
 
 def limit(d: SpaceDiagram, flag: Category = Category.FPCM) -> SpaceCone:
+    """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
+    the monoid parts acting on the states of the objects' product, in its
+    order and with its names, whose components agree along every arrow,
+    ``m(x_src) == x_dst``.  Generators act component by component, as in the
+    product; the legs are the component maps."""
     problems = d.problems(flag)
     if problems:
         raise MalformedDiagram("; ".join(problems))
     objs = list(d.shape.objects)
-    prod = product([d.on_objects[o] for o in objs], flag)
-    proj = {o: prod.projections[i] for i, o in enumerate(objs)}
-    arrows = sorted(d.shape.arrows)
-    if not arrows:
-        return SpaceCone(prod.space, dict(proj))
-    arr_prod = product([d.on_objects[dst] for _, _, dst in arrows], flag)
-    s = space_tupling([proj[dst] for _, _, dst in arrows], arr_prod)
-    t = space_tupling(
-        [compose_morphisms(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod
-    )
-    apex, incl = equalizer(s, t, flag)
-    legs = {o: compose_morphisms(proj[o], incl) for o in objs}
+    spaces = [d.on_objects[o] for o in objs]
+    cone = fpcm_cat.limit(d.monoid_diagram(), flag)
+    maps = {a: m.state_part for a, m in d.on_arrows.items()}
+    states = PointedGrid([s.states for s in spaces]).matching(d.shape, maps, InvalidSpace, "state")
+    name_of = {t: x for x, t in states.items()}
+    columns = list(zip(*states.values()))  # factor -> its component of every state
+    steps = [{u: {x: s.step(x, u) for x in (*s.states, STAR)} for u in s.monoid.events} for s in spaces]
+    targets = []  # generator -> the state each state goes to, None for star
+    for us in zip(*[[STAR if v is None else v for v in cone.legs[o].image] for o in objs]):
+        parts = [col if u == STAR else map(step[u].__getitem__, col) for step, col, u in zip(steps, columns, us)]
+        targets.append(map(name_of.get, zip(*parts)))
+    events = cone.apex.events
+    action = {(x, e): y for x, ys in zip(states, zip(*targets)) for e, y in zip(events, ys) if y is not None}
+    apex = StateSpace(cone.apex, tuple(states), action)
+    legs = {
+        o: StateSpaceMorphism(apex, s, cone.legs[o], {x: t[j] for x, t in states.items()})
+        for j, (o, s) in enumerate(zip(objs, spaces))
+    }
     return SpaceCone(apex, legs)
 
 
@@ -423,6 +435,11 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     named = set(p.generators).union(g for g, _, _ in p.transitions)
     named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
     named.update(t[0] for pair in p.identifications for t in pair if t != STAR)
+    if STAR in named:
+        raise InvalidSpace(f"{STAR!r} is reserved and cannot be a generator name")
+    unknown = sorted({e for _, e, _ in p.transitions}.difference(events))
+    if unknown:
+        raise UnknownEvent(f"rule event {unknown[0]!r} not in alphabet {list(events)}")
     gens = sorted(named)
     gen_index = {g: k for k, g in enumerate(gens)}
     width = len(gens)

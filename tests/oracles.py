@@ -6,9 +6,11 @@ pointed action is a naive congruence-closure fixpoint, and the random
 generators repair invalid tables by deleting entries rather than reusing the
 library validators' logic.  The exceptions are frozen copies of earlier
 versions of the package, kept as regression references: ``reference_saturate``
-(pass-based saturation, for the memoized successor table), and
+(pass-based saturation, for the memoized successor table),
 ``reference_product`` and ``reference_space_product`` (pairwise and per-entry
-products, for the index arithmetic over per-factor tables).
+products, for the index arithmetic over per-factor tables), and
+``reference_limit`` and ``reference_space_limit`` (the product, tupling and
+equalizer limit driver, for the compatible families of the object product).
 """
 
 from __future__ import annotations
@@ -20,18 +22,21 @@ from collections import deque
 from asyntrace import fpcm_cat
 from asyntrace.errors import MalformedDiagram
 from asyntrace.fpcm_cat import TRIVIAL, Category, ProductResult, render_tuple
+from asyntrace import state_space
 from asyntrace.state_space import (
     EXACT,
     TRUNCATED,
     PresentedAction,
     SaturationResult,
+    SpaceCone,
     SpaceProductResult,
     StateSpace,
     StateSpaceMorphism,
     Term,
+    compose_morphisms,
 )
 from asyntrace.async_system import SystemMorphism, WeakAsyncSystem
-from asyntrace.trace_core import STAR, TraceMonoid, make_hom, make_monoid, normal_form
+from asyntrace.trace_core import STAR, TraceMonoid, compose, make_hom, make_monoid, normal_form
 
 
 def transposition_class(word, m: TraceMonoid) -> frozenset:
@@ -401,6 +406,54 @@ def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
         state_part = {name: state_components[name][i] for name in states}
         projections.append(StateSpaceMorphism(space, s, mp.projections[i], state_part))
     return SpaceProductResult(space, tuple(projections), mp, state_components)
+
+
+# ---------------------------------------------------------------------------
+# Limits as an equalizer of two products
+
+
+def reference_limit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCone:
+    """``fpcm_cat.limit`` as it was before compatible families: the product
+    over the objects, equalized against the product over the arrow
+    codomains, built from the package's own ``product``, ``tupling`` and
+    ``equalizer``.  A regression reference: apex events, pairs and legs must
+    agree, in order."""
+    problems = d.problems(flag)
+    if problems:
+        raise MalformedDiagram("; ".join(problems))
+    objs = list(d.shape.objects)
+    obj_prod = fpcm_cat.product([d.on_objects[o] for o in objs], flag)
+    proj = {o: obj_prod.projections[i] for i, o in enumerate(objs)}
+    arrows = sorted(d.shape.arrows)
+    if not arrows:
+        return fpcm_cat.MonoidCone(obj_prod.monoid, proj)
+    arr_prod = fpcm_cat.product([d.on_objects[dst] for _, _, dst in arrows], flag)
+    s = fpcm_cat.tupling([proj[dst] for _, _, dst in arrows], arr_prod)
+    t = fpcm_cat.tupling([compose(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod)
+    _, inclusion = fpcm_cat.equalizer(s, t, flag)
+    return fpcm_cat.MonoidCone(inclusion.source, {o: compose(proj[o], inclusion) for o in objs})
+
+
+def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
+    """``state_space.limit`` as it was before compatible families, built
+    from the package's ``product``, ``space_tupling`` and ``equalizer``; a
+    regression reference down to the order of action entries."""
+    problems = d.problems(flag)
+    if problems:
+        raise MalformedDiagram("; ".join(problems))
+    objs = list(d.shape.objects)
+    prod = state_space.product([d.on_objects[o] for o in objs], flag)
+    proj = {o: prod.projections[i] for i, o in enumerate(objs)}
+    arrows = sorted(d.shape.arrows)
+    if not arrows:
+        return SpaceCone(prod.space, proj)
+    arr_prod = state_space.product([d.on_objects[dst] for _, _, dst in arrows], flag)
+    s = state_space.space_tupling([proj[dst] for _, _, dst in arrows], arr_prod)
+    t = state_space.space_tupling(
+        [compose_morphisms(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod
+    )
+    apex, incl = state_space.equalizer(s, t, flag)
+    return SpaceCone(apex, {o: compose_morphisms(proj[o], incl) for o in objs})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The benchmark's correctness checkers pass their own self-test, and one
-seeded round of each workload passes them, so a broken checker or a broken
-output fails the test run rather than the benchmark."""
+"""The benchmark's correctness checkers pass their own self-test, one seeded
+round of each workload passes them, and every name the tracer wraps exists,
+so a broken checker, a broken output or a deleted traced name fails the test
+run rather than the benchmark."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -36,3 +38,20 @@ def test_one_round_passes_its_checks(workload, tmp_path, monkeypatch):
     assert jobs
     for job in jobs:
         job.check(job.call())
+
+
+def test_traced_names_resolve(monkeypatch):
+    """Every name the tracer wraps exists, so a refactor that deletes one
+    fails here and not first in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    for layer, names in tracer.SPANS.items():
+        module = importlib.import_module("asyntrace." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for layer, cls_name, meth in tracer.COUNTED_METHODS:
+        cls = getattr(importlib.import_module("asyntrace." + layer), cls_name)
+        assert meth in vars(cls), f"{layer}.{cls_name}.{meth}"
+    spans = {f"{layer}.{name}" for layer, names in tracer.SPANS.items() for name in names}
+    assert set(tracer.WORK) <= spans

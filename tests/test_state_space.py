@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, state_space
 from asyntrace.diagrams import DiagramShape, discrete, parallel_pair, span
-from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError
+from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError, UnknownEvent
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import (
     EXACT,
@@ -319,6 +319,17 @@ class TestSaturation:
             colimit(d, bound=1)
         msg = str(exc.value)
         assert "'0:x@1:b'" in msg and "('0:x@1:b', ())" in msg and "('0:x', ('1:b',))" in msg
+
+    def test_rule_on_an_unknown_event_is_named(self):
+        p = PresentedAction(free_monoid("ab"), ("g",), (("g", "z", "g"),))
+        with pytest.raises(UnknownEvent, match="'z'"):
+            saturate(p, 2)
+
+    def test_star_generator_is_rejected(self):
+        # it would name the states "*", "*@a" and "*@b", which validate_space rejects
+        p = PresentedAction(free_monoid("ab"), ("*",), ())
+        with pytest.raises(InvalidSpace, match="reserved"):
+            saturate(p, 1)
 
     def test_diamond_holds_in_saturated_space(self):
         m = make_monoid("ab", [("a", "b")])

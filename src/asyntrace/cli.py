@@ -187,7 +187,7 @@ def cmd_normalize(args, bundle):
     m = bundle.get(args.monoid, "monoid")
     word = parse_word(args.word, m)
     nf = normal_form(word, m)
-    summary = {"input": word, "normal_form": list(nf), "rendered": render_word(nf)}
+    summary = {"input": word, "normal_form": nf, "rendered": render_word(nf)}
     return Output(summary, [render_word(nf)])
 
 
@@ -198,8 +198,8 @@ def cmd_equiv(args, bundle):
     eq = left == right
     summary = {
         "equivalent": eq,
-        "left_normal_form": list(left),
-        "right_normal_form": list(right),
+        "left_normal_form": left,
+        "right_normal_form": right,
     }
     return Output(summary, ["equivalent" if eq else "not equivalent"])
 
@@ -219,9 +219,9 @@ def cmd_radjoint(args, bundle):
     t = bundle.get(args.table, "monoid_table")
     res = fpcm_cat.right_adjoint_R(t.elements, t.table)
     summary = {
-        "events": list(res.monoid.events),
+        "events": res.monoid.events,
         "identity": res.identity,
-        "counit": dict(sorted(res.counit.items())),
+        "counit": res.counit,
     }
     return Output(summary, [f"generators: {_listing(res.monoid.events)}"], res.monoid)
 
@@ -237,20 +237,20 @@ def cmd_iso_check(args, bundle):
         found = emap is not None
         summary = {"isomorphic": found}
         if found:
-            summary["events"] = dict(sorted(emap.items()))
+            summary["events"] = emap
     else:
         res = ss.is_isomorphic(left, right)
         found = res is not None
         summary = {"isomorphic": found}
         if found:
             emap, smap = res
-            summary["events"] = dict(sorted(emap.items()))
-            summary["states"] = dict(sorted(smap.items()))
+            summary["events"] = emap
+            summary["states"] = smap
     return Output(summary, ["isomorphic" if found else "not isomorphic"])
 
 
 def _monoid_output(what, m, args, morphisms, **more) -> Output:
-    summary = {"events": list(m.events), "category": args.category, **more}
+    summary = {"events": m.events, "category": args.category, **more}
     return Output(summary, [f"{what} events: {_listing(m.events)}"], m, morphisms)
 
 
@@ -291,8 +291,8 @@ def _colimit_output(sat, apex, legs, **more) -> Output:
     frontier = [ss.term_name(t) for t in sat.frontier]
     summary = {
         "status": sat.status,
-        "states": list(apex.states),
-        "class_map": dict(sorted(sat.class_map.items())),
+        "states": apex.states,
+        "class_map": sat.class_map,
         "frontier": frontier,
         **more,
     }
@@ -305,20 +305,20 @@ def _colimit_output(sat, apex, legs, **more) -> Output:
 def cmd_space_product(args, spaces):
     res = ss.product(spaces, Category(args.category))
     s = res.space
-    summary = {"states": list(s.states), "events": list(s.monoid.events), "category": args.category}
+    summary = {"states": s.states, "events": s.monoid.events, "category": args.category}
     lines = [f"product states: {len(s.states)}", f"product events: {len(s.monoid.events)}"]
     return Output(summary, lines, s, _numbered("proj", res.projections))
 
 
 def cmd_space_equalize(args, m1, m2):
     sub, incl = ss.equalizer(m1, m2, Category(args.category))
-    summary = {"states": list(sub.states), "events": list(sub.monoid.events)}
+    summary = {"states": sub.states, "events": sub.monoid.events}
     return Output(summary, [f"equalizer states: {_listing(sub.states)}"], sub, [("include", incl)])
 
 
 def cmd_space_limit(args, d):
     cone = ss.limit(d, Category(args.category))
-    summary = {"states": list(cone.apex.states), "events": list(cone.apex.monoid.events)}
+    summary = {"states": cone.apex.states, "events": cone.apex.monoid.events}
     return Output(summary, [f"limit states: {len(cone.apex.states)}"], cone.apex, _legs("leg", cone.legs))
 
 
@@ -341,13 +341,13 @@ def cmd_asys_classify(args, bundle):
 def cmd_asys_reach(args, bundle):
     a = bundle.get(args.system, "system")
     r = asys.reachable(a)
-    summary = {"states": list(r.states), "removed": len(a.states) - len(r.states)}
+    summary = {"states": r.states, "removed": len(a.states) - len(r.states)}
     return Output(summary, [f"reachable states: {len(r.states)} of {len(a.states)}"], r)
 
 
 def cmd_asys_unfold(args, bundle):
     rows = asys.unfold(bundle.get(args.system, "system"), args.depth)
-    summary = {"traces": [[list(t), s] for t, s in rows]}
+    summary = {"traces": rows}
     return Output(summary, [f"{render_word(t)} -> {s}" for t, s in rows] or ["(no runs)"])
 
 
@@ -365,7 +365,7 @@ def cmd_asys_polygonal_check(args, bundle):
 def cmd_asys_product(args, systems):
     cone = asys.product(systems)
     a = cone.apex
-    summary = {"states": list(a.states), "initial": _initial(a), "events": list(a.monoid.events)}
+    summary = {"states": a.states, "initial": _initial(a), "events": a.monoid.events}
     lines = [f"product states: {len(a.states)}", f"product events: {len(a.monoid.events)}"]
     return Output(summary, lines, a, _legs("proj", cone.legs))
 
@@ -373,7 +373,7 @@ def cmd_asys_product(args, systems):
 def cmd_asys_limit(args, d):
     cone = asys.limit(d)
     a = cone.apex
-    summary = {"states": list(a.states), "initial": _initial(a)}
+    summary = {"states": a.states, "initial": _initial(a)}
     return Output(summary, [f"limit states: {len(a.states)}"], a, _legs("leg", cone.legs))
 
 

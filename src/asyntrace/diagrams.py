@@ -59,7 +59,7 @@ class MonoidDiagram:
 
     def problems(self, flag=None) -> list[str]:
         from .fpcm_cat import Category
-        from .trace_core import is_independence_preserving
+        from .trace_core import _invalid_pair, is_independence_preserving
 
         out = validate_shape(self.shape)
         for o in self.shape.objects:
@@ -76,6 +76,9 @@ class MonoidDiagram:
                 out.append(f"arrow {name!r}: target monoid mismatch")
             if flag is Category.FPCM_PAR and not is_independence_preserving(h):
                 out.append(f"arrow {name!r}: not independence-preserving")
+            bad = _invalid_pair(h)
+            if bad is not None:
+                out.append(f"arrow {name!r}: independent pair {bad!r} maps to a non-commuting pair")
         return out
 
 

@@ -229,11 +229,13 @@ def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> Produc
         related = [(u + du, v + dv) for u, v in related for du, dv in steps]
     n = grid.size
     monoid = make_monoid(gens, [(gens[u], gens[v]) for u, v in related if u < v < n])
-    projections = []
-    for j, m in enumerate(ms):
-        image = {g: (None if c[j] == STAR else c[j]) for g, c in components.items()}
-        projections.append(make_hom(monoid, m, image))
-    return ProductResult(monoid, tuple(projections), components)
+    # a projection is valid by construction: independent generators have
+    # components in the factor's pointed relation, which commute
+    projections = tuple(
+        BasicHom(monoid, m, tuple(None if c[j] == STAR else c[j] for c in components.values()))
+        for j, m in enumerate(ms)
+    )
+    return ProductResult(monoid, projections, components)
 
 
 def tupling(

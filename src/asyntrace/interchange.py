@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import async_system as asys
@@ -267,8 +269,8 @@ def parse_file(path) -> Bundle:
 def monoid_doc(m: TraceMonoid) -> dict:
     return {
         "kind": "monoid",
-        "events": list(m.events),
-        "independence": [list(p) for p in m.pairs()],
+        "events": m.events,
+        "independence": m.pairs(),
     }
 
 
@@ -283,9 +285,9 @@ def hom_doc(h: BasicHom, source: str, target: str) -> dict:
 
 def space_doc(s: ss.StateSpace, monoid: str) -> dict:
     action: dict = {}
-    for (x, e), y in sorted(s.action.items()):
+    for (x, e), y in s.action.items():
         action.setdefault(x, {})[e] = y
-    return {"kind": "space", "monoid": monoid, "states": list(s.states), "action": action}
+    return {"kind": "space", "monoid": monoid, "states": s.states, "action": action}
 
 
 def space_morphism_doc(m: ss.StateSpaceMorphism, source: str, target: str) -> dict:
@@ -301,10 +303,10 @@ def space_morphism_doc(m: ss.StateSpaceMorphism, source: str, target: str) -> di
 def system_doc(a: asys.WeakAsyncSystem) -> dict:
     return {
         "kind": "system",
-        "states": list(a.states),
+        "states": a.states,
         "initial": None if a.initial == STAR else a.initial,
-        "events": list(a.monoid.events),
-        "independence": [list(p) for p in a.monoid.pairs()],
+        "events": a.monoid.events,
+        "independence": a.monoid.pairs(),
         "transitions": [[s, e, t] for (s, e), t in sorted(a.transitions.items())],
     }
 
@@ -314,7 +316,7 @@ def system_morphism_doc(m: asys.SystemMorphism, source: str, target: str) -> dic
         "kind": "system_morphism",
         "source": source,
         "target": target,
-        "events": dict(sorted(m.event_part.items())),
+        "events": dict(m.event_part),
         "states": {
             x: (None if m.state(x) == STAR else m.state(x)) for x in m.source.states
         },
@@ -324,18 +326,62 @@ def system_morphism_doc(m: asys.SystemMorphism, source: str, target: str) -> dic
 def shape_doc(s: DiagramShape) -> dict:
     return {
         "kind": "shape",
-        "objects": list(s.objects),
-        "arrows": [list(a) for a in s.arrows],
+        "objects": s.objects,
+        "arrows": s.arrows,
     }
 
 
 def table_doc(t: MonoidTable) -> dict:
     return {
         "kind": "monoid_table",
-        "elements": list(t.elements),
-        "table": [list(row) for row in t.table],
+        "elements": t.elements,
+        "table": t.table,
     }
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)`` writes
+    it, plus a newline, byte for byte.
+
+    ``indent`` makes ``json`` fall back from its C encoder to a pure-Python
+    one that yields every token apart, so this writer works per container
+    instead: dict keys sorted, and each list of strings, or of non-empty
+    lists of strings (independence pairs, transitions), written with one
+    ``str.join`` over ``json``'s own C string quoting.  Lists and tuples are
+    arrays; a key that is not a str, or a value that is not a str, int, bool,
+    None or container, raises ``TypeError``."""
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(v, nl: str) -> str:
+    """``v`` written at the indentation that ``nl``, a newline plus spaces, opens."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        return "{" + inner + sep.join([_quote(k) + ": " + _encode(v[k], inner) for k in sorted(v)]) + nl + "}"
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not v:
+        return "[]"
+    kinds = set(map(type, v))
+    if kinds == {str}:
+        body = sep.join(map(_quote, v))
+    elif kinds <= {list, tuple} and all(v) and set(map(type, chain.from_iterable(v))) == {str}:
+        row = sep + "  "
+        between = inner + "]" + sep + "[" + inner + "  "
+        body = "[" + inner + "  " + between.join([row.join(map(_quote, r)) for r in v]) + inner + "]"
+    else:
+        body = sep.join([_encode(x, inner) for x in v])
+    return "[" + inner + body + nl + "]"

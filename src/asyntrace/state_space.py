@@ -287,6 +287,7 @@ class SpaceDiagram:
                 out.append(f"arrow {name!r}: target space mismatch")
             if flag is Category.FPCM_PAR and not is_independence_preserving(m.monoid_part):
                 out.append(f"arrow {name!r}: not independence-preserving")
+            out.extend(f"arrow {name!r}: {p}" for p in validate_morphism(m))
         return out
 
     def monoid_diagram(self) -> MonoidDiagram:

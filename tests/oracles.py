@@ -11,11 +11,14 @@ versions of the package, kept as regression references: ``reference_saturate``
 products, for the index arithmetic over per-factor tables), and
 ``reference_limit`` and ``reference_space_limit`` (the product, tupling and
 equalizer limit driver, for the compatible families of the object product).
+``reference_dumps`` is the standard library's indented encoder, the judge of
+the container-level JSON writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import string
 from collections import deque
 
@@ -454,6 +457,12 @@ def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
     )
     apex, incl = state_space.equalizer(s, t, flag)
     return SpaceCone(apex, {o: compose_morphisms(proj[o], incl) for o in objs})
+
+
+def reference_dumps(payload) -> str:
+    """``interchange.dumps`` as it was before its container-level writer:
+    ``json.dumps`` with sorted keys and an indent of 2, plus a newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

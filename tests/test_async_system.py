@@ -29,7 +29,7 @@ from asyntrace.async_system import (
     unfold,
 )
 from asyntrace.diagrams import DiagramShape, discrete
-from asyntrace.errors import NotAMorphism, TraceError
+from asyntrace.errors import MalformedDiagram, NotAMorphism, TraceError
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import EXACT, TRUNCATED, validate_morphism
 from asyntrace.trace_core import (
@@ -332,6 +332,16 @@ class TestProductAndLimit:
         d = SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
         cone = limit(d)
         assert set(cone.apex.states) == set(product([a, b]).apex.states)
+
+    def test_arrow_that_is_not_polygonal_raises(self):
+        # a system morphism whose target can do the event its source idles on
+        src = make_system(["s0"], "s0", free_monoid("a"), {})
+        m = make_morphism(src, chain("a", "t"), {"a": "a"}, {"s0": "t0"})
+        d = SystemDiagram(DiagramShape(("o0", "o1"), (("f", "o0", "o1"),)), {"o0": src, "o1": m.target}, {"f": m})
+        with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
+            limit(d)
+        with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
+            colimit(d, 2)
 
 
 class TestColimit:

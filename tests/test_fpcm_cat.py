@@ -142,7 +142,10 @@ class TestProductReference:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(small_monoids(), max_size=4), st.sampled_from(BOTH))
     def test_matches_pairwise_reference(self, ms, flag):
-        assert_same_product(product(ms, flag), oracles.reference_product(ms, flag))
+        got = product(ms, flag)
+        for p in got.projections:  # built without make_hom, so its check runs here
+            assert make_hom(p.source, p.target, p.mapping) == p
+        assert_same_product(got, oracles.reference_product(ms, flag))
 
     def test_clashing_generator_names_are_named(self):
         # "(a,b,c)" renders both ("a,b", "c") and ("a", "b,c")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyntrace import interchange as ix
 from asyntrace.cli import main, parse_word
@@ -14,6 +15,8 @@ from asyntrace.errors import (
     SchemaError,
 )
 from asyntrace.trace_core import STAR, free_monoid, make_monoid
+
+import oracles
 
 
 FULL_BUNDLE = {
@@ -216,6 +219,43 @@ class TestRoundTrip:
         b2 = ix.parse(json.dumps({"version": 1, "documents": docs}))
         assert b2.get("shape") == b.get("shape")
         assert b2.get("tbl") == b.get("tbl")
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+TEXT = st.text(max_size=5) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""])
+SCALARS = TEXT | st.integers() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
+TREES = st.recursive(
+    SCALARS
+    | st.lists(TEXT, max_size=4)
+    | st.lists(st.lists(TEXT, max_size=3) | st.tuples(TEXT, TEXT), max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestDumps:
+    """``ix.dumps`` writes the bytes of the standard library's indented
+    encoder, ``oracles.reference_dumps``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TREES)
+    def test_matches_reference(self, payload):
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, [], (), [[]], [[], []], [[], ["a"]], [["a"], []], {"a": {}}, {"a": [{}]}, ([(), ()],), [[[]]]],
+    )
+    def test_nested_empty_containers(self, payload):
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [1.5, {"a": [0.0]}, {"a", "b"}, [{"a"}], {1: "a"}, {"a": {None: "b"}}, {True: 1}, [("a", 2.0)], b"a"],
+    )
+    def test_rejects_floats_sets_bytes_and_non_str_keys(self, payload):
+        with pytest.raises(TypeError):
+            ix.dumps(payload)
 
 
 class TestWordParsing:

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from asyntrace import fpcm_cat, state_space
 from asyntrace.diagrams import DiagramShape, MonoidDiagram, cospan, discrete, parallel_pair, span
-from asyntrace.errors import DuplicateEvent, InvalidSpace
+from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram
 from asyntrace.fpcm_cat import Category, enumerate_homs
 from asyntrace.state_space import SpaceDiagram, StateSpaceMorphism, make_space, make_space_morphism
-from asyntrace.trace_core import STAR, free_monoid, identity_hom, make_hom, make_monoid
+from asyntrace.trace_core import STAR, BasicHom, free_monoid, identity_hom, make_hom, make_monoid
 
 import oracles
 
@@ -126,3 +126,33 @@ class TestNameClashes:
         maps = {"f": make_space_morphism(s0, s1, erase, {"a,b": STAR, "a": STAR})} if arrows else {}
         with pytest.raises(InvalidSpace, match=r"'\(a,b,c\)'"):
             state_space.limit(SpaceDiagram(shape, {"o0": s0, "o1": s1}, maps))
+
+
+class TestUncheckedArrows:
+    """An arrow built without its constructor's check is reported by the
+    diagram, so a (co)limit never returns legs that are not morphisms."""
+
+    ONE_ARROW = DiagramShape(("o0", "o1"), (("f", "o0", "o1"),))
+
+    @pytest.mark.parametrize("flag", BOTH)
+    def test_space_arrow_that_is_not_equivariant_raises(self, flag):
+        # p.a = q, but u.a = u: the image of p.a is v, not u.a
+        m = free_monoid("a")
+        s = make_space(m, ["p", "q"], {("p", "a"): "q"})
+        t = make_space(m, ["u", "v"], {("u", "a"): "u"})
+        f = StateSpaceMorphism(s, t, identity_hom(m), {"p": "u", "q": "v"})
+        d = SpaceDiagram(self.ONE_ARROW, {"o0": s, "o1": t}, {"f": f})
+        with pytest.raises(MalformedDiagram, match=r"arrow 'f': equivariance violation at \('p', 'a'\)"):
+            state_space.limit(d, flag)
+        with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
+            state_space.colimit(d, flag, bound=2)
+
+    @pytest.mark.parametrize("flag", BOTH)
+    def test_monoid_arrow_that_is_not_well_defined_raises(self, flag):
+        # a and b commute, their images c and d do not
+        src, tgt = make_monoid("ab", [("a", "b")]), free_monoid("cd")
+        d = MonoidDiagram(self.ONE_ARROW, {"o0": src, "o1": tgt}, {"f": BasicHom(src, tgt, ("c", "d"))})
+        with pytest.raises(MalformedDiagram, match=r"arrow 'f': independent pair \('a', 'b'\)"):
+            fpcm_cat.limit(d, flag)
+        with pytest.raises(MalformedDiagram, match=r"arrow 'f': independent pair \('a', 'b'\)"):
+            fpcm_cat.colimit(d, flag)

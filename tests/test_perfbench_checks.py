@@ -1,7 +1,8 @@
 """The benchmark's correctness checkers pass their own self-test, one seeded
-round of each workload passes them, and every name the tracer wraps exists,
-so a broken checker, a broken output or a deleted traced name fails the test
-run rather than the benchmark."""
+round of each workload passes them and writes every payload as ``json.dumps``
+would, and every name the tracer wraps exists, so a broken checker, a broken
+output or a deleted traced name fails the test run rather than the
+benchmark."""
 
 import importlib
 import os
@@ -31,13 +32,28 @@ def test_checks_self_test_passes():
 
 @pytest.mark.parametrize("workload", ["words", "constructions", "colimits"])
 def test_one_round_passes_its_checks(workload, tmp_path, monkeypatch):
+    """Also: every payload the round hands ``interchange.dumps`` is written as
+    ``json.dumps`` writes it (``words`` writes none)."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import oracles
     import workloads
+    from asyntrace import interchange
 
+    payloads = []
+    dumps = interchange.dumps
+
+    def capture(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(interchange, "dumps", capture)
     jobs = workloads.build(workload, 1, tmp_path, ROOT)
     assert jobs
     for job in jobs:
         job.check(job.call())
+    assert bool(payloads) == (workload != "words")
+    for payload in payloads:
+        assert dumps(payload) == oracles.reference_dumps(payload)
 
 
 def test_traced_names_resolve(monkeypatch):

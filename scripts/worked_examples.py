@@ -13,11 +13,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from asyntrace import interchange as ix
 from asyntrace import async_system as asys
-from asyntrace.diagrams import discrete
+from asyntrace.diagrams import Diagram, discrete
 from asyntrace.fpcm_cat import (
     Category,
-    coequalizer_fpcm,
-    coequalizer_ip,
+    coequalizer,
     product,
     right_adjoint_R,
 )
@@ -45,10 +44,10 @@ def main():
 
     b = ix.parse_file(FIXTURES / "coequalizer.json")
     f, g = b.get("f"), b.get("g")
-    plain = coequalizer_fpcm(f, g)
+    plain = coequalizer(f, g)
     print("coequalizer of the collapsing pair:")
     print("  generators:", plain.monoid.events, "classes:", plain.classes)
-    strict = coequalizer_ip(f, g)
+    strict = coequalizer(f, g, Category.FPCM_PAR)
     print("  independence-preserving version:", strict.monoid.events or "trivial")
     print()
 
@@ -68,7 +67,7 @@ def main():
     for trace, state in asys.unfold(cone.apex, 2):
         print(f"    {'.'.join(trace) or '(empty)'} -> {state}")
 
-    d = asys.SystemDiagram(discrete(2), {"o0": a, "o1": bb}, {})
+    d = Diagram(discrete(2), {"o0": a, "o1": bb}, {})
     cocone, sat = asys.colimit(d, bound=3)
     print("coproduct of the same systems (bound 3):")
     print("  status:", sat.status, "states:", len(cocone.apex.states))

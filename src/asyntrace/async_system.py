@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import state_space
-from .diagrams import DiagramShape, validate_shape
-from .errors import InvalidSpace, InvalidSystem, MalformedDiagram, NotAMorphism
+from .diagrams import Diagram, DiagramShape, refuse
+from .errors import InvalidSpace, InvalidSystem, NotAMorphism
 from .fpcm_cat import Category, render_tuple, tag
 from .state_space import (
-    SpaceDiagram,
     StateSpace,
     StateSpaceMorphism,
     SaturationResult,
@@ -78,10 +77,6 @@ def classify(a: WeakAsyncSystem) -> str:
     if all(e in occurring for e in a.monoid.events):
         return ATS
     return BEDNARCZYK
-
-
-def to_state_space(a: WeakAsyncSystem) -> tuple[StateSpace, str]:
-    return a.space, a.initial
 
 
 def from_state_space(s: StateSpace, initial: str) -> WeakAsyncSystem:
@@ -204,35 +199,10 @@ def compose_system_morphisms(m2: SystemMorphism, m1: SystemMorphism) -> SystemMo
 # Limits and colimits (comma category over the point), in FPCM_PAR
 
 
-@dataclass
-class SystemDiagram:
-    shape: DiagramShape
-    on_objects: dict[str, WeakAsyncSystem]
-    on_arrows: dict[str, SystemMorphism]
-
-    def problems(self, flag=None) -> list[str]:
-        out = validate_shape(self.shape)
-        for o, a in self.on_objects.items():
-            out.extend(f"object {o!r}: {p}" for p in validate_system(a))
-        for o in self.shape.objects:
-            if o not in self.on_objects:
-                out.append(f"object {o!r} has no system assigned")
-        for name, src, dst in self.shape.arrows:
-            m = self.on_arrows.get(name)
-            if m is None:
-                out.append(f"arrow {name!r} has no morphism assigned")
-                continue
-            if src in self.on_objects and m.source != self.on_objects[src]:
-                out.append(f"arrow {name!r}: source system mismatch")
-            if dst in self.on_objects and m.target != self.on_objects[dst]:
-                out.append(f"arrow {name!r}: target system mismatch")
-            out.extend(f"arrow {name!r}: {p}" for p in morphism_violations(m))
-        return out
-
-    def space_diagram(self) -> SpaceDiagram:
-        on_objects = {o: a.space for o, a in self.on_objects.items()}
-        on_arrows = {name: induced_space_morphism(self.on_arrows[name]) for name, _, _ in self.shape.arrows}
-        return SpaceDiagram(self.shape, on_objects, on_arrows)
+def diagram_problems(d: Diagram) -> list[str]:
+    """A system diagram's problems: each system's, then each arrow's
+    ``morphism_violations``."""
+    return d.problems("system", morphism_violations, validate_system)
 
 
 @dataclass
@@ -252,11 +222,9 @@ def _space_to_system_morphism(m: StateSpaceMorphism, src: WeakAsyncSystem, dst: 
     return SystemMorphism(src, dst, event_part, dict(m.state_part))
 
 
-def _checked(d: SystemDiagram) -> SpaceDiagram:
-    problems = d.problems()
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
-    return d.space_diagram()
+def _checked(d: Diagram) -> Diagram:
+    refuse(diagram_problems(d))
+    return d.map(lambda a: a.space, induced_space_morphism)
 
 
 def product(systems: Sequence[WeakAsyncSystem]) -> SystemCone:
@@ -264,10 +232,10 @@ def product(systems: Sequence[WeakAsyncSystem]) -> SystemCone:
     states as the distinguished point."""
     systems = list(systems)
     shape = DiagramShape(tuple(f"o{i}" for i in range(len(systems))), ())
-    return limit(SystemDiagram(shape, {f"o{i}": a for i, a in enumerate(systems)}, {}))
+    return limit(Diagram(shape, {f"o{i}": a for i, a in enumerate(systems)}, {}))
 
 
-def limit(d: SystemDiagram) -> SystemCone:
+def limit(d: Diagram) -> SystemCone:
     """State-space limit pointed at the tuple of initial states (star when
     all of them are star).  The apex space is valid by construction, so only
     the initial state is checked."""
@@ -279,7 +247,7 @@ def limit(d: SystemDiagram) -> SystemCone:
     return SystemCone(apex, legs)
 
 
-def colimit(d: SystemDiagram, bound: int = 8) -> tuple[SystemCocone, SaturationResult]:
+def colimit(d: Diagram, bound: int = 8) -> tuple[SystemCocone, SaturationResult]:
     """State-space colimit with all injected initial states glued into one
     class (star if any component initial is star)."""
     sd = _checked(d)

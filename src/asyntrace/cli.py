@@ -27,7 +27,6 @@ from . import async_system as asys
 from . import fpcm_cat
 from . import interchange as ix
 from . import state_space as ss
-from .diagrams import MonoidDiagram
 from .errors import (
     DanglingReference,
     NotIndependencePreserving,
@@ -36,7 +35,6 @@ from .errors import (
     TraceError,
 )
 from .fpcm_cat import Category
-from .state_space import SpaceDiagram
 from .trace_core import (
     STAR,
     check_word,
@@ -440,12 +438,12 @@ OPTIONS = {
     "--depth": {"type": int, "required": True},
 }
 
-# per document kind: the kind of its morphisms, its diagram class and name,
+# per document kind: the kind of its morphisms, the name of its diagrams,
 # and the writer of its morphisms
 KINDS = {
-    "monoid": ("hom", MonoidDiagram, "monoid", _Writer.hom),
-    "space": ("space_morphism", SpaceDiagram, "state-space", _Writer.space_morphism),
-    "system": ("system_morphism", asys.SystemDiagram, "system", _Writer.system_morphism),
+    "monoid": ("hom", "monoid", _Writer.hom),
+    "space": ("space_morphism", "state-space", _Writer.space_morphism),
+    "system": ("system_morphism", "system", _Writer.system_morphism),
 }
 
 
@@ -485,13 +483,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def _inputs(cmd: Command, args, bundle) -> tuple:
     """The documents that the options of ``cmd``'s style name."""
-    morphism, diagram, noun, _ = KINDS[cmd.kind]
+    morphism, noun, _ = KINDS[cmd.kind]
     if cmd.options == "objects":
         return ([bundle.get(name, cmd.kind) for name in args.objects],)
     if cmd.options == "pair":
         return bundle.get(args.left, morphism), bundle.get(args.right, morphism)
     d = bundle.get(args.diagram, "diagram")
-    if not isinstance(d, diagram):
+    if bundle.bases[args.diagram] != cmd.kind:
         raise SchemaError(f"diagram {args.diagram!r} is not a {noun} diagram")
     return (d,)
 
@@ -504,7 +502,7 @@ def _write(cmd: Command, args, inputs, out: Output) -> _Writer:
         for name, obj in zip(args.objects, inputs[0]):
             w.seed(name, cmd.kind, obj)
     w.seed("result", cmd.kind, out.result)
-    write = KINDS[cmd.kind][3]
+    write = KINDS[cmd.kind][2]
     for name, m in out.morphisms:
         write(w, m, name)
     return w

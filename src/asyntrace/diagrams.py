@@ -1,4 +1,4 @@
-"""Finite diagram shapes and monoid-valued diagram instances.
+"""Finite diagram shapes and their instances over monoids, spaces or systems.
 
 A shape is a finite graph (objects plus named arrows) standing for the free
 category it generates.  Commutativity constraints between composites are not
@@ -9,8 +9,9 @@ arrows, which is all the standard constructions need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .trace_core import BasicHom, TraceMonoid
+from .errors import MalformedDiagram
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,12 @@ def validate_shape(s: DiagramShape) -> list[str]:
     return problems
 
 
+def refuse(problems: list[str]) -> None:
+    """Raise ``MalformedDiagram`` naming the ``problems``, if there are any."""
+    if problems:
+        raise MalformedDiagram("; ".join(problems))
+
+
 def discrete(n: int) -> DiagramShape:
     return DiagramShape(tuple(f"o{i}" for i in range(n)), ())
 
@@ -52,36 +59,41 @@ def cospan() -> DiagramShape:
 
 
 @dataclass
-class MonoidDiagram:
+class Diagram:
+    """A shape's objects and arrows sent to monoids and homs, to spaces and
+    their morphisms, or to systems and theirs."""
+
     shape: DiagramShape
-    on_objects: dict[str, TraceMonoid]
-    on_arrows: dict[str, BasicHom]
+    on_objects: dict
+    on_arrows: dict
 
-    def problems(self, flag=None) -> list[str]:
-        from .fpcm_cat import Category
-        from .trace_core import _invalid_pair, is_independence_preserving
-
+    def problems(self, noun: str, check_arrow: Callable, check_object: Optional[Callable] = None) -> list[str]:
+        """The shape's problems, ``check_object``'s, each missing object, and
+        per shape arrow: its absence, endpoints other than its objects', and
+        ``check_arrow``'s.  ``noun`` names the objects; monoids have homs."""
         out = validate_shape(self.shape)
+        if check_object is not None:
+            for o, x in self.on_objects.items():
+                out.extend(f"object {o!r}: {p}" for p in check_object(x))
         for o in self.shape.objects:
             if o not in self.on_objects:
-                out.append(f"object {o!r} has no monoid assigned")
+                out.append(f"object {o!r} has no {noun} assigned")
         for name, src, dst in self.shape.arrows:
-            h = self.on_arrows.get(name)
-            if h is None:
-                out.append(f"arrow {name!r} has no hom assigned")
+            a = self.on_arrows.get(name)
+            if a is None:
+                out.append(f"arrow {name!r} has no {'hom' if noun == 'monoid' else 'morphism'} assigned")
                 continue
-            if src in self.on_objects and h.source != self.on_objects[src]:
-                out.append(f"arrow {name!r}: source monoid mismatch")
-            if dst in self.on_objects and h.target != self.on_objects[dst]:
-                out.append(f"arrow {name!r}: target monoid mismatch")
-            if flag is Category.FPCM_PAR and not is_independence_preserving(h):
-                out.append(f"arrow {name!r}: not independence-preserving")
-            bad = _invalid_pair(h)
-            if bad is not None:
-                out.append(f"arrow {name!r}: independent pair {bad!r} maps to a non-commuting pair")
+            for end, o, x in (("source", src, a.source), ("target", dst, a.target)):
+                y = self.on_objects.get(o, x)
+                if x is not y and x != y:
+                    out.append(f"arrow {name!r}: {end} {noun} mismatch")
+            out.extend(f"arrow {name!r}: {p}" for p in check_arrow(a))
         return out
 
-
-def validate_diagram(d, flag=None) -> list[str]:
-    """Diagnostics for any diagram object exposing ``problems``."""
-    return d.problems(flag)
+    def map(self, on_object: Callable, on_arrow: Callable) -> Diagram:
+        """The diagram along a functor, over every object and every shape arrow."""
+        return Diagram(
+            self.shape,
+            {o: on_object(x) for o, x in self.on_objects.items()},
+            {name: on_arrow(self.on_arrows[name]) for name, _, _ in self.shape.arrows},
+        )

@@ -6,7 +6,8 @@ pointed-relation views (commutativity relation for FPCM, partial independence
 relation for FPCM_PAR), equalizers by generator agreement, coproducts by
 tagged disjoint union, and coequalizers by congruence closure on target
 generators.  Limits are the compatible families of the product's generators;
-colimits are driven through coproducts and coequalizers.
+colimits are the objects' coproduct modulo the congruence that the arrows
+generate, by the same closure as coequalizers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from .diagrams import Diagram, refuse
 from .errors import (
     DuplicateEvent,
     MalformedDiagram,
@@ -30,11 +32,12 @@ from .trace_core import (
     STAR,
     BasicHom,
     TraceMonoid,
+    _invalid_pair,
     compose,
-    identity_hom,
     is_independence_preserving,
     make_hom,
     make_monoid,
+    malformed_image,
 )
 
 
@@ -319,11 +322,8 @@ def cotupling(homs: Sequence[BasicHom], coprod: CoproductResult) -> BasicHom:
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
+    def __init__(self, elements):
+        self.parent = {x: x for x in elements}
 
     def find(self, x):
         p = self.parent
@@ -333,9 +333,7 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+        self.parent[self.find(x)] = self.find(y)
 
 
 @dataclass
@@ -345,91 +343,71 @@ class CoequalizerResult:
     classes: dict[str, Optional[str]]  # target event -> class name, None if killed
 
 
-_ONE = object()  # identity class marker inside coequalizer computation
+def _closure(target: TraceMonoid, equations, flag: Category) -> CoequalizerResult:
+    """``target`` modulo the congruence generated by ``equations``, pairs of
+    target events or None for the empty trace.  A class equated with the
+    empty trace is removed with its independence pairs.  Under FPCM_PAR a
+    class holding an independent pair is removed too; a removal only grows
+    the identity class, so one pass over the pairs settles it."""
+    uf = _UnionFind([None, *target.events])  # None is the identity class
+    for a, b in equations:
+        uf.union(a, b)
+    if flag is Category.FPCM_PAR:
+        for a, b in target.pairs():
+            if uf.find(a) == uf.find(b):
+                uf.union(a, None)
+    return _quotient_by(target, uf)
 
 
 def _quotient_by(target: TraceMonoid, uf: _UnionFind) -> CoequalizerResult:
+    """Each class outside the identity's is named by its first event in
+    target order; two classes are independent when two of their members
+    are.  The quotient is valid by construction: independent events go to
+    independent classes, to one class, or to the empty trace."""
     groups: dict = {}
     for e in target.events:
         groups.setdefault(uf.find(e), []).append(e)
-    one_root = uf.find(_ONE)
-    order = {e: i for i, e in enumerate(target.events)}
-    classes: dict[str, Optional[str]] = {}
-    gens = []
-    members: dict[str, list[str]] = {}
-    for root, es in groups.items():
-        if root == one_root:
-            for e in es:
-                classes[e] = None
-            continue
-        es.sort(key=order.__getitem__)
-        name = es[0]
-        gens.append(name)
-        members[name] = es
-        for e in es:
-            classes[e] = name
-    gens.sort(key=order.__getitem__)
-    pairs = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if any(target.independent(x, y) for x in members[a] for y in members[b]):
-                pairs.append((a, b))
-    monoid = make_monoid(gens, pairs)
-    quotient = make_hom(target, monoid, classes)
+    one_root = uf.find(None)
+    classes = {e: None if root == one_root else es[0] for root, es in groups.items() for e in es}
+    gens = [es[0] for root, es in groups.items() if root != one_root]
+    pairs = [(classes[a], classes[b]) for a, b in target.pairs()]
+    monoid = make_monoid(gens, [(a, b) for a, b in pairs if a is not None and b is not None and a != b])
+    quotient = BasicHom(target, monoid, tuple(map(classes.__getitem__, target.events)))
     return CoequalizerResult(monoid, quotient, classes)
 
 
-def _fpcm_closure(f: BasicHom, g: BasicHom) -> _UnionFind:
-    """Target generators and the identity class, modulo f(e) ~ g(e)."""
+def coequalizer(f: BasicHom, g: BasicHom, flag: Category = Category.FPCM) -> CoequalizerResult:
+    """Target generators modulo ``f(e) ~ g(e)``; in FPCM_PAR, followed by the
+    smallest congruence killing independent target pairs with equal images."""
     if f.source != g.source or f.target != g.target:
         raise NotParallel("coequalizer needs a parallel pair")
-    uf = _UnionFind()
-    uf.add(_ONE)
-    for e in f.target.events:
-        uf.add(e)
-    for e in f.source.events:
-        a = f(e) if f(e) is not None else _ONE
-        b = g(e) if g(e) is not None else _ONE
-        uf.union(a, b)
-    return uf
-
-
-def coequalizer_fpcm(f: BasicHom, g: BasicHom) -> CoequalizerResult:
-    """Coequalizer in FPCM: target generators modulo f(e) ~ g(e).
-
-    A generator equated with the empty trace drags its whole class into the
-    identity; such classes are removed, and independence pairs touching them
-    are dropped.
-    """
-    return _quotient_by(f.target, _fpcm_closure(f, g))
-
-
-def coequalizer_ip(f: BasicHom, g: BasicHom) -> CoequalizerResult:
-    """Coequalizer in FPCM_PAR: the FPCM coequalizer followed by the
-    smallest congruence killing independent target pairs with equal images."""
-    uf = _fpcm_closure(f, g)
-    for h in (f, g):
-        if not is_independence_preserving(h):
-            raise NotIndependencePreserving("coequalizer_ip needs independence-preserving homs")
-    changed = True
-    while changed:
-        changed = False
-        for a, b in f.target.pairs():
-            ra, rb, r1 = uf.find(a), uf.find(b), uf.find(_ONE)
-            if ra == rb and ra != r1:
-                uf.union(a, _ONE)
-                changed = True
-    return _quotient_by(f.target, uf)
-
-
-def coequalizer(f: BasicHom, g: BasicHom, flag: Category = Category.FPCM) -> CoequalizerResult:
-    if flag is Category.FPCM_PAR:
-        return coequalizer_ip(f, g)
-    return coequalizer_fpcm(f, g)
+    if flag is Category.FPCM_PAR and not (is_independence_preserving(f) and is_independence_preserving(g)):
+        raise NotIndependencePreserving("coequalizer in FPCM_PAR needs independence-preserving homs")
+    return _closure(f.target, [(f(e), g(e)) for e in f.source.events], flag)
 
 
 # ---------------------------------------------------------------------------
 # Limits and colimits of finite diagrams
+
+
+def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
+    """A monoid diagram's problems: per arrow, an image that cannot be read,
+    or else a collapsed independent pair under FPCM_PAR and an independent
+    pair sent to a non-commuting one."""
+
+    def check(h: BasicHom) -> list[str]:
+        bad = malformed_image(h)
+        if bad is not None:
+            return [bad]
+        out = []
+        if flag is Category.FPCM_PAR and not is_independence_preserving(h):
+            out.append("not independence-preserving")
+        pair = _invalid_pair(h)
+        if pair is not None:
+            out.append(f"independent pair {pair!r} maps to a non-commuting pair")
+        return out
+
+    return d.problems("monoid", check)
 
 
 @dataclass
@@ -444,15 +422,13 @@ class MonoidCocone:
     legs: dict[str, BasicHom]  # diagram object -> hom into apex
 
 
-def limit(d, flag: Category = Category.FPCM) -> MonoidCone:
+def limit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCone:
     """The limit as the compatible families (Mac Lane, Categories for the
     Working Mathematician, V.2): the generators of the objects' product, in
     its order and with its names, whose components agree along every arrow,
     ``h(x_src) == x_dst`` with star for the empty trace.  Two of them are
     independent as in the product; the legs are the component maps."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
+    refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     ms = [d.on_objects[o] for o in objs]
     maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
@@ -466,24 +442,22 @@ def limit(d, flag: Category = Category.FPCM) -> MonoidCone:
     return MonoidCone(apex, legs)
 
 
-def colimit(d, flag: Category = Category.FPCM) -> MonoidCocone:
-    """Coproduct over objects coequalized against the coproduct over arrow
-    domains."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
+def colimit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCocone:
+    """The dual of the compatible families: the coproduct of the objects
+    modulo the congruence generated by ``tag(src, e) ~ tag(dst, h(e))``
+    along every arrow ``h``, the identity class standing for an empty
+    image.  The legs are the injections followed by the quotient."""
+    refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
-    obj_cop = coproduct([d.on_objects[o] for o in objs], flag)
-    inj = {o: obj_cop.injections[i] for i, o in enumerate(objs)}
-    arrows = sorted(d.shape.arrows)
-    if not arrows:
-        return MonoidCocone(obj_cop.monoid, dict(inj))
-    arr_cop = coproduct([d.on_objects[src] for _, src, _ in arrows], flag)
-    u = cotupling([inj[src] for _, src, _ in arrows], arr_cop)
-    v = cotupling([compose(inj[dst], d.on_arrows[name]) for name, _, dst in arrows], arr_cop)
-    coeq = coequalizer(u, v, flag)
-    legs = {o: compose(coeq.quotient, inj[o]) for o in objs}
-    return MonoidCocone(coeq.monoid, legs)
+    cop = coproduct([d.on_objects[o] for o in objs], flag)
+    index = {o: j for j, o in enumerate(objs)}
+    equations = [
+        (tag(index[src], e), None if v is None else tag(index[dst], v))
+        for name, src, dst in sorted(d.shape.arrows)
+        for e, v in zip(d.on_objects[src].events, d.on_arrows[name].image)
+    ]
+    res = _closure(cop.monoid, equations, flag)
+    return MonoidCocone(res.monoid, {o: compose(res.quotient, inj) for o, inj in zip(objs, cop.injections)})
 
 
 # ---------------------------------------------------------------------------

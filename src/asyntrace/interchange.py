@@ -10,14 +10,15 @@ states/initials; star-valued action entries are omitted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import async_system as asys
+from . import fpcm_cat
 from . import state_space as ss
-from .diagrams import DiagramShape, MonoidDiagram, validate_shape
+from .diagrams import Diagram, DiagramShape, validate_shape
 from .errors import DanglingReference, ParseError, SchemaError
 from .trace_core import STAR, BasicHom, TraceMonoid, make_hom, make_monoid
 
@@ -46,6 +47,7 @@ class MonoidTable:
 class Bundle:
     documents: dict  # name -> parsed object
     kinds: dict  # name -> kind string
+    bases: dict = field(default_factory=dict)  # diagram name -> its base, the "over" field
 
     def get(self, name: str, kind: Optional[str] = None):
         if not isinstance(name, str):
@@ -160,34 +162,30 @@ def _parse_shape(doc, where) -> DiagramShape:
     return shape
 
 
-def _parse_diagram(doc, bundle, where):
+# per diagram base: the kinds of its objects and arrows, and its diagram check
+_BASES = {
+    "monoid": ("monoid", "hom", fpcm_cat.diagram_problems),
+    "space": ("space", "space_morphism", ss.diagram_problems),
+    "system": ("system", "system_morphism", asys.diagram_problems),
+}
+
+
+def _parse_diagram(doc, bundle, where) -> Diagram:
     shape = bundle.get(_require(doc, "shape", str, where), "shape")
     over = _require(doc, "over", str, where)
     objects = _require(doc, "objects", dict, where)
     arrows = doc.get("arrows", {})
     if not isinstance(arrows, dict):
         raise SchemaError(f"{where}: field 'arrows' has wrong type")
-    if over == "monoid":
-        d = MonoidDiagram(
-            shape,
-            {o: bundle.get(n, "monoid") for o, n in objects.items()},
-            {a: bundle.get(n, "hom") for a, n in arrows.items()},
-        )
-    elif over == "space":
-        d = ss.SpaceDiagram(
-            shape,
-            {o: bundle.get(n, "space") for o, n in objects.items()},
-            {a: bundle.get(n, "space_morphism") for a, n in arrows.items()},
-        )
-    elif over == "system":
-        d = asys.SystemDiagram(
-            shape,
-            {o: bundle.get(n, "system") for o, n in objects.items()},
-            {a: bundle.get(n, "system_morphism") for a, n in arrows.items()},
-        )
-    else:
+    if over not in _BASES:
         raise SchemaError(f"{where}: unknown diagram base {over!r}")
-    problems = d.problems()
+    object_kind, arrow_kind, check = _BASES[over]
+    d = Diagram(
+        shape,
+        {o: bundle.get(n, object_kind) for o, n in objects.items()},
+        {a: bundle.get(n, arrow_kind) for a, n in arrows.items()},
+    )
+    problems = check(d)
     if problems:
         raise SchemaError(f"{where}: " + "; ".join(problems))
     return d
@@ -252,6 +250,7 @@ def parse(text: str) -> Bundle:
                 obj = _parse_system_morphism(doc, bundle, where)
             else:
                 obj = _parse_diagram(doc, bundle, where)
+                bundle.bases[name] = doc["over"]
             bundle.documents[name] = obj
             bundle.kinds[name] = kind
     return bundle

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import fpcm_cat
-from .diagrams import DiagramShape, MonoidDiagram, validate_shape
+from .diagrams import Diagram, refuse
 from .errors import (
     InvalidSpace,
     MalformedDiagram,
@@ -35,7 +35,7 @@ from .trace_core import (
     compose,
     extend_normal_form,
     is_independence_preserving,
-    make_hom,
+    malformed_image,
     normal_form,
 )
 
@@ -127,10 +127,12 @@ class StateSpaceMorphism:
 
 
 def validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> list[str]:
-    problems = []
     if m.monoid_part.source != m.source.monoid or m.monoid_part.target != m.target.monoid:
-        problems.append("monoid part endpoints do not match the spaces")
-        return problems
+        return ["monoid part endpoints do not match the spaces"]
+    bad = malformed_image(m.monoid_part)
+    if bad is not None:
+        return [f"monoid part: {bad}"]
+    problems = []
     tgt_states = set(m.target.states)
     for x in m.source.states:
         if x not in m.state_part:
@@ -265,37 +267,18 @@ def equalizer(
     return sub, incl
 
 
-@dataclass
-class SpaceDiagram:
-    shape: DiagramShape
-    on_objects: dict[str, StateSpace]
-    on_arrows: dict[str, StateSpaceMorphism]
+def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
+    """A space diagram's problems: per arrow, a collapsed independent pair
+    under FPCM_PAR when the monoid part can be read, then
+    ``validate_morphism``'s problems."""
 
-    def problems(self, flag=None) -> list[str]:
-        out = validate_shape(self.shape)
-        for o in self.shape.objects:
-            if o not in self.on_objects:
-                out.append(f"object {o!r} has no space assigned")
-        for name, src, dst in self.shape.arrows:
-            m = self.on_arrows.get(name)
-            if m is None:
-                out.append(f"arrow {name!r} has no morphism assigned")
-                continue
-            if src in self.on_objects and m.source != self.on_objects[src]:
-                out.append(f"arrow {name!r}: source space mismatch")
-            if dst in self.on_objects and m.target != self.on_objects[dst]:
-                out.append(f"arrow {name!r}: target space mismatch")
-            if flag is Category.FPCM_PAR and not is_independence_preserving(m.monoid_part):
-                out.append(f"arrow {name!r}: not independence-preserving")
-            out.extend(f"arrow {name!r}: {p}" for p in validate_morphism(m))
+    def check(m: StateSpaceMorphism) -> list[str]:
+        h, out = m.monoid_part, validate_morphism(m)
+        if flag is Category.FPCM_PAR and malformed_image(h) is None and not is_independence_preserving(h):
+            out.insert(0, "not independence-preserving")
         return out
 
-    def monoid_diagram(self) -> MonoidDiagram:
-        return MonoidDiagram(
-            self.shape,
-            {o: s.monoid for o, s in self.on_objects.items()},
-            {a: m.monoid_part for a, m in self.on_arrows.items()},
-        )
+    return d.problems("space", check)
 
 
 @dataclass
@@ -304,18 +287,16 @@ class SpaceCone:
     legs: dict[str, StateSpaceMorphism]
 
 
-def limit(d: SpaceDiagram, flag: Category = Category.FPCM) -> SpaceCone:
+def limit(d: Diagram, flag: Category = Category.FPCM) -> SpaceCone:
     """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
     the monoid parts acting on the states of the objects' product, in its
     order and with its names, whose components agree along every arrow,
     ``m(x_src) == x_dst``.  Generators act component by component, as in the
     product; the legs are the component maps."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
+    refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     spaces = [d.on_objects[o] for o in objs]
-    cone = fpcm_cat.limit(d.monoid_diagram(), flag)
+    cone = fpcm_cat.limit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
     maps = {a: m.state_part for a, m in d.on_arrows.items()}
     states = PointedGrid([s.states for s in spaces]).matching(d.shape, maps, InvalidSpace, "state")
     name_of = {t: x for x, t in states.items()}
@@ -603,7 +584,7 @@ class SpaceColimitResult:
 
 
 def build_presentation(
-    d: SpaceDiagram, monoid_cocone: fpcm_cat.MonoidCocone, identifications: tuple = ()
+    d: Diagram, monoid_cocone: fpcm_cat.MonoidCocone, identifications: tuple = ()
 ) -> PresentedAction:
     """Presented action of a colimit: tagged states, action rules pushed
     through the colimit cocone, identifications along diagram arrows, then
@@ -646,15 +627,13 @@ def build_presentation(
 
 
 def colimit(
-    d: SpaceDiagram, flag: Category = Category.FPCM, bound: int = 8, identifications: tuple = ()
+    d: Diagram, flag: Category = Category.FPCM, bound: int = 8, identifications: tuple = ()
 ) -> SpaceColimitResult:
     """Colimit by saturating the presentation of ``build_presentation``;
     ``identifications`` equate further tagged terms, such as the initial
     states of systems."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
-    monoid_cocone = fpcm_cat.colimit(d.monoid_diagram(), flag)
+    refuse(diagram_problems(d, flag))
+    monoid_cocone = fpcm_cat.colimit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
     presentation = build_presentation(d, monoid_cocone, identifications)
     sat = saturate(presentation, bound)
     objs = list(d.shape.objects)

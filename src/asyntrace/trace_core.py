@@ -299,15 +299,13 @@ def make_hom(
     for e in image:
         if e not in source._position:
             raise UnknownEvent(f"image defined on unknown event {e!r}")
-    values = []
     for e in source.events:
         if e not in image:
             raise UnknownEvent(f"image missing for event {e!r}")
-        v = image[e]
-        if v is not None and v not in target._position:
-            raise UnknownEvent(f"image of {e!r} is unknown target event {v!r}")
-        values.append(v)
-    h = BasicHom(source, target, tuple(values))
+    h = BasicHom(source, target, tuple(image[e] for e in source.events))
+    bad = malformed_image(h)
+    if bad is not None:
+        raise UnknownEvent(bad)
     bad = _invalid_pair(h)
     if bad is not None:
         a, b = bad
@@ -330,6 +328,17 @@ def _invalid_pair(h: BasicHom) -> Optional[tuple[str, str]]:
         if (fa, fb) not in independence and (fb, fa) not in independence:
             events = h.source.events
             return (events[i], events[j])
+    return None
+
+
+def malformed_image(h: BasicHom) -> Optional[str]:
+    """Why ``h.image`` cannot be read against its endpoints: a length other
+    than the source's, or a value outside the target; None when it can."""
+    if len(h.image) != len(h.source.events):
+        return f"image has {len(h.image)} entries for {len(h.source.events)} source events"
+    for e, v in zip(h.source.events, h.image):
+        if v is not None and v not in h.target._position:
+            return f"image of {e!r} is unknown target event {v!r}"
     return None
 
 

@@ -23,7 +23,7 @@ import string
 from collections import deque
 
 from asyntrace import fpcm_cat
-from asyntrace.errors import MalformedDiagram
+from asyntrace.diagrams import refuse
 from asyntrace.fpcm_cat import TRIVIAL, Category, ProductResult, render_tuple
 from asyntrace import state_space
 from asyntrace.state_space import (
@@ -412,7 +412,8 @@ def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
 
 
 # ---------------------------------------------------------------------------
-# Limits as an equalizer of two products
+# Limits as an equalizer of two products, colimits as a coequalizer of two
+# coproducts
 
 
 def reference_limit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCone:
@@ -421,9 +422,7 @@ def reference_limit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCone:
     codomains, built from the package's own ``product``, ``tupling`` and
     ``equalizer``.  A regression reference: apex events, pairs and legs must
     agree, in order."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
+    refuse(fpcm_cat.diagram_problems(d, flag))
     objs = list(d.shape.objects)
     obj_prod = fpcm_cat.product([d.on_objects[o] for o in objs], flag)
     proj = {o: obj_prod.projections[i] for i, o in enumerate(objs)}
@@ -441,9 +440,7 @@ def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
     """``state_space.limit`` as it was before compatible families, built
     from the package's ``product``, ``space_tupling`` and ``equalizer``; a
     regression reference down to the order of action entries."""
-    problems = d.problems(flag)
-    if problems:
-        raise MalformedDiagram("; ".join(problems))
+    refuse(state_space.diagram_problems(d, flag))
     objs = list(d.shape.objects)
     prod = state_space.product([d.on_objects[o] for o in objs], flag)
     proj = {o: prod.projections[i] for i, o in enumerate(objs)}
@@ -457,6 +454,26 @@ def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
     )
     apex, incl = state_space.equalizer(s, t, flag)
     return SpaceCone(apex, {o: compose_morphisms(proj[o], incl) for o in objs})
+
+
+def reference_colimit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCocone:
+    """``fpcm_cat.colimit`` as it was before the congruence closure: the
+    coproduct over the objects, coequalized against the coproduct over the
+    arrow domains by two cotuplings, built from the package's own
+    ``coproduct``, ``cotupling`` and ``coequalizer``.  A regression
+    reference: apex events, pairs and legs must agree, in order."""
+    refuse(fpcm_cat.diagram_problems(d, flag))
+    objs = list(d.shape.objects)
+    obj_cop = fpcm_cat.coproduct([d.on_objects[o] for o in objs], flag)
+    inj = {o: obj_cop.injections[i] for i, o in enumerate(objs)}
+    arrows = sorted(d.shape.arrows)
+    if not arrows:
+        return fpcm_cat.MonoidCocone(obj_cop.monoid, inj)
+    arr_cop = fpcm_cat.coproduct([d.on_objects[src] for _, src, _ in arrows], flag)
+    u = fpcm_cat.cotupling([inj[src] for _, src, _ in arrows], arr_cop)
+    v = fpcm_cat.cotupling([compose(inj[dst], d.on_arrows[name]) for name, _, dst in arrows], arr_cop)
+    coeq = fpcm_cat.coequalizer(u, v, flag)
+    return fpcm_cat.MonoidCocone(coeq.monoid, {o: compose(coeq.quotient, inj[o]) for o in objs})
 
 
 def reference_dumps(payload) -> str:

@@ -18,13 +18,11 @@ import pytest
 from asyntrace import async_system as asys
 from asyntrace import cli
 from asyntrace import state_space as ss
-from asyntrace.diagrams import DiagramShape, MonoidDiagram, cospan, discrete, parallel_pair, span
+from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete, parallel_pair, span
 from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
     coequalizer,
-    coequalizer_fpcm,
-    coequalizer_ip,
     colimit as monoid_colimit,
     coproduct,
     enumerate_homs,
@@ -151,10 +149,10 @@ def test_03_coequalizer_example(capsys):
         tgt = make_monoid("cde", [("c", "d"), ("d", "e")])
         f = make_hom(src, tgt, {"a": "c", "b": "d"})
         g = make_hom(src, tgt, {"a": "d", "b": "e"})
-        res = coequalizer_fpcm(f, g)
+        res = coequalizer(f, g)
         assert len(res.monoid.events) == 1
         assert monoids_isomorphic(res.monoid, free_commutative_monoid("z")) is not None
-        assert coequalizer_ip(f, g).monoid == TRIVIAL
+        assert coequalizer(f, g, Category.FPCM_PAR).monoid == TRIVIAL
         assert time.perf_counter() - start < 1.0
 
     announce(capsys, "3 coequalizer examples in both categories", run)
@@ -249,7 +247,7 @@ def _random_diagram(rng, flag):
         m1 = oracles.random_monoid(rng, 2)
         m2 = oracles.random_monoid(rng, 2, prefix="t")
         pool = enumerate_homs(m1, m2, flag)
-        return MonoidDiagram(
+        return Diagram(
             shape,
             {"src": m1, "dst": m2},
             {"f": rng.choice(pool), "g": rng.choice(pool)},
@@ -258,7 +256,7 @@ def _random_diagram(rng, flag):
     apex = oracles.random_monoid(rng, 2)
     left = oracles.random_monoid(rng, 2, prefix="l")
     right = oracles.random_monoid(rng, 2, prefix="r")
-    return MonoidDiagram(
+    return Diagram(
         shape,
         {"apex": apex, "left": left, "right": right},
         {
@@ -412,7 +410,7 @@ def test_06_round_trip(capsys):
         rng = random.Random(6)
         for _ in range(500):
             a = oracles.random_system(rng, max_states=6, max_events=4)
-            space, init = asys.to_state_space(a)
+            space, init = a.space, a.initial
             assert asys.from_state_space(space, init) == a
         assert time.perf_counter() - start < 10.0
 
@@ -464,7 +462,7 @@ def test_08_colimit_soundness(capsys):
                 arrows["g"] = ss.make_space_morphism(s1, s2, identity_hom(m), smap2)
                 shape_arrows.append(("g", "A", "B"))
             shape = DiagramShape(("A", "B"), tuple(shape_arrows))
-            d = ss.SpaceDiagram(shape, {"A": s1, "B": s2}, arrows)
+            d = Diagram(shape, {"A": s1, "B": s2}, arrows)
             res = ss.colimit(d)
             assert res.saturation.status == EXACT
             maps = [(0, 1, smap)]
@@ -496,7 +494,7 @@ def test_08_colimit_soundness(capsys):
         for _ in range(20):
             a = oracles.random_system(rng, max_states=4, max_events=2)
             b = oracles.random_system(rng, max_states=4, max_events=2)
-            d = asys.SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+            d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
             cocone, sat = asys.colimit(d, bound=3)
             assert sat.class_map[f"0:{a.initial}"] == sat.class_map[f"1:{b.initial}"]
 
@@ -534,7 +532,7 @@ def test_09_structural_validity(capsys):
             for proj in res.projections:
                 assert validate_morphism(proj) == []
 
-            d = asys.SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+            d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
             cocone, sat = asys.colimit(d, bound=3)
             assert asys.validate_system(cocone.apex) == []
             assert validate_space(sat.space) == []
@@ -587,7 +585,7 @@ def _random_system_diagram(rng, shape):
                 break
             arrows[name] = rng.choice(pool)
         else:
-            return asys.SystemDiagram(shape, objs, arrows)
+            return Diagram(shape, objs, arrows)
     pytest.fail(f"no diagram with polygonal arrows in {DRAWS} draws")
 
 

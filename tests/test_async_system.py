@@ -8,7 +8,6 @@ from asyntrace.async_system import (
     ATS,
     BEDNARCZYK,
     WEAK,
-    SystemDiagram,
     SystemMorphism,
     WeakAsyncSystem,
     classify,
@@ -25,10 +24,9 @@ from asyntrace.async_system import (
     morphism_violations,
     product,
     reachable,
-    to_state_space,
     unfold,
 )
-from asyntrace.diagrams import DiagramShape, discrete
+from asyntrace.diagrams import Diagram, DiagramShape, discrete
 from asyntrace.errors import MalformedDiagram, NotAMorphism, TraceError
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import EXACT, TRUNCATED, validate_morphism
@@ -116,14 +114,14 @@ class TestClassify:
 class TestRoundTrip:
     def test_identity_on_diamond(self):
         a = diamond_system()
-        s, init = to_state_space(a)
+        s, init = a.space, a.initial
         assert from_state_space(s, init) == a
 
     def test_identity_on_random_systems(self):
         rng = random.Random(3)
         for _ in range(50):
             a = oracles.random_system(rng)
-            s, init = to_state_space(a)
+            s, init = a.space, a.initial
             assert from_state_space(s, init) == a
 
 
@@ -329,7 +327,7 @@ class TestProductAndLimit:
     def test_limit_matches_product_on_discrete(self):
         a = chain("a", "p")
         b = chain("b", "q")
-        d = SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+        d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
         cone = limit(d)
         assert set(cone.apex.states) == set(product([a, b]).apex.states)
 
@@ -337,7 +335,7 @@ class TestProductAndLimit:
         # a system morphism whose target can do the event its source idles on
         src = make_system(["s0"], "s0", free_monoid("a"), {})
         m = make_morphism(src, chain("a", "t"), {"a": "a"}, {"s0": "t0"})
-        d = SystemDiagram(DiagramShape(("o0", "o1"), (("f", "o0", "o1"),)), {"o0": src, "o1": m.target}, {"f": m})
+        d = Diagram(DiagramShape(("o0", "o1"), (("f", "o0", "o1"),)), {"o0": src, "o1": m.target}, {"f": m})
         with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
             limit(d)
         with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
@@ -348,7 +346,7 @@ class TestColimit:
     def test_coproduct_glues_initials(self):
         a = chain("a", "p")
         b = chain("b", "q")
-        d = SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+        d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
         cocone, sat = colimit(d, bound=2)
         assert sat.class_map["0:p0"] == sat.class_map["1:q0"]
         assert cocone.apex.initial == sat.class_map["0:p0"]
@@ -360,14 +358,14 @@ class TestColimit:
         # so the free extension keeps growing
         a = chain("a", "p")
         b = chain("b", "q")
-        d = SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+        d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
         _, sat = colimit(d, bound=2)
         assert sat.status == TRUNCATED
 
     def test_star_initial_infects_colimit(self):
         a = make_system(["p"], STAR, free_monoid("a"), {})
         b = chain("b", "q")
-        d = SystemDiagram(discrete(2), {"o0": a, "o1": b}, {})
+        d = Diagram(discrete(2), {"o0": a, "o1": b}, {})
         cocone, sat = colimit(d, bound=3)
         assert cocone.apex.initial == STAR
         assert sat.class_map["1:q0"] == STAR
@@ -380,7 +378,7 @@ class TestColimit:
         )
         ident = SystemMorphism(a, a, {"a": "a"}, {"u": "u", "v": "v"})
         shape = DiagramShape(("x", "y"), (("f", "x", "y"), ("g", "x", "y")))
-        d = SystemDiagram(shape, {"x": a, "y": a}, {"f": ident, "g": ident})
+        d = Diagram(shape, {"x": a, "y": a}, {"f": ident, "g": ident})
         cocone, sat = colimit(d, bound=4)
         assert sat.status == EXACT
         assert len(cocone.apex.states) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyntrace.diagrams import (
     DiagramShape,
-    MonoidDiagram,
+    Diagram,
     cospan,
     discrete,
     parallel_pair,
@@ -17,8 +17,6 @@ from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
     coequalizer,
-    coequalizer_fpcm,
-    coequalizer_ip,
     colimit,
     coproduct,
     cotupling,
@@ -197,7 +195,7 @@ class TestCoproduct:
 class TestCoequalizer:
     def test_fpcm_example_collapses_to_one_generator(self):
         _, _, f, g = coeq_example()
-        res = coequalizer_fpcm(f, g)
+        res = coequalizer(f, g)
         assert res.monoid.events == ("c",)
         assert res.monoid.pairs() == []
         assert res.classes == {"c": "c", "d": "c", "e": "c"}
@@ -205,7 +203,7 @@ class TestCoequalizer:
 
     def test_ip_example_is_trivial(self):
         _, _, f, g = coeq_example()
-        res = coequalizer_ip(f, g)
+        res = coequalizer(f, g, Category.FPCM_PAR)
         assert res.monoid == TRIVIAL
         assert res.classes == {"c": None, "d": None, "e": None}
 
@@ -219,7 +217,7 @@ class TestCoequalizer:
         tgt = free_monoid("bc")
         f = make_hom(src, tgt, {"a": "b"})
         g = make_hom(src, tgt, {"a": None})
-        res = coequalizer_fpcm(f, g)
+        res = coequalizer(f, g)
         assert res.monoid.events == ("c",)
         assert res.classes == {"b": None, "c": "c"}
 
@@ -233,7 +231,7 @@ class TestCoequalizer:
 class TestLimitsColimits:
     def test_limit_of_discrete_is_product(self):
         ms = [free_monoid("a"), free_monoid("b")]
-        d = MonoidDiagram(discrete(2), {"o0": ms[0], "o1": ms[1]}, {})
+        d = Diagram(discrete(2), {"o0": ms[0], "o1": ms[1]}, {})
         cone = limit(d, Category.FPCM)
         assert monoids_isomorphic(cone.apex, product(ms, Category.FPCM).monoid) is not None
 
@@ -242,14 +240,14 @@ class TestLimitsColimits:
         tgt = free_monoid("cd")
         f = make_hom(src, tgt, {"a": "c", "b": "c"})
         g = make_hom(src, tgt, {"a": "c", "b": "d"})
-        d = MonoidDiagram(parallel_pair(), {"src": src, "dst": tgt}, {"f": f, "g": g})
+        d = Diagram(parallel_pair(), {"src": src, "dst": tgt}, {"f": f, "g": g})
         cone = limit(d, Category.FPCM)
         sub, _ = equalizer(f, g)
         assert monoids_isomorphic(cone.apex, sub) is not None
 
     def test_colimit_of_parallel_pair_is_coequalizer(self):
         _, tgt, f, g = coeq_example()
-        d = MonoidDiagram(
+        d = Diagram(
             parallel_pair(), {"src": f.source, "dst": tgt}, {"f": f, "g": g}
         )
         for flag in BOTH:
@@ -262,7 +260,7 @@ class TestLimitsColimits:
         right = free_monoid("cd")
         l = make_hom(apex, left, {"x": "a"})
         r = make_hom(apex, right, {"x": "c"})
-        d = MonoidDiagram(span(), {"apex": apex, "left": left, "right": right}, {"l": l, "r": r})
+        d = Diagram(span(), {"apex": apex, "left": left, "right": right}, {"l": l, "r": r})
         cocone = colimit(d, Category.FPCM)
         assert len(cocone.apex.events) == 3
         assert cocone.legs["left"]("a") == cocone.legs["right"]("c")
@@ -272,7 +270,7 @@ class TestLimitsColimits:
         tgt = free_monoid("cd")
         f = make_hom(src, tgt, {"a": "c", "b": "c"})
         g = make_hom(src, tgt, {"a": "c", "b": "d"})
-        d = MonoidDiagram(parallel_pair(), {"src": src, "dst": tgt}, {"f": f, "g": g})
+        d = Diagram(parallel_pair(), {"src": src, "dst": tgt}, {"f": f, "g": g})
         cone = limit(d, Category.FPCM)
         for arrow in ("f", "g"):
             h = d.on_arrows[arrow]

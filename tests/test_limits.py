@@ -1,20 +1,35 @@
-"""Finite limits of monoids and of state spaces as compatible families.
+"""Finite limits as compatible families, and monoid colimits as the
+objects' coproduct modulo the congruence that the arrows generate.
 
 Both limits are judged by ``oracles.reference_limit`` and
 ``oracles.reference_space_limit``: the product, tupling and equalizer driver
-that they replaced, which must give the same apex and legs, in order."""
+that they replaced, which must give the same apex and legs, in order.  The
+monoid colimit is judged by ``oracles.reference_colimit``, the coproduct,
+cotupling and coequalizer driver that it replaced.  Malformed diagrams over
+every base must end in a ``TraceError`` at every (co)limit."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyntrace import fpcm_cat, state_space
-from asyntrace.diagrams import DiagramShape, MonoidDiagram, cospan, discrete, parallel_pair, span
-from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram
+from asyntrace import async_system, fpcm_cat, state_space
+from asyntrace.async_system import SystemMorphism
+from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete, parallel_pair, span
+from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram, TraceError
 from asyntrace.fpcm_cat import Category, enumerate_homs
-from asyntrace.state_space import SpaceDiagram, StateSpaceMorphism, make_space, make_space_morphism
-from asyntrace.trace_core import STAR, BasicHom, free_monoid, identity_hom, make_hom, make_monoid
+from asyntrace.state_space import StateSpaceMorphism, make_space, make_space_morphism
+from asyntrace.trace_core import (
+    STAR,
+    BasicHom,
+    compose,
+    free_monoid,
+    identity_hom,
+    is_independence_preserving,
+    make_hom,
+    make_monoid,
+)
 
 import oracles
 
@@ -29,7 +44,7 @@ def random_monoid_diagram(rng, shape, flag):
     on_arrows = {
         name: rng.choice(enumerate_homs(on_objects[src], on_objects[dst], flag)) for name, src, dst in shape.arrows
     }
-    return MonoidDiagram(shape, on_objects, on_arrows)
+    return Diagram(shape, on_objects, on_arrows)
 
 
 def random_space_diagram(rng, shape):
@@ -43,7 +58,32 @@ def random_space_diagram(rng, shape):
         s, t = on_objects[src], on_objects[dst]
         smap = oracles.random_equivariant_map(rng, s, t) or {x: STAR for x in s.states}
         on_arrows[name] = StateSpaceMorphism(s, t, identity_hom(m), smap)
-    return SpaceDiagram(shape, on_objects, on_arrows)
+    return Diagram(shape, on_objects, on_arrows)
+
+
+def random_system_diagram(rng, shape):
+    """One random system and a copy with renamed states, on the objects at
+    random; each arrow the identity or the renaming between them."""
+    a = oracles.random_system(rng, 3, 2)
+    rename = {x: "r" + x for x in a.states}
+    b = dataclasses.replace(
+        a,
+        states=tuple(rename.values()),
+        initial=rename[a.initial],
+        transitions={(rename[x], e): rename[y] for (x, e), y in a.transitions.items()},
+    )
+    on_objects = {o: rng.choice((a, b)) for o in shape.objects}
+    on_arrows = {}
+    for name, src, dst in shape.arrows:
+        s, t = on_objects[src], on_objects[dst]
+        states = dict(zip(s.states, t.states))
+        on_arrows[name] = SystemMorphism(s, t, {e: e for e in s.monoid.events}, states)
+    return Diagram(shape, on_objects, on_arrows)
+
+
+def assert_valid_hom(h, flag):
+    assert make_hom(h.source, h.target, h.mapping) == h
+    assert flag is Category.FPCM or is_independence_preserving(h)
 
 
 def assert_same_monoid_cone(got, want):
@@ -78,6 +118,22 @@ class TestLimitReference:
         assert_same_space_cone(state_space.limit(d, flag), oracles.reference_space_limit(d, flag))
 
 
+class TestColimitReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(SHAPES), st.sampled_from(BOTH))
+    def test_monoid_colimit_matches_reference(self, seed, shape, flag):
+        d = random_monoid_diagram(random.Random(seed), shape, flag)
+        got = fpcm_cat.colimit(d, flag)
+        assert_same_monoid_cone(got, oracles.reference_colimit(d, flag))
+        for leg in got.legs.values():
+            assert_valid_hom(leg, flag)
+        if shape == parallel_pair():
+            f, g = d.on_arrows["f"], d.on_arrows["g"]
+            q = fpcm_cat.coequalizer(f, g, flag).quotient
+            assert_valid_hom(q, flag)
+            assert compose(q, f) == compose(q, g)
+
+
 def clash_cospan():
     """A cospan L -> T <- R whose legs send their one event and state to
     ``a,b``.  T's names ``a,b``, ``c``, ``a`` and ``b,c`` render ``(a,b,c)``
@@ -93,14 +149,14 @@ def clash_cospan():
         s, t = spaces[o], spaces["apex"]
         e = s.states[0]
         arrows[name] = make_space_morphism(s, t, make_hom(s.monoid, t.monoid, {e: "a,b"}), {e: "a,b"})
-    return SpaceDiagram(cospan(), spaces, arrows)
+    return Diagram(cospan(), spaces, arrows)
 
 
 class TestNameClashes:
     @pytest.mark.parametrize("flag", BOTH)
     def test_clash_outside_the_object_product_is_not_built(self, flag):
         d = clash_cospan()
-        cone = fpcm_cat.limit(d.monoid_diagram(), flag)
+        cone = fpcm_cat.limit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
         assert cone.apex.events == ("(x,y,a,b)",)
         assert {o: leg.image for o, leg in cone.legs.items()} == {
             "left": ("x",), "right": ("y",), "apex": ("a,b",)
@@ -119,13 +175,13 @@ class TestNameClashes:
         m0, m1 = make_monoid(["a,b", "a"]), make_monoid(["c", "b,c"])
         maps = {"f": make_hom(m0, m1, {"a,b": None, "a": None})} if arrows else {}
         with pytest.raises(DuplicateEvent, match=r"'\(a,b,c\)'"):
-            fpcm_cat.limit(MonoidDiagram(shape, {"o0": m0, "o1": m1}, maps))
+            fpcm_cat.limit(Diagram(shape, {"o0": m0, "o1": m1}, maps))
         s0 = make_space(free_monoid(["e"]), ["a,b", "a"], {})
         s1 = make_space(free_monoid(["g"]), ["c", "b,c"], {})
         erase = make_hom(s0.monoid, s1.monoid, {"e": None})
         maps = {"f": make_space_morphism(s0, s1, erase, {"a,b": STAR, "a": STAR})} if arrows else {}
         with pytest.raises(InvalidSpace, match=r"'\(a,b,c\)'"):
-            state_space.limit(SpaceDiagram(shape, {"o0": s0, "o1": s1}, maps))
+            state_space.limit(Diagram(shape, {"o0": s0, "o1": s1}, maps))
 
 
 class TestUncheckedArrows:
@@ -141,7 +197,7 @@ class TestUncheckedArrows:
         s = make_space(m, ["p", "q"], {("p", "a"): "q"})
         t = make_space(m, ["u", "v"], {("u", "a"): "u"})
         f = StateSpaceMorphism(s, t, identity_hom(m), {"p": "u", "q": "v"})
-        d = SpaceDiagram(self.ONE_ARROW, {"o0": s, "o1": t}, {"f": f})
+        d = Diagram(self.ONE_ARROW, {"o0": s, "o1": t}, {"f": f})
         with pytest.raises(MalformedDiagram, match=r"arrow 'f': equivariance violation at \('p', 'a'\)"):
             state_space.limit(d, flag)
         with pytest.raises(MalformedDiagram, match="arrow 'f': equivariance violation"):
@@ -151,8 +207,123 @@ class TestUncheckedArrows:
     def test_monoid_arrow_that_is_not_well_defined_raises(self, flag):
         # a and b commute, their images c and d do not
         src, tgt = make_monoid("ab", [("a", "b")]), free_monoid("cd")
-        d = MonoidDiagram(self.ONE_ARROW, {"o0": src, "o1": tgt}, {"f": BasicHom(src, tgt, ("c", "d"))})
+        d = Diagram(self.ONE_ARROW, {"o0": src, "o1": tgt}, {"f": BasicHom(src, tgt, ("c", "d"))})
         with pytest.raises(MalformedDiagram, match=r"arrow 'f': independent pair \('a', 'b'\)"):
             fpcm_cat.limit(d, flag)
         with pytest.raises(MalformedDiagram, match=r"arrow 'f': independent pair \('a', 'b'\)"):
             fpcm_cat.colimit(d, flag)
+
+    @pytest.mark.parametrize("flag", BOTH)
+    @pytest.mark.parametrize("image, problem", [
+        (("c",), "image has 1 entries for 2 source events"),
+        ((None, "z"), "image of 'b' is unknown target event 'z'"),
+    ])
+    def test_monoid_arrow_whose_image_cannot_be_read_raises(self, flag, image, problem):
+        src, tgt = make_monoid("ab", [("a", "b")]), free_monoid("cd")
+        d = Diagram(self.ONE_ARROW, {"o0": src, "o1": tgt}, {"f": BasicHom(src, tgt, image)})
+        for construction in (fpcm_cat.limit, fpcm_cat.colimit):
+            with pytest.raises(MalformedDiagram, match=rf"^arrow 'f': {problem}$"):
+                construction(d, flag)
+
+    @pytest.mark.parametrize("flag", BOTH)
+    @pytest.mark.parametrize("image, problem", [
+        ((), "image has 0 entries for 1 source events"),
+        (("z",), "image of 'a' is unknown target event 'z'"),
+    ])
+    def test_space_arrow_whose_monoid_part_cannot_be_read_raises(self, flag, image, problem):
+        m = free_monoid("a")
+        s = make_space(m, ["p"], {})
+        f = StateSpaceMorphism(s, s, BasicHom(m, m, image), {"p": "p"})
+        d = Diagram(self.ONE_ARROW, {"o0": s, "o1": s}, {"f": f})
+        with pytest.raises(MalformedDiagram, match=rf"^arrow 'f': monoid part: {problem}$"):
+            state_space.limit(d, flag)
+        with pytest.raises(MalformedDiagram, match=rf"^arrow 'f': monoid part: {problem}$"):
+            state_space.colimit(d, flag, bound=2)
+
+
+MALFORMATIONS = (
+    "missing object",
+    "missing arrow",
+    "swapped endpoints",
+    "short image",
+    "unknown image",
+    "unchecked state map",
+    "extra arrow",
+)
+ARROW_SHAPES = (span(), cospan(), parallel_pair(), PATH)
+
+
+def malform_arrow(rng, base, arrow, how):
+    """``arrow`` with a short or unknown image, or with a state map that
+    sends its first state outside the target; a monoid arrow, which has no
+    state map, gets an unchecked random image instead."""
+    if base == "system":
+        events, states = dict(arrow.event_part), dict(arrow.state_part)
+        first_event = next(iter(events))
+        if how == "short image":
+            del events[first_event]
+        elif how == "unknown image":
+            events[first_event] = "zz"
+        else:
+            states[next(iter(states))] = "zz"
+        return dataclasses.replace(arrow, event_part=events, state_part=states)
+    if base == "space" and how == "unchecked state map":
+        states = dict(arrow.state_part)
+        states[next(iter(states))] = "zz"
+        return dataclasses.replace(arrow, state_part=states)
+    h = arrow if base == "monoid" else arrow.monoid_part
+    if how == "short image":
+        image = h.image[:-1]
+    elif how == "unknown image":
+        image = ("zz",) + h.image[1:]
+    else:
+        image = tuple(oracles.random_basic_hom_map(rng, h.source, h.target).values())
+    h = dataclasses.replace(h, image=image)
+    return h if base == "monoid" else dataclasses.replace(arrow, monoid_part=h)
+
+
+def malformed_diagram(rng, base, shape, flag, how):
+    if base == "monoid":
+        d = random_monoid_diagram(rng, shape, flag)
+    elif base == "space":
+        d = random_space_diagram(rng, shape)
+    else:
+        d = random_system_diagram(rng, shape)
+    name = rng.choice(shape.arrows)[0]
+    if how == "missing object":
+        del d.on_objects[rng.choice(shape.objects)]
+    elif how == "missing arrow":
+        del d.on_arrows[name]
+    elif how == "swapped endpoints":
+        a = d.on_arrows[name]
+        d.on_arrows[name] = dataclasses.replace(a, source=a.target, target=a.source)
+    elif how == "extra arrow":
+        d.on_arrows["extra"] = malform_arrow(rng, base, d.on_arrows[name], "short image")
+    else:
+        d.on_arrows[name] = malform_arrow(rng, base, d.on_arrows[name], how)
+    return d
+
+
+ENTRY_POINTS = {
+    "monoid": (fpcm_cat.limit, fpcm_cat.colimit),
+    "space": (state_space.limit, lambda d, flag: state_space.colimit(d, flag, bound=2)),
+    "system": (lambda d, flag: async_system.limit(d), lambda d, flag: async_system.colimit(d, bound=2)),
+}
+
+
+class TestMalformedDiagrams:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(sorted(ENTRY_POINTS)),
+        st.sampled_from(ARROW_SHAPES),
+        st.sampled_from(BOTH),
+        st.sampled_from(MALFORMATIONS),
+    )
+    def test_every_construction_returns_or_raises_a_trace_error(self, seed, base, shape, flag, how):
+        d = malformed_diagram(random.Random(seed), base, shape, flag, how)
+        for construction in ENTRY_POINTS[base]:
+            try:
+                construction(d, flag)
+            except TraceError:
+                pass

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, state_space
-from asyntrace.diagrams import DiagramShape, discrete, parallel_pair, span
+from asyntrace.diagrams import Diagram, DiagramShape, discrete, parallel_pair, span
 from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError, UnknownEvent
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import (
     EXACT,
     TRUNCATED,
     PresentedAction,
-    SpaceDiagram,
     StateSpace,
     act_trace,
     colimit,
@@ -249,14 +248,14 @@ class TestSpaceEqualizerAndLimit:
     def test_limit_of_discrete_matches_product(self):
         s1 = make_space(free_monoid("a"), ["p0", "p1"], {("p0", "a"): "p1"})
         s2 = make_space(free_monoid("c"), ["q0", "q1"], {("q0", "c"): "q1"})
-        d = SpaceDiagram(discrete(2), {"o0": s1, "o1": s2}, {})
+        d = Diagram(discrete(2), {"o0": s1, "o1": s2}, {})
         cone = limit(d)
         res = product([s1, s2])
         assert is_isomorphic(cone.apex, res.space) is not None
 
     def test_limit_legs_validate(self):
         s1 = make_space(free_monoid("a"), ["p0", "p1"], {("p0", "a"): "p1"})
-        d = SpaceDiagram(discrete(2), {"o0": s1, "o1": s1}, {})
+        d = Diagram(discrete(2), {"o0": s1, "o1": s1}, {})
         cone = limit(d)
         for leg in cone.legs.values():
             assert validate_morphism(leg) == []
@@ -314,7 +313,7 @@ class TestSaturation:
         # "0:x@1:b" renders both the generator 0:x@1:b and 0:x acted on by 1:b
         s1 = make_space(free_monoid("a"), ["x", "x@1:b"], {})
         s2 = make_space(free_monoid("b"), ["y"], {})
-        d = SpaceDiagram(discrete(2), {"o0": s1, "o1": s2}, {})
+        d = Diagram(discrete(2), {"o0": s1, "o1": s2}, {})
         with pytest.raises(InvalidSpace) as exc:
             colimit(d, bound=1)
         msg = str(exc.value)
@@ -421,7 +420,7 @@ class TestSaturationReference:
             return real(p, bound)
 
         monkeypatch.setattr(state_space, "saturate", spy)
-        _, got = async_system.colimit(async_system.SystemDiagram(discrete(2), objects, {}), bound=3)
+        _, got = async_system.colimit(Diagram(discrete(2), objects, {}), bound=3)
         assert (len(got.space.states), len(got.frontier)) == (937, 4336)
         assert_same_saturation(got, oracles.reference_saturate(seen[0], 3))
 
@@ -443,7 +442,7 @@ class TestSaturationReference:
             return real(u, e, m)
 
         monkeypatch.setattr(state_space, "extend_normal_form", counting)
-        _, got = async_system.colimit(async_system.SystemDiagram(discrete(2), objects, {}), bound=3)
+        _, got = async_system.colimit(Diagram(discrete(2), objects, {}), bound=3)
         assert len(got.space.states) == 937
         assert len(calls) == len(set(calls))
         # the root of every state has a successor term of its own per event
@@ -495,7 +494,7 @@ class TestSaturationReference:
                 a: make_space_morphism(spaces[s], spaces[t], identity_hom(m), maps[a])
                 for a, s, t in shape.arrows
             }
-            results.append(colimit(SpaceDiagram(shape, spaces, arrows), bound=2).saturation)
+            results.append(colimit(Diagram(shape, spaces, arrows), bound=2).saturation)
             systems = {
                 o: async_system.WeakAsyncSystem(s.states, initial, m, dict(s.action))
                 for o, s in spaces.items()
@@ -504,7 +503,7 @@ class TestSaturationReference:
                 a: async_system.make_morphism(systems[s], systems[t], {e: e for e in m.events}, maps[a])
                 for a, s, t in shape.arrows
             }
-            diagram = async_system.SystemDiagram(shape, systems, sys_arrows)
+            diagram = Diagram(shape, systems, sys_arrows)
             results.append(async_system.colimit(diagram, bound=2)[1])
         assert len(seen) == len(results) == 4
         for p, got in zip(seen, results):
@@ -521,7 +520,7 @@ class TestSpaceColimit:
         h = identity_hom(m)
         m1 = make_space_morphism(one, two, h, {"u": "v0"})
         m2 = make_space_morphism(one, two, h, {"u": "v1"})
-        d = SpaceDiagram(parallel_pair(), {"src": one, "dst": two}, {"f": m1, "g": m2})
+        d = Diagram(parallel_pair(), {"src": one, "dst": two}, {"f": m1, "g": m2})
         res = colimit(d)
         assert res.saturation.status == EXACT
         leg = res.cocone.legs["dst"]
@@ -540,7 +539,7 @@ class TestSpaceColimit:
         right_s = make_space(trivial_m, ["y"], {})
         lmor = make_space_morphism(apex_s, left_s, incl, {"z": "x"})
         rmor = make_space_morphism(apex_s, right_s, erase, {"z": STAR})
-        d = SpaceDiagram(
+        d = Diagram(
             span(),
             {"apex": apex_s, "left": left_s, "right": right_s},
             {"l": lmor, "r": rmor},
@@ -560,7 +559,7 @@ class TestSpaceColimit:
                 continue
             mor = make_space_morphism(s1, s2, identity_hom(m), smap)
             shape = DiagramShape(("A", "B"), (("f", "A", "B"),))
-            d = SpaceDiagram(shape, {"A": s1, "B": s2}, {"f": mor})
+            d = Diagram(shape, {"A": s1, "B": s2}, {"f": mor})
             res = colimit(d)
             assert res.saturation.status == EXACT
             classes, _ = oracles.pointed_quotient([s1, s2], [(0, 1, smap)])

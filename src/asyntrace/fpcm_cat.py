@@ -13,6 +13,7 @@ generate, by the same closure as coequalizers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -27,12 +28,14 @@ from .errors import (
     NotParallel,
     SizeLimit,
     TraceError,
+    UnknownEvent,
 )
 from .trace_core import (
     STAR,
     BasicHom,
     TraceMonoid,
     _invalid_pair,
+    _ordered_monoid,
     compose,
     is_independence_preserving,
     make_hom,
@@ -214,24 +217,27 @@ def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> Produc
     Two generators are independent when they are distinct and every pair of
     components lies in the factor's pointed relation: the commutativity
     relation T under FPCM, the partial independence relation R under
-    FPCM_PAR.  Each factor's relation becomes ordered pairs of axis offsets
-    (axis index times stride); the product's related index pairs are the sums
-    of one pair per factor, of which the pairs ``u < v`` below the all-star
-    index are kept.
+    FPCM_PAR.  Each factor's relation becomes, per axis index, the sorted
+    offsets (axis index times stride) of its partners.  Folded from the last
+    factor to the first, they give each element the ascending indices of the
+    elements related to it; the pairs ``u < v`` below the all-star index
+    come out in position order, which the monoid takes as they are.
     """
     ms = list(ms)
     if not ms:
         return ProductResult(TRIVIAL, (), {})
     grid = PointedGrid([m.events for m in ms])
     components = grid.components(DuplicateEvent, "generator")
-    gens = list(components)
-    related = [(0, 0)]
-    for m, axis, stride in zip(ms, grid.axes, grid.strides):
-        offset = {x: i * stride for i, x in enumerate(axis)}
-        steps = [(offset[x], offset[y]) for x, y in pointed_relation(m, flag)]
-        related = [(u + du, v + dv) for u, v in related for du, dv in steps]
+    related = [[0]]  # element index -> ascending related indices, over the factors folded so far
+    for m, axis, stride in reversed(list(zip(ms, grid.axes, grid.strides))):
+        rel = pointed_relation(m, flag)
+        partners = [[i * stride for i, y in enumerate(axis) if (x, y) in rel] for x in axis]
+        related = [[dv + w for dv in ps for w in row] for ps in partners for row in related]
+    # every element is related to the all-star one, the last index n
     n = grid.size
-    monoid = make_monoid(gens, [(gens[u], gens[v]) for u, v in related if u < v < n])
+    pairs = [(u, v) for u, row in enumerate(related[:n]) for v in row[bisect_right(row, u) : -1]]
+    del related
+    monoid = _ordered_monoid(tuple(components), pairs)
     # a projection is valid by construction: independent generators have
     # components in the factor's pointed relation, which commute
     projections = tuple(
@@ -264,19 +270,28 @@ def tupling(
 # Equalizers
 
 
+def _readable(*homs: BasicHom) -> None:
+    """Raise ``UnknownEvent``, as ``make_hom`` does, for an image that cannot be read."""
+    for bad in filter(None, map(malformed_image, homs)):
+        raise UnknownEvent(bad)
+
+
 def equalizer(f: BasicHom, g: BasicHom, flag: Category = Category.FPCM) -> tuple[TraceMonoid, BasicHom]:
+    """The events that ``f`` and ``g`` agree on, with the independent pairs
+    among them; the inclusion is valid by construction."""
+    _readable(f, g)
     if f.source != g.source or f.target != g.target:
         raise NotParallel("equalizer needs a parallel pair")
     if flag is Category.FPCM_PAR:
         for h in (f, g):
             if not is_independence_preserving(h):
                 raise NotIndependencePreserving("equalizer in FPCM_PAR needs independence-preserving homs")
-    events = tuple(e for e in f.source.events if f(e) == g(e))
-    keep = set(events)
-    pairs = [(a, b) for a, b in f.source.pairs() if a in keep and b in keep]
-    sub = make_monoid(events, pairs)
-    inclusion = make_hom(sub, f.source, {e: e for e in events})
-    return sub, inclusion
+    src = f.source
+    kept = [i for i, (a, b) in enumerate(zip(f.image, g.image)) if a == b]
+    new = {i: k for k, i in enumerate(kept)}
+    sub = _ordered_monoid(tuple(src.events[i] for i in new),
+                          [(new[i], new[j]) for i, j in src._pair_positions if i in new and j in new])
+    return sub, BasicHom(sub, src, sub.events)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +311,11 @@ class CoproductResult:
 def coproduct(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> CoproductResult:
     """Tagged disjoint union; serves both categories."""
     ms = list(ms)
-    events = [tag(j, e) for j, m in enumerate(ms) for e in m.events]
-    pairs = [(tag(j, a), tag(j, b)) for j, m in enumerate(ms) for a, b in m.pairs()]
-    monoid = make_monoid(events, pairs)
-    injections = tuple(
-        make_hom(m, monoid, {e: tag(j, e) for e in m.events}) for j, m in enumerate(ms)
-    )
+    offsets = list(itertools.accumulate((len(m.events) for m in ms), initial=0))
+    events = tuple(tag(j, e) for j, m in enumerate(ms) for e in m.events)
+    monoid = _ordered_monoid(events, [(k + i, k + j) for m, k in zip(ms, offsets) for i, j in m._pair_positions])
+    # an injection is valid by construction: it sends each pair of its summand to a pair
+    injections = tuple(BasicHom(m, monoid, events[k : k + len(m.events)]) for m, k in zip(ms, offsets))
     return CoproductResult(monoid, injections)
 
 
@@ -370,8 +384,11 @@ def _quotient_by(target: TraceMonoid, uf: _UnionFind) -> CoequalizerResult:
     one_root = uf.find(None)
     classes = {e: None if root == one_root else es[0] for root, es in groups.items() for e in es}
     gens = [es[0] for root, es in groups.items() if root != one_root]
-    pairs = [(classes[a], classes[b]) for a, b in target.pairs()]
-    monoid = make_monoid(gens, [(a, b) for a, b in pairs if a is not None and b is not None and a != b])
+    number = {c: k for k, c in enumerate(gens)}
+    code = [number.get(classes[e]) for e in target.events]  # class index, None if removed
+    ends = [(code[i], code[j]) for i, j in target._pair_positions]
+    pairs = {(min(p), max(p)) for p in ends if None not in p and p[0] != p[1]}
+    monoid = _ordered_monoid(tuple(gens), sorted(pairs))
     quotient = BasicHom(target, monoid, tuple(map(classes.__getitem__, target.events)))
     return CoequalizerResult(monoid, quotient, classes)
 
@@ -379,6 +396,7 @@ def _quotient_by(target: TraceMonoid, uf: _UnionFind) -> CoequalizerResult:
 def coequalizer(f: BasicHom, g: BasicHom, flag: Category = Category.FPCM) -> CoequalizerResult:
     """Target generators modulo ``f(e) ~ g(e)``; in FPCM_PAR, followed by the
     smallest congruence killing independent target pairs with equal images."""
+    _readable(f, g)
     if f.source != g.source or f.target != g.target:
         raise NotParallel("coequalizer needs a parallel pair")
     if flag is Category.FPCM_PAR and not (is_independence_preserving(f) and is_independence_preserving(g)):
@@ -434,9 +452,10 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCone:
     maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
     gens = PointedGrid([m.events for m in ms]).matching(d.shape, maps, DuplicateEvent, "generator")
     rels = [pointed_relation(m, flag) for m in ms]
-    kept = list(gens.items())
-    apex = make_monoid(gens, [(a, b) for i, (a, s) in enumerate(kept) for b, t in kept[i + 1 :]
-                              if all(map(frozenset.__contains__, rels, zip(s, t)))])
+    kept = list(gens.values())
+    pairs = [(i, j) for i, s in enumerate(kept) for j in range(i + 1, len(kept))
+             if all(map(frozenset.__contains__, rels, zip(s, kept[j])))]
+    apex = _ordered_monoid(tuple(gens), pairs)
     legs = {o: BasicHom(apex, m, tuple(None if t[j] == STAR else t[j] for t in gens.values()))
             for j, (o, m) in enumerate(zip(objs, ms))}
     return MonoidCone(apex, legs)

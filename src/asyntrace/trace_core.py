@@ -38,10 +38,11 @@ class TraceMonoid:
     ``independence`` stores each unordered pair once, ordered by alphabet
     position.
 
-    The alphabet is indexed once: the position map is built on construction,
-    the sorted pair list and the dependence tables on first use.  These caches
-    are plain instance attributes, not dataclass fields, so they take no part
-    in ``==``, ``hash`` or ``repr``.
+    The alphabet is indexed once: the position map on construction, the
+    sorted pair list by ``make_monoid`` and the ``fpcm_cat`` constructions
+    (on first use for a monoid built directly), the dependence tables on
+    first use.  These caches are plain instance attributes, not dataclass
+    fields, so they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     events: tuple[str, ...]
@@ -71,8 +72,7 @@ class TraceMonoid:
         """Per letter position, the positions of the letters that depend on it."""
         k = len(self.events)
         indep = [set() for _ in range(k)]
-        for pair in self.independence:
-            i, j = self._positions_of(pair)
+        for i, j in self._pair_positions:
             indep[i].add(j)
             indep[j].add(i)
         return tuple(tuple(d for d in range(k) if d not in indep[c]) for c in range(k))
@@ -119,10 +119,18 @@ def make_monoid(events: Sequence[str], independence: Iterable[Sequence[str]] = (
             raise UnknownEvent(f"independence pair mentions unknown event {b!r}")
         if a == b:
             raise ReflexivePair(f"reflexive independence pair ({a!r}, {b!r})")
-        if pos[a] > pos[b]:
-            a, b = b, a
-        pairs.add((a, b))
-    return TraceMonoid(events, frozenset(pairs))
+        i, j = pos[a], pos[b]
+        pairs.add((i, j) if i < j else (j, i))
+    return _ordered_monoid(events, sorted(pairs))
+
+
+def _ordered_monoid(events: tuple[str, ...], positions: Sequence[tuple[int, int]]) -> TraceMonoid:
+    """The monoid on ``events`` whose independent pairs are ``positions``, sorted
+    position pairs ``i < j`` without duplicates, preset as its caches; not checked."""
+    pairs = tuple([(events[i], events[j]) for i, j in positions])
+    m = TraceMonoid(events, frozenset(pairs))
+    m.__dict__.update(_pair_positions=tuple(positions), _pairs=pairs)
+    return m
 
 
 def free_monoid(events: Sequence[str]) -> TraceMonoid:
@@ -283,6 +291,8 @@ class BasicHom:
             return self.image[self.source._position[e]]
         except KeyError:
             raise UnknownEvent(f"unknown event {e!r}") from None
+        except IndexError:
+            raise InvalidHom(f"no image for event {e!r}: image has {len(self.image)} entries") from None
 
     @property
     def mapping(self) -> dict[str, Optional[str]]:

@@ -12,7 +12,8 @@ products, for the index arithmetic over per-factor tables), and
 ``reference_limit`` and ``reference_space_limit`` (the product, tupling and
 equalizer limit driver, for the compatible families of the object product).
 ``reference_dumps`` is the standard library's indented encoder, the judge of
-the container-level JSON writer.
+the container-level JSON writer.  ``check_monoid_order`` recomputes the pair
+caches that the package's monoid constructions preset.
 """
 
 from __future__ import annotations
@@ -474,6 +475,18 @@ def reference_colimit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCocone:
     v = fpcm_cat.cotupling([compose(inj[dst], d.on_arrows[name]) for name, _, dst in arrows], arr_cop)
     coeq = fpcm_cat.coequalizer(u, v, flag)
     return fpcm_cat.MonoidCocone(coeq.monoid, {o: compose(coeq.quotient, inj[o]) for o in objs})
+
+
+def check_monoid_order(m: TraceMonoid) -> None:
+    """Assert that the pair caches ``m`` holds are the ones recomputed from
+    its independence alone: the position pairs ``i < j`` in sorted order,
+    their names, and the dependence table of a monoid built directly, which
+    sorts its pairs itself.  Equality of monoids ignores these caches."""
+    positions = sorted((m.index(a), m.index(b)) for a, b in m.independence)
+    assert all(i < j for i, j in positions), "independence holds a pair against the alphabet order"
+    assert m._pair_positions == tuple(positions)
+    assert m._pairs == tuple((m.events[i], m.events[j]) for i, j in positions)
+    assert m._dependents == TraceMonoid(m.events, m.independence)._dependents
 
 
 def reference_dumps(payload) -> str:

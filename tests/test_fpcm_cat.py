@@ -12,7 +12,8 @@ from asyntrace.diagrams import (
     parallel_pair,
     span,
 )
-from asyntrace.errors import DuplicateEvent, MalformedRelation, NotAMonoid, SizeLimit
+from asyntrace import fpcm_cat
+from asyntrace.errors import DuplicateEvent, InvalidHom, MalformedRelation, NotAMonoid, SizeLimit, UnknownEvent
 from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
@@ -33,6 +34,7 @@ from asyntrace.fpcm_cat import (
     tupling,
 )
 from asyntrace.trace_core import (
+    BasicHom,
     compose,
     free_commutative_monoid,
     free_monoid,
@@ -136,13 +138,19 @@ def assert_same_product(got, want):
     assert list(got.components.items()) == list(want.components.items())
 
 
+def assert_checked_hom(h):
+    """``h``, built without ``make_hom``, passes its checks unchanged."""
+    assert make_hom(h.source, h.target, h.mapping) == h
+
+
 class TestProductReference:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(small_monoids(), max_size=4), st.sampled_from(BOTH))
     def test_matches_pairwise_reference(self, ms, flag):
         got = product(ms, flag)
+        oracles.check_monoid_order(got.monoid)
         for p in got.projections:  # built without make_hom, so its check runs here
-            assert make_hom(p.source, p.target, p.mapping) == p
+            assert_checked_hom(p)
         assert_same_product(got, oracles.reference_product(ms, flag))
 
     def test_clashing_generator_names_are_named(self):
@@ -174,6 +182,20 @@ class TestEqualizer:
         assert sub.events == ("a", "b")
         assert sub.pairs() == [("a", "b")]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(BOTH))
+    def test_matches_agreeing_events(self, seed, flag):
+        rng = random.Random(seed)
+        src, tgt = oracles.random_monoid(rng, 4, 0.5), oracles.random_monoid(rng, 3, prefix="t")
+        f, g = (rng.choice(enumerate_homs(src, tgt, flag)) for _ in range(2))
+        sub, inclusion = equalizer(f, g, flag)
+        events = [e for e in src.events if f(e) == g(e)]
+        assert sub == make_monoid(events, [(a, b) for a, b in src.pairs() if a in events and b in events])
+        oracles.check_monoid_order(sub)
+        assert_checked_hom(inclusion)
+        assert inclusion.mapping == {e: e for e in events}
+        assert compose(f, inclusion) == compose(g, inclusion)
+
 
 class TestCoproduct:
     def test_tagged_union(self):
@@ -190,6 +212,17 @@ class TestCoproduct:
         med = cotupling([f1, f2], res)
         assert compose(med, res.injections[0]).mapping == f1.mapping
         assert compose(med, res.injections[1]).mapping == f2.mapping
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_monoids(), max_size=4), st.sampled_from(BOTH))
+    def test_matches_tagged_union(self, ms, flag):
+        res = coproduct(ms, flag)
+        tagged = [(f"{j}:{a}", f"{j}:{b}") for j, m in enumerate(ms) for a, b in m.pairs()]
+        assert res.monoid == make_monoid([f"{j}:{e}" for j, m in enumerate(ms) for e in m.events], tagged)
+        oracles.check_monoid_order(res.monoid)
+        for j, (m, inj) in enumerate(zip(ms, res.injections)):
+            assert_checked_hom(inj)
+            assert inj.source == m and inj.mapping == {e: f"{j}:{e}" for e in m.events}
 
 
 class TestCoequalizer:
@@ -226,6 +259,60 @@ class TestCoequalizer:
         for flag in BOTH:
             res = coequalizer(f, g, flag)
             assert compose(res.quotient, f).mapping == compose(res.quotient, g).mapping
+
+
+class TestMalformedImages:
+    """A library-built hom whose image is short or names an event outside
+    its target ends in a ``TraceError``."""
+
+    def test_short_image_on_call(self):
+        h = BasicHom(free_monoid("ab"), free_monoid("c"), ("c",))
+        assert h("a") == "c"
+        with pytest.raises(InvalidHom, match=r"event 'b'.*1 entries"):
+            h("b")
+        with pytest.raises(UnknownEvent):
+            h("z")
+
+    @pytest.mark.parametrize("flag", BOTH)
+    @pytest.mark.parametrize("image, problem", [(("c",), "1 entries for 2"), (("c", "z"), "unknown target event 'z'")])
+    @pytest.mark.parametrize("construction", [coequalizer, equalizer])
+    def test_coequalizer_and_equalizer(self, construction, image, problem, flag):
+        s, t = free_monoid("ab"), free_monoid("c")
+        good = BasicHom(s, t, ("c", "c"))
+        for f, g in ((BasicHom(s, t, image), good), (good, BasicHom(s, t, image))):
+            with pytest.raises(UnknownEvent, match=problem):
+                construction(f, g, flag)
+
+
+class TestNoRecheck:
+    """Every construction builds its monoid and arrows valid by
+    construction: at the benchmark's four-factor size (143 generators) none
+    of them calls the checked constructors."""
+
+    @pytest.mark.parametrize("flag", BOTH)
+    def test_constructions_call_no_checked_constructor(self, monkeypatch, flag):
+        ms = [make_monoid("abc", [("a", "b")]), make_monoid("de", [("d", "e")]),
+              make_monoid("fgh", [("g", "h")]), free_monoid("ij")]
+        calls = []
+        for name in ("make_monoid", "make_hom"):
+            real = getattr(fpcm_cat, name)
+            monkeypatch.setattr(fpcm_cat, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        prod = product(ms, flag)
+        p = prod.monoid
+        assert len(p.events) == 143
+        cone = limit(Diagram(discrete(4), dict(zip(discrete(4).objects, ms)), {}), flag)
+        assert cone.apex == p
+        cop = coproduct([p, p], flag)
+        inj = cop.injections
+        coeq = coequalizer(*inj, flag)
+        assert len(coeq.monoid.events) == 143
+        cocone = colimit(Diagram(parallel_pair(), {"src": p, "dst": cop.monoid}, dict(zip("fg", inj))), flag)
+        assert cocone.apex == coeq.monoid
+        sub, _ = equalizer(prod.projections[0], BasicHom(p, ms[0], (None,) * 143), flag)
+        assert len(sub.events) == 35
+        assert calls == []
+        fpcm_cat.from_com_rel(fpcm_cat.to_com_rel(ms[0]))  # the counter is live
+        assert calls == ["make_monoid"]
 
 
 class TestLimitsColimits:

@@ -109,13 +109,17 @@ class TestLimitReference:
     @given(st.integers(0, 2**32), st.sampled_from(SHAPES), st.sampled_from(BOTH))
     def test_monoid_limit_matches_reference(self, seed, shape, flag):
         d = random_monoid_diagram(random.Random(seed), shape, flag)
-        assert_same_monoid_cone(fpcm_cat.limit(d, flag), oracles.reference_limit(d, flag))
+        got = fpcm_cat.limit(d, flag)
+        oracles.check_monoid_order(got.apex)
+        assert_same_monoid_cone(got, oracles.reference_limit(d, flag))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(SHAPES), st.sampled_from(BOTH))
     def test_space_limit_matches_reference(self, seed, shape, flag):
         d = random_space_diagram(random.Random(seed), shape)
-        assert_same_space_cone(state_space.limit(d, flag), oracles.reference_space_limit(d, flag))
+        got = state_space.limit(d, flag)
+        oracles.check_monoid_order(got.apex.monoid)
+        assert_same_space_cone(got, oracles.reference_space_limit(d, flag))
 
 
 class TestColimitReference:
@@ -124,12 +128,15 @@ class TestColimitReference:
     def test_monoid_colimit_matches_reference(self, seed, shape, flag):
         d = random_monoid_diagram(random.Random(seed), shape, flag)
         got = fpcm_cat.colimit(d, flag)
+        oracles.check_monoid_order(got.apex)
         assert_same_monoid_cone(got, oracles.reference_colimit(d, flag))
         for leg in got.legs.values():
             assert_valid_hom(leg, flag)
         if shape == parallel_pair():
             f, g = d.on_arrows["f"], d.on_arrows["g"]
-            q = fpcm_cat.coequalizer(f, g, flag).quotient
+            res = fpcm_cat.coequalizer(f, g, flag)
+            oracles.check_monoid_order(res.monoid)
+            q = res.quotient
             assert_valid_hom(q, flag)
             assert compose(q, f) == compose(q, g)
 

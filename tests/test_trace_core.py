@@ -139,6 +139,19 @@ class TestMonoidIndex:
         assert hash(m1) == hash(m2)
         assert repr(m1) == repr(m2) == "TraceMonoid(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')])"
         assert [f.name for f in dataclasses.fields(m1)] == ["events", "independence"]
+        for m in (m1, m2, MUTEX, free_commutative_monoid("abcd")):
+            oracles.check_monoid_order(m)
+
+    @given(st.data())
+    def test_make_monoid_presets_the_ordered_caches(self, data):
+        """Pairs in either orientation, repeated, over an alphabet declared
+        in any order."""
+        events = data.draw(st.permutations("abcdef"[: data.draw(st.integers(0, 6))]))
+        pairs = list(itertools.permutations(events, 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+        m = make_monoid(events, chosen)
+        oracles.check_monoid_order(m)
+        assert m.independence == {p if events.index(p[0]) < events.index(p[1]) else p[::-1] for p in chosen}
 
     def test_direct_construction_with_reversed_pair(self):
         m = TraceMonoid(("a", "b", "c"), frozenset({("c", "a")}))

@@ -340,47 +340,57 @@ def table_doc(t: MonoidTable) -> dict:
 
 def dumps(payload: dict) -> str:
     """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)`` writes
-    it, plus a newline, byte for byte.
+    it, plus a newline, byte for byte.  ``indent`` forces ``json``'s
+    pure-Python encoder, so this writer appends string pieces to one list,
+    joined once: no byte is copied again per nesting level.  Dict keys are
+    sorted.  Strings are quoted by ``json``'s C quoting; a list of strings,
+    or of equal-width rows of strings, is one ``str.join``, and a list of
+    rows quotes each of its distinct names once.  A key that is not a str,
+    or a value that is not a str, int, bool, None, dict, list or tuple,
+    raises ``TypeError``."""
+    out: list = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
-    ``indent`` makes ``json`` fall back from its C encoder to a pure-Python
-    one that yields every token apart, so this writer works per container
-    instead: dict keys sorted, and each list of strings, or of non-empty
-    lists of strings (independence pairs, transitions), written with one
-    ``str.join`` over ``json``'s own C string quoting.  Lists and tuples are
-    arrays; a key that is not a str, or a value that is not a str, int, bool,
-    None or container, raises ``TypeError``."""
-    return _encode(payload, "\n") + "\n"
 
-
-def _encode(v, nl: str) -> str:
-    """``v`` written at the indentation that ``nl``, a newline plus spaces, opens."""
+def _write(v, nl: str, out: list) -> None:
+    """Append to ``out`` the pieces of ``v``, at the indentation ``nl`` (a newline and spaces) opens."""
     if isinstance(v, str):
-        return _quote(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        return "{" + inner + sep.join([_quote(k) + ": " + _encode(v[k], inner) for k in sorted(v)]) + nl + "}"
-    if not isinstance(v, (list, tuple)):
+        out.append(_quote(v))
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif not isinstance(v, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    if not v:
-        return "[]"
-    kinds = set(map(type, v))
-    if kinds == {str}:
-        body = sep.join(map(_quote, v))
-    elif kinds <= {list, tuple} and all(v) and set(map(type, chain.from_iterable(v))) == {str}:
-        row = sep + "  "
-        between = inner + "]" + sep + "[" + inner + "  "
-        body = "[" + inner + "  " + between.join([row.join(map(_quote, r)) for r in v]) + inner + "]"
+    elif not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif isinstance(v, dict):
+        inner = nl + "  "
+        for i, k in enumerate(sorted(v)):
+            out.append(("," if i else "{") + inner + _quote(k) + ": ")
+            _write(v[k], inner, out)
+        out.append(nl + "}")
     else:
-        body = sep.join([_encode(x, inner) for x in v])
-    return "[" + inner + body + nl + "]"
+        inner = nl + "  "
+        sep = "," + inner
+        try:  # TypeError: an element that is not a str; ValueError: rows of unequal widths
+            if not isinstance(v[0], (list, tuple)):
+                out += "[", inner, sep.join(map(_quote, v)), nl, "]"
+                return
+            (width,) = set(map(len, v))
+            if width and set(map(type, v)) <= {list, tuple}:
+                flat = list(chain.from_iterable(v))
+                names = set(flat)
+                quoted = dict(zip(names, map(_quote, names)))
+                rows = zip(*[map(quoted.__getitem__, flat)] * width)
+                between = inner + "]" + sep + "[" + inner + "  "
+                out += "[", inner, "[", inner, "  ", between.join(map((sep + "  ").join, rows)), inner, "]", nl, "]"
+                return
+        except (TypeError, ValueError):
+            pass
+        for i, x in enumerate(v):
+            out.append(sep if i else "[" + inner)
+            _write(x, inner, out)
+        out.append(nl + "]")

@@ -369,6 +369,8 @@ def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:
 
 def is_independence_preserving(h: BasicHom) -> bool:
     image = h.image
+    if len(image) < len(h.source.events):
+        raise InvalidHom(f"image has {len(image)} entries for {len(h.source.events)} source events")
     for i, j in h.source._pair_positions:
         fa = image[i]
         if fa is not None and fa == image[j]:

@@ -38,6 +38,7 @@ from asyntrace.trace_core import (
     compose,
     free_commutative_monoid,
     free_monoid,
+    is_independence_preserving,
     make_hom,
     make_monoid,
 )
@@ -272,6 +273,11 @@ class TestMalformedImages:
             h("b")
         with pytest.raises(UnknownEvent):
             h("z")
+
+    def test_short_image_on_independence_check(self):
+        h = BasicHom(make_monoid("ab", [("a", "b")]), free_monoid("c"), ("c",))
+        with pytest.raises(InvalidHom, match="1 entries for 2"):
+            is_independence_preserving(h)
 
     @pytest.mark.parametrize("flag", BOTH)
     @pytest.mark.parametrize("image, problem", [(("c",), "1 entries for 2"), (("c", "z"), "unknown target event 'z'")])

@@ -221,14 +221,39 @@ class TestRoundTrip:
         assert b2.get("tbl") == b.get("tbl")
 
 
+class Name(str):
+    """A ``str`` subclass, which ``json`` writes as a plain string."""
+
+
 # quotes, backslashes, control characters, non-ASCII and astral text
 TEXT = st.text(max_size=5) | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600", ""])
-SCALARS = TEXT | st.integers() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
+STRS = TEXT | TEXT.map(Name)
+SCALARS = STRS | st.integers() | st.integers(-(2**200), 2**200) | st.booleans() | st.none()
+# rows of one width over a few names, each name repeated across rows
+NAME = st.sampled_from(["a", "b", '"', "é"])
+NAMED_ROWS = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(NAME | NAME.map(Name), min_size=width, max_size=width), max_size=6)
+)
+# rows that mix strings with other scalars or nested lists, of unequal widths
+MIXED_ROWS = st.lists(
+    st.lists(STRS | st.integers() | st.booleans() | st.none() | st.lists(STRS, max_size=2), max_size=3)
+    | st.tuples(STRS, STRS),
+    max_size=4,
+)
+ROWS = NAMED_ROWS | MIXED_ROWS
+
+
+def _nest(rows, wrappers):
+    for w in wrappers:
+        rows = {"k": rows} if w else [rows]
+    return rows
+
+
+# a list of rows at least 6 containers deep
+DEEP_ROWS = st.builds(_nest, ROWS, st.lists(st.booleans(), min_size=6, max_size=8))
 TREES = st.recursive(
-    SCALARS
-    | st.lists(TEXT, max_size=4)
-    | st.lists(st.lists(TEXT, max_size=3) | st.tuples(TEXT, TEXT), max_size=4),
-    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(TEXT, kids, max_size=4),
+    SCALARS | st.lists(STRS, max_size=4) | ROWS | DEEP_ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(STRS, kids, max_size=4),
     max_leaves=24,
 )
 
@@ -251,11 +276,31 @@ class TestDumps:
 
     @pytest.mark.parametrize(
         "payload",
+        [[["a", 1]], [["a", None]], [["a"], ["b", "c"]], [[["a"]]], [("a", True)], [["a", "b"], "cd"], [Name("a")]],
+    )
+    def test_rows_that_are_not_string_rows(self, payload):
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
         [1.5, {"a": [0.0]}, {"a", "b"}, [{"a"}], {1: "a"}, {"a": {None: "b"}}, {True: 1}, [("a", 2.0)], b"a"],
     )
     def test_rejects_floats_sets_bytes_and_non_str_keys(self, payload):
         with pytest.raises(TypeError):
             ix.dumps(payload)
+
+    def test_quotes_each_name_of_a_row_list_once(self, monkeypatch):
+        """1 000 pair rows over 10 names take at most one quoting per name
+        and one per dict key."""
+        names = [f"e{i}" for i in range(10)]
+        rows = [[names[i % 10], names[(3 * i + 1) % 10]] for i in range(1000)]
+        payload = {"documents": {"m": {"independence": rows}}}
+        calls = []
+        quote = ix._quote
+        monkeypatch.setattr(ix, "_quote", lambda s: calls.append(s) or quote(s))
+        text = ix.dumps(payload)
+        assert text == oracles.reference_dumps(payload)
+        assert 0 < len(calls) <= len(names) + 3
 
 
 class TestWordParsing:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import state_space
 from .diagrams import Diagram, DiagramShape, refuse
-from .errors import InvalidSpace, InvalidSystem, NotAMorphism
+from .errors import InvalidBound, InvalidSpace, InvalidSystem, NotAMorphism
 from .fpcm_cat import Category, render_tuple, tag
 from .state_space import (
     StateSpace,
@@ -291,6 +291,8 @@ def reachable(a: WeakAsyncSystem) -> WeakAsyncSystem:
 
 def unfold(a: WeakAsyncSystem, depth: int) -> list[tuple[tuple[str, ...], str]]:
     """Canonical traces of length <= depth with their end states, sorted."""
+    if depth < 0:
+        raise InvalidBound(f"unfold depth must be >= 0, got {depth}")
     if a.initial == STAR:
         return []
     current = {(): a.initial}

@@ -286,7 +286,7 @@ def cmd_monoid_colimit(args, d):
 
 
 def _colimit_output(sat, apex, legs, **more) -> Output:
-    frontier = [ss.term_name(t) for t in sat.frontier]
+    frontier = sat.frontier_names()
     summary = {
         "status": sat.status,
         "states": apex.states,

@@ -71,6 +71,10 @@ class SizeLimit(TraceError):
     pass
 
 
+class InvalidBound(TraceError):
+    """A negative saturation bound or unfold depth."""
+
+
 class ParseError(TraceError):
     pass
 

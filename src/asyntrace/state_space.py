@@ -11,14 +11,18 @@ an infinite free extension is never silently cut off.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import fpcm_cat
 from .diagrams import Diagram, refuse
 from .errors import (
+    InvalidBound,
     InvalidSpace,
     MalformedDiagram,
+    MalformedRelation,
     MonoidMismatch,
     NotAMorphism,
     NotParallel,
@@ -85,7 +89,12 @@ def validate_space(s: StateSpace) -> list[str]:
     if STAR in states:
         problems.append(f"{STAR!r} is reserved and cannot be a state name")
     events = set(s.monoid.events)
-    for (x, e), y in sorted(s.action.items()):
+    for key, y in sorted(s.action.items()):
+        try:
+            x, e = key
+        except (TypeError, ValueError):
+            problems.append(f"action key {key!r} is not a (state, event) pair")
+            continue
         if x not in states:
             problems.append(f"action entry on unknown state {x!r}")
         if e not in events:
@@ -342,12 +351,42 @@ class PresentedAction:
     identifications: tuple[tuple[Union[Term, str], Union[Term, str]], ...] = ()
 
 
-@dataclass
 class SaturationResult:
-    status: str  # EXACT or TRUNCATED
-    space: StateSpace
-    class_map: dict[str, str]  # input generator -> result state or star
-    frontier: tuple[Term, ...] = ()
+    """A materialized quotient: ``status`` is EXACT or TRUNCATED, ``space``
+    holds the settled classes and their action, and ``class_map`` sends each
+    input generator to its state or star.
+
+    ``frontier`` is the tuple of unexplored terms ``(generator, trace)`` in
+    tuple order, and ``frontier_names()`` renders them as ``term_name``
+    does.  Built with a tuple of terms, the result keeps it.  ``saturate``
+    gives buckets instead: the distinct frontier traces, sorted, and per
+    generator with frontier terms, in order, the positions of its traces
+    among them.  Then ``frontier`` decodes the buckets on first access, and
+    ``frontier_names()`` reads them without building any term, with one
+    ``".".join`` per distinct trace.
+    """
+
+    def __init__(self, status: str, space: StateSpace, class_map: dict[str, str],
+                 frontier: tuple[Term, ...] = (), *, buckets=None):
+        self.status = status
+        self.space = space
+        self.class_map = class_map
+        self._buckets = buckets
+        if buckets is None:
+            self.frontier = tuple(frontier)
+
+    @cached_property
+    def frontier(self) -> tuple[Term, ...]:
+        traces, buckets = self._buckets
+        return tuple([(g, traces[j]) for g, positions in buckets for j in positions])
+
+    def frontier_names(self) -> list[str]:
+        """The frontier's state names, ``term_name`` of each term, in order."""
+        if self._buckets is None:
+            return [term_name(t) for t in self.frontier]
+        traces, buckets = self._buckets
+        tails = ["@" + ".".join(t) if t else "" for t in traces]
+        return [g + tails[j] for g, positions in buckets for j in positions]
 
 
 def term_name(t: Term) -> str:
@@ -398,22 +437,30 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     members for a present successor, unless no present term is deeper than
     the bound (a deeper one can only come from a rule or an
     identification): then every successor of the class is unexplored, so
-    each of its events goes to the frontier, read off the root's trace row
-    that every generator on that trace shares.  The scan would find no
+    each of its events goes to the frontier.  The scan would find no
     present successor there either; skipping it cuts the colimits
-    benchmark's p90 latency by about a fifth.  A name that two classes
-    render raises ``InvalidSpace``.
+    benchmark's p90 latency by about a fifth.  The successors of such a
+    trace are read once for all the generators on it, from its row if the
+    closure made one and by ``extend_normal_form`` otherwise, and are not
+    interned: past the bound they would only be named on the frontier.  A
+    name that two classes render raises ``InvalidSpace``.
 
-    The frontier is collected as a set of codes.  Only the distinct frontier
-    trace ids are sorted, once, by their canonical trace, which gives each a
-    rank; the codes then sort by the integer ``generator index * n + trace
-    rank`` (``n`` frontier traces), which is the tuple order of
-    ``(generator, trace)``, and are decoded to terms at the end.
+    The frontier is collected as a map from each frontier trace to the
+    indices of its generators.  Its distinct traces are sorted once; one
+    pass over them in that order fills, per generator index, a bucket of
+    the positions of its traces, so the buckets, read in generator order,
+    list the frontier in the tuple order of ``(generator, trace)``.  The
+    result keeps the buckets: ``SaturationResult.frontier`` decodes them on
+    first access and ``frontier_names()`` renders them, one ``".".join``
+    per distinct trace.
     """
     if bound < 0:
-        raise MalformedDiagram("saturation bound must be >= 0")
+        raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
     m = p.monoid
     events = m.events
+    bad = next((rule for rule in p.transitions if len(rule) != 3), None)
+    if bad is not None:
+        raise MalformedRelation(f"rule {bad!r} is not a (generator, event, target) triple")
     named = set(p.generators).union(g for g, _, _ in p.transitions)
     named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
     named.update(t[0] for pair in p.identifications for t in pair if t != STAR)
@@ -530,20 +577,22 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
                     f"colimit state name {name!r} renders both {keys[seen[name]][1:]!r} and {keys[root][1:]!r}"
                 )
             seen[name] = root
-    codes = set()  # frontier terms
+    front = defaultdict(set)  # frontier trace -> generator indices
+    at_bound = defaultdict(list)  # trace id -> generator indices of its classes at the bound
     action = {}
     for root, members in classes.items():
         if root not in names:
             if root != star:
-                codes.add(root)
+                front[traces[root // width]].add(root % width)
             continue
-        succ0 = successors(root)
         if keys[root][0] < bound:
+            succ0 = successors(root)
             reached = [find(s) for s in succ0]  # the last pass extended the root
         elif shallow:
-            codes.update(succ0)  # no term past the bound is present
+            at_bound[root // width].append(root % width)  # no term past the bound is present
             continue
         else:
+            succ0 = successors(root)
             columns = zip(*[successors(t) for t in members])
             reached = [next((find(s) for s in column if s in parent), None) for column in columns]
         name = names[root]
@@ -551,18 +600,23 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
             if r in names:
                 action[(name, e)] = names[r]
             elif r != star:
-                codes.add(s0)
-    # rank the frontier's traces once, then sort by generator index * n + trace rank
-    ids = sorted({c // width for c in codes}, key=traces.__getitem__)
-    n = len(ids)
-    rank = {i: r for r, i in enumerate(ids)}
-    ranked = sorted([(c % width) * n + rank[c // width] for c in codes])
-    ranked_traces = [traces[i] for i in ids]
-    frontier = tuple([(gens[k // n], ranked_traces[k % n]) for k in ranked])
-    status = EXACT if not frontier else TRUNCATED
+                front[traces[s0 // width]].add(s0 % width)
+    for i, ks in at_bound.items():
+        row = rows[i]
+        t = traces[i]
+        succ = [extend_normal_form(t, e, m) for e in events] if row is None else [traces[b // width] for b in row]
+        for u in succ:
+            front[u].update(ks)
+    frontier_traces = sorted(front)
+    buckets: list = [[] for _ in gens]  # generator index -> positions of its frontier traces
+    for j, u in enumerate(frontier_traces):
+        for k in front[u]:
+            buckets[k].append(j)
+    status = EXACT if not front else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
     class_map = {g: names.get(find(code((g, ()))), STAR) for g in p.generators}
-    return SaturationResult(status, space, class_map, frontier)
+    bucketed = [(g, b) for g, b in zip(gens, buckets) if b]
+    return SaturationResult(status, space, class_map, buckets=(frontier_traces, bucketed))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from asyntrace.async_system import (
     unfold,
 )
 from asyntrace.diagrams import Diagram, DiagramShape, discrete
-from asyntrace.errors import MalformedDiagram, NotAMorphism, TraceError
+from asyntrace.errors import InvalidBound, InvalidSystem, MalformedDiagram, NotAMorphism, TraceError
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import EXACT, TRUNCATED, validate_morphism
 from asyntrace.trace_core import (
@@ -93,6 +93,10 @@ class TestValidation:
     def test_unknown_initial_rejected(self):
         with pytest.raises(TraceError):
             make_system(["x"], "nope", IND, {})
+
+    def test_transition_key_that_is_not_a_pair_is_invalid_system(self):
+        with pytest.raises(InvalidSystem, match=r"action key \('x', 'a', 'b'\) is not a \(state, event\) pair"):
+            make_system(["x"], "x", free_monoid("ab"), {("x", "a", "b"): "x"})
 
     def test_star_initial_allowed(self):
         a = make_system(["x"], STAR, IND, {})
@@ -410,3 +414,7 @@ class TestExploration:
     def test_unfold_depth_zero(self):
         a = diamond_system()
         assert unfold(a, 0) == [((), "x00")]
+
+    def test_unfold_negative_depth_is_invalid_bound(self):
+        with pytest.raises(InvalidBound, match="unfold depth must be >= 0, got -1"):
+            unfold(diamond_system(), -1)

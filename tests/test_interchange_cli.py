@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyntrace import interchange as ix
+from asyntrace import interchange as ix, state_space
 from asyntrace.cli import main, parse_word
 from asyntrace.errors import (
     DanglingReference,
@@ -385,6 +385,24 @@ class TestCli:
         assert rc == 0
         assert "status: TRUNCATED" in capsys.readouterr().out
 
+    def test_colimit_never_decodes_the_frontier(self, fixtures_dir, capsys, monkeypatch):
+        # the summary's frontier names are rendered from the saturation's
+        # buckets; the tuple of (generator, trace) terms is never built
+        results = []
+        real = state_space.saturate
+
+        def spy(p, bound):
+            results.append(real(p, bound))
+            return results[-1]
+
+        monkeypatch.setattr(state_space, "saturate", spy)
+        argv = ["asys", "colimit", str(fixtures_dir / "systems.json"), "--diagram", "pair", "--bound", "2"]
+        assert main([*argv, "--format", "json"]) == 0
+        frontier = json.loads(capsys.readouterr().out)["summary"]["frontier"]
+        [sat] = results
+        assert "frontier" not in vars(sat)
+        assert frontier == [state_space.term_name(t) for t in sat.frontier] and frontier
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -443,6 +461,18 @@ class TestCli:
         )
         assert rc == 1
         assert "UnknownEvent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["asys", "colimit", "--diagram", "pair", "--bound", "-1"], ["asys", "unfold", "--system", "A", "--depth", "-1"]],
+        ids=["bound", "depth"],
+    )
+    def test_negative_bound_exits_one(self, fixtures_dir, capsys, argv):
+        rc = main([*argv[:2], str(fixtures_dir / "systems.json"), *argv[2:]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "[InvalidBound]" in err
+        assert "Traceback" not in err
 
     def test_dangling_name_exits_two(self, fixtures_dir, capsys):
         rc = main(

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, state_space
 from asyntrace.diagrams import Diagram, DiagramShape, discrete, parallel_pair, span
-from asyntrace.errors import InvalidSpace, NotAMorphism, SizeLimit, TraceError, UnknownEvent
+from asyntrace.errors import (
+    InvalidBound,
+    InvalidSpace,
+    MalformedRelation,
+    NotAMorphism,
+    SizeLimit,
+    TraceError,
+    UnknownEvent,
+)
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import (
     EXACT,
@@ -25,6 +33,7 @@ from asyntrace.state_space import (
     product,
     saturate,
     space_tupling,
+    term_name,
     validate_morphism,
     validate_space,
 )
@@ -77,6 +86,10 @@ class TestSpaceBasics:
     def test_make_space_rejects_bad(self):
         with pytest.raises(TraceError):
             make_space(IND, ["x"], {("x", "a"): "nowhere"})
+
+    def test_action_key_that_is_not_a_pair_is_invalid_space(self):
+        with pytest.raises(InvalidSpace, match=r"action key \('x',\) is not a \(state, event\) pair"):
+            make_space(free_monoid("a"), ["x"], {("x",): "x"})
 
     def test_make_space_names_diamond_violation(self):
         with pytest.raises(InvalidSpace, match="diamond violation"):
@@ -324,6 +337,15 @@ class TestSaturation:
         with pytest.raises(UnknownEvent, match="'z'"):
             saturate(p, 2)
 
+    def test_negative_bound_is_invalid_bound(self):
+        with pytest.raises(InvalidBound, match="saturation bound must be >= 0, got -1"):
+            saturate(PresentedAction(free_monoid("a"), ("g",), ()), -1)
+
+    def test_rule_that_is_not_a_triple_is_named(self):
+        p = PresentedAction(free_monoid("a"), ("g",), (("g", "a"),))
+        with pytest.raises(MalformedRelation, match=r"rule \('g', 'a'\) is not a \(generator, event, target\) triple"):
+            saturate(p, 2)
+
     def test_star_generator_is_rejected(self):
         # it would name the states "*", "*@a" and "*@b", which validate_space rejects
         p = PresentedAction(free_monoid("ab"), ("*",), ())
@@ -384,6 +406,16 @@ class TestSaturationReference:
     def test_matches_reference(self, p, bound):
         assert_same_saturation(saturate(p, bound), oracles.reference_saturate(p, bound))
 
+    @settings(max_examples=100, deadline=None)
+    @given(presentations(), st.integers(0, 4))
+    def test_frontier_names_render_the_reference_frontier(self, p, bound):
+        # the names come from the result's buckets, the terms are decoded
+        # from them on first access: both give the reference's frontier
+        r = saturate(p, bound)
+        names = r.frontier_names()
+        assert names == [term_name(t) for t in r.frontier]
+        assert r.frontier == oracles.reference_saturate(p, bound).frontier
+
     def test_successor_in_unsettled_class_joins_frontier(self):
         # h@a.a is glued to g@a.b, a class deeper than the bound: both the
         # class and the successor that reaches it are on the frontier
@@ -421,8 +453,11 @@ class TestSaturationReference:
 
         monkeypatch.setattr(state_space, "saturate", spy)
         _, got = async_system.colimit(Diagram(discrete(2), objects, {}), bound=3)
-        assert (len(got.space.states), len(got.frontier)) == (937, 4336)
-        assert_same_saturation(got, oracles.reference_saturate(seen[0], 3))
+        names = got.frontier_names()
+        assert (len(got.space.states), len(got.frontier), len(names)) == (937, 4336, 4336)
+        want = oracles.reference_saturate(seen[0], 3)
+        assert_same_saturation(got, want)
+        assert names == [term_name(t) for t in want.frontier]
 
     def test_extends_each_trace_once_per_event(self, monkeypatch):
         # the free extension above: a successor depends on the trace, not on

@@ -396,6 +396,13 @@ def term_name(t: Term) -> str:
     return g + "@" + ".".join(trace) if trace else g
 
 
+def _is_term(t) -> bool:
+    """Whether ``t`` is star or a (generator name, sequence of events) pair."""
+    return t == STAR or (
+        isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], (tuple, list))
+    )
+
+
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     """Materialize the quotient of a presented action up to trace depth
     ``bound``.
@@ -461,6 +468,10 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     bad = next((rule for rule in p.transitions if len(rule) != 3), None)
     if bad is not None:
         raise MalformedRelation(f"rule {bad!r} is not a (generator, event, target) triple")
+    bad = next((pair for pair in p.identifications
+                if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_term, pair)))), None)
+    if bad is not None:
+        raise MalformedRelation(f"identification {bad!r} is not a pair of terms")
     named = set(p.generators).union(g for g, _, _ in p.transitions)
     named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
     named.update(t[0] for pair in p.identifications for t in pair if t != STAR)

@@ -78,6 +78,19 @@ class TraceMonoid:
         return tuple(tuple(d for d in range(k) if d not in indep[c]) for c in range(k))
 
     @cached_property
+    def _cones(self) -> tuple[dict[str, str], tuple[dict[int, int], ...], dict[int, None]]:
+        """The tables of :func:`equivalent`, for ``k`` letters: each event's
+        code character ``chr(position)``; per letter position, a
+        ``str.translate`` table that sends the letter to ``chr(k)`` and its
+        other dependents to ``chr(k + 1)``; and one table that erases every
+        code below ``k``.  The per-letter tables hold one entry per dependent,
+        so the tables take space linear in the size of ``_dependents``."""
+        k = len(self.events)
+        codes = {e: chr(i) for i, e in enumerate(self.events)}
+        cones = tuple({**dict.fromkeys(ds, k + 1), c: k} for c, ds in enumerate(self._dependents))
+        return codes, cones, dict.fromkeys(range(k))
+
+    @cached_property
     def _dependent_events(self) -> dict[str, frozenset[str]]:
         """Per event, the set of events that depend on it (itself included)."""
         events = self.events
@@ -256,15 +269,63 @@ class Trace:
 
 
 def normalize(letters: Sequence[str], m: TraceMonoid) -> Trace:
-    return Trace(m, normal_form(check_word(letters, m), m))
+    return Trace(m, normal_form(letters, m))
 
 
 def empty_trace(m: TraceMonoid) -> Trace:
     return Trace(m, ())
 
 
+def _encode(letters: Sequence[str], m: TraceMonoid) -> str:
+    """The word as a string of its letters' code characters."""
+    codes = m._cones[0]
+    try:
+        return "".join([codes[x] for x in letters])
+    except KeyError as exc:
+        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(m.events)}") from None
+
+
 def equivalent(w1: Sequence[str], w2: Sequence[str], m: TraceMonoid) -> bool:
-    return normalize(w1, m) == normalize(w2, m)
+    """Whether two words are the same trace, decided without normal forms.
+
+    The projection lemma (Cori and Perrin, RAIRO ITA 19, 1985; Diekert and
+    Rozenberg (eds.), The Book of Traces, 1995, ch. 1), in the form of one
+    dependence cone per letter: ``w1 ~ w2`` iff, for every letter ``a``,
+    their projections onto ``D(a)``, the letters that depend on ``a`` (``a``
+    included), are equal, where ``a`` is kept distinct and every other
+    dependent becomes one marker.  Equal projections count ``a`` alike, so
+    the words are then permutations of each other; a letter in only one of
+    them is caught by comparing their letter sets, and a letter in neither
+    has two empty projections.
+
+    Only if: swapping two adjacent independent letters changes no
+    projection, since if both lie in ``D(a)``, neither is ``a`` (each
+    depends on ``a``), so both are markers.  If, by induction on the length:
+    let ``x`` be the first letter of ``w1``.  Its own projection of ``w1``
+    starts with ``x``, so the one of ``w2`` does too, and every letter of
+    ``w2`` before its first ``x`` is independent of ``x``: ``w2 ~ x.v``
+    where ``v`` is ``w2`` without that ``x``.  Deleting the first ``x`` of
+    both words keeps every projection equal: in a cone of ``a != x`` that
+    holds ``x``, no ``a`` precedes that ``x`` in either word, so its marker
+    lies in the leading run of markers of both projections.  So
+    ``w1[1:] ~ v`` and ``w1 ~ x.v ~ w2``.
+
+    Each word is encoded once as a string of code characters; each
+    projection is two C-level ``str.translate`` passes over it, with the
+    tables of ``TraceMonoid._cones``.
+    """
+    s1, s2 = _encode(w1, m), _encode(w2, m)
+    if s1 == s2:
+        return True
+    letters = set(s1)
+    if letters != set(s2):
+        return False
+    _, cones, erase = m._cones
+    for c in letters:
+        cone = cones[ord(c)]
+        if s1.translate(cone).translate(erase) != s2.translate(cone).translate(erase):
+            return False
+    return True
 
 
 def concat(t1: Trace, t2: Trace) -> Trace:
@@ -364,7 +425,23 @@ def apply(h: BasicHom, t: Trace) -> Trace:
 
 
 def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:
-    return apply(h, normalize(letters, h.source))
+    """The trace of the word ``letters`` under ``h``: one normal form, of the
+    letter-wise image in the target.
+
+    Precondition: ``h`` is a homomorphism, as ``make_hom`` and every
+    ``fpcm_cat`` construction guarantee; then equivalent words have
+    equivalent images, and the result is ``apply(h, normalize(letters,
+    h.source))`` without the source's normal form.
+    """
+    position = h.source._position
+    image = h.image
+    try:
+        images = [image[position[x]] for x in letters]
+    except KeyError as exc:
+        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(h.source.events)}") from None
+    except IndexError:
+        raise InvalidHom(malformed_image(h)) from None
+    return Trace(h.target, normal_form([x for x in images if x is not None], h.target))
 
 
 def is_independence_preserving(h: BasicHom) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +346,16 @@ class TestSaturation:
         p = PresentedAction(free_monoid("a"), ("g",), (("g", "a"),))
         with pytest.raises(MalformedRelation, match=r"rule \('g', 'a'\) is not a \(generator, event, target\) triple"):
             saturate(p, 2)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(("g", ()),), (("g",), ("g", ())), ("g", ("g", ())), (("g", 5), STAR), ((5, ()), ("g", ()))],
+        ids=["one-term", "short-term", "bare-generator", "trace-not-a-sequence", "generator-not-a-name"],
+    )
+    def test_identification_that_is_not_a_pair_of_terms_is_named(self, pair):
+        p = PresentedAction(free_monoid("ab"), ("g",), (), (pair,))
+        with pytest.raises(MalformedRelation, match=rf"^identification {re.escape(repr(pair))} is not a pair of terms$"):
+            saturate(p, 1)
 
     def test_star_generator_is_rejected(self):
         # it would name the states "*", "*@a" and "*@b", which validate_space rejects

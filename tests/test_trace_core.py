@@ -272,6 +272,134 @@ class TestNormalForm:
         assert equivalent(w1, w2, m) == oracles.words_equivalent_bfs(w1, w2, m)
 
 
+def swap_independent(rng, word, m, swaps):
+    """``swaps`` random adjacent transpositions of independent letters."""
+    w = list(word)
+    for _ in range(swaps if len(w) > 1 else 0):
+        i = rng.randrange(len(w) - 1)
+        if m.independent(w[i], w[i + 1]):
+            w[i], w[i + 1] = w[i + 1], w[i]
+    return w
+
+
+@st.composite
+def equivalence_case(draw):
+    """A monoid over multi-character event names in a random declared order,
+    possibly with a letter independent of every other, and two words: an
+    equivalent pair, a near miss one swap of dependent letters away from
+    one, a pair of which one word holds a letter the other lacks, or two
+    independent draws; either word may be empty."""
+    names = draw(st.permutations(["ev0", "x", "ab1", "q22", "zz", "m"][: draw(st.integers(1, 6))]))
+    pairs = list(itertools.combinations(names, 2))
+    chosen = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    if draw(st.booleans()):
+        loner = names[0]
+        chosen.update(pair for pair in pairs if loner in pair)
+    m = make_monoid(names, sorted(chosen))
+    w1 = draw(st.lists(st.sampled_from(names), max_size=8))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["same", "near", "extra", "free"]))
+    w2 = swap_independent(rng, w1, m, 20)
+    spots = [i for i in range(len(w2) - 1) if w2[i] != w2[i + 1] and not m.independent(w2[i], w2[i + 1])]
+    missing = [e for e in names if e not in w1]
+    if kind == "near" and spots:
+        i = rng.choice(spots)
+        w2[i], w2[i + 1] = w2[i + 1], w2[i]
+        w2 = swap_independent(rng, w2, m, 20)
+    elif kind == "extra" and missing and w2:
+        w2[rng.randrange(len(w2))] = rng.choice(missing)
+    elif kind == "free":
+        w2 = draw(st.lists(st.sampled_from(names), max_size=8))
+    else:
+        kind = "same"
+    return m, w1, w2, kind
+
+
+def cone_table_entries(m):
+    """Entries held by the per-letter translate tables and the erasing one."""
+    _, cones, erase = m._cones
+    return sum(map(len, cones)) + len(erase)
+
+
+class TestEquivalentByCones:
+    @settings(max_examples=400)
+    @given(equivalence_case())
+    def test_agrees_with_normal_forms_and_closure(self, case):
+        m, w1, w2, kind = case
+        expected = normal_form(w1, m) == normal_form(w2, m)
+        assert equivalent(w1, w2, m) == expected
+        assert equivalent(w2, w1, m) == expected
+        if kind != "free":
+            assert expected == (kind == "same")
+        if len(w1) <= 6 and len(w2) <= 6:
+            assert expected == oracles.words_equivalent_bfs(w1, w2, m)
+
+    def test_near_miss_and_loner(self):
+        m = make_monoid(["q22", "ev0", "x"], [("q22", "ev0"), ("q22", "x")])
+        assert equivalent(["ev0", "q22", "x"], ["q22", "ev0", "x"], m)
+        assert not equivalent(["ev0", "q22", "x"], ["x", "q22", "ev0"], m)
+        assert not equivalent(["ev0"], ["q22"], m)
+        assert equivalent([], [], m)
+        assert not equivalent([], ["x"], m)
+
+    def test_two_hundred_events(self):
+        # codes 128 and up are not ASCII, so translate leaves its fast path
+        rng = random.Random(1717)
+        events = [f"e{i:03d}" for i in range(200)]
+        rng.shuffle(events)
+        pairs = [p for p in itertools.combinations(events, 2) if rng.random() < 0.6]
+        m = make_monoid(events, pairs)
+        for _ in range(40):
+            w1 = [rng.choice(events[120:]) if rng.random() < 0.5 else rng.choice(events) for _ in range(60)]
+            w2 = swap_independent(rng, w1, m, 400)
+            assert equivalent(w1, w2, m)
+            spots = [i for i in range(59) if w2[i] != w2[i + 1] and not m.independent(w2[i], w2[i + 1])]
+            if spots:
+                i = rng.choice(spots)
+                w3 = w2[:i] + [w2[i + 1], w2[i]] + w2[i + 2 :]
+                assert not equivalent(w1, w3, m)
+                assert normal_form(w1, m) != normal_form(w3, m)
+        assert cone_table_entries(m) <= sum(map(len, m._dependents)) + len(events)
+
+    def test_every_monoid_on_three_letters(self):
+        events = "abc"
+        pairs = list(itertools.combinations(events, 2))
+        for k in range(len(pairs) + 1):
+            for chosen in itertools.combinations(pairs, k):
+                m = make_monoid(events, chosen)
+                for n in range(5):
+                    words = list(itertools.product(events, repeat=n))
+                    nf = {w: normal_form(w, m) for w in words}
+                    for w1 in words:
+                        for w2 in words:
+                            assert equivalent(w1, w2, m) == (nf[w1] == nf[w2]), (chosen, w1, w2)
+
+    @settings(max_examples=100)
+    @given(small_monoid(["abcdefghij"[:k] for k in range(1, 11)]))
+    def test_tables_are_linear_in_the_dependence(self, m):
+        assert cone_table_entries(m) <= sum(map(len, m._dependents)) + len(m.events)
+
+
+class TestUnknownLetter:
+    MESSAGE = r"^letter 'z' not in alphabet \['a', 'b', 'c', 'd', 'e'\]$"
+
+    def test_normalize(self):
+        with pytest.raises(UnknownEvent, match=self.MESSAGE):
+            normalize(("a", "z", "y"), MUTEX)
+
+    def test_equivalent_either_word(self):
+        with pytest.raises(UnknownEvent, match=self.MESSAGE):
+            equivalent(("a", "z"), ("a",), MUTEX)
+        with pytest.raises(UnknownEvent, match=self.MESSAGE):
+            equivalent(("a",), ("z", "a"), MUTEX)
+
+    def test_apply_word(self):
+        tgt = free_commutative_monoid("xy")
+        h = make_hom(MUTEX, tgt, {"a": "x", "b": None, "c": None, "d": "y", "e": "y"})
+        with pytest.raises(UnknownEvent, match=self.MESSAGE):
+            apply_word(h, ("a", "z", "y"))
+
+
 class TestTraceOps:
     def test_concat_normalizes(self):
         t = concat(normalize("ad", MUTEX), normalize("ecc", MUTEX))
@@ -328,6 +456,22 @@ class TestBasicHom:
             return
         if equivalent(w1, w2, m):
             assert apply_word(h, w1) == apply_word(h, w2)
+
+    @settings(max_examples=200)
+    @given(monoid_and_word, st.randoms(use_true_random=False))
+    def test_apply_word_normalizes_once(self, mw, rng):
+        m, w = mw
+        tgt = oracles.random_monoid(rng, max_events=4, density=rng.random())
+        try:
+            h = make_hom(m, tgt, oracles.random_basic_hom_map(rng, m, tgt))
+        except InvalidHom:
+            return
+        assert apply_word(h, w) == apply(h, normalize(w, h.source))
+
+    def test_apply_word_short_image(self):
+        h = dataclasses.replace(identity_hom(MUTEX), image=("a", "b"))
+        with pytest.raises(InvalidHom, match="image has 2 entries for 5 source events"):
+            apply_word(h, ("a", "e"))
 
     def test_compose_agrees_pointwise(self):
         src = make_monoid("ab", [("a", "b")])

@@ -62,72 +62,50 @@ def render_word(letters) -> str:
 
 class _Writer:
     """Collects result documents, inventing names for supporting objects so
-    the output bundle is self-contained."""
+    the output bundle is self-contained.  No document takes a ``reserved``
+    name unless it is written there by name."""
 
-    def __init__(self):
+    def __init__(self, reserved=()):
         self.docs: dict = {}
-        self._seen: list = []  # (name, kind, object)
+        self._reserved = set(reserved)
+        self._seen: list = []  # (name, object)
 
     def _fresh(self, hint: str) -> str:
         name, i = hint, 2
-        while name in self.docs:
+        while name in self.docs or name in self._reserved:
             name = f"{hint}_{i}"
             i += 1
         return name
 
-    def _find(self, kind, obj):
-        for name, k, o in self._seen:
-            if k == kind and o == obj:
-                return name
-        return None
+    def name(self, kind: str, obj, hint: str) -> str:
+        """The name of ``obj``'s document: the one it was written under, or
+        else that of an equal object written earlier; failing both, ``obj``
+        is written now under ``hint`` or a fresh name made from it."""
+        for n, o in self._seen:
+            if o is obj:
+                return n
+        for n, o in self._seen:
+            if o == obj:
+                return n
+        return self.write(kind, obj, self._fresh(hint), hint)
 
-    def monoid(self, m, hint="monoid") -> str:
-        name = self._find("monoid", m)
-        if name is None:
-            name = self._fresh(hint)
-            self.docs[name] = ix.monoid_doc(m)
-            self._seen.append((name, "monoid", m))
-        return name
-
-    def hom(self, h, name: str) -> None:
-        self.docs[name] = ix.hom_doc(h, self.monoid(h.source), self.monoid(h.target))
-
-    def space(self, s, hint="space") -> str:
-        name = self._find("space", s)
-        if name is None:
-            name = self._fresh(hint)
-            self.docs[name] = ix.space_doc(s, self.monoid(s.monoid, hint + "_monoid"))
-            self._seen.append((name, "space", s))
-        return name
-
-    def space_morphism(self, m, name: str) -> None:
-        self.docs[name] = ix.space_morphism_doc(m, self.space(m.source), self.space(m.target))
-
-    def system(self, a, hint="system") -> str:
-        name = self._find("system", a)
-        if name is None:
-            name = self._fresh(hint)
-            self.docs[name] = ix.system_doc(a)
-            self._seen.append((name, "system", a))
-        return name
-
-    def system_morphism(self, m, name: str) -> None:
-        self.docs[name] = ix.system_morphism_doc(m, self.system(m.source), self.system(m.target))
-
-    def seed(self, name: str, kind: str, obj) -> None:
-        """Register an input object under its bundle name."""
-        if self._find(kind, obj) is not None:
-            return
+    def write(self, kind: str, obj, name: str, hint: str) -> str:
+        """Write ``obj``, a document of ``kind``, under ``name``; a space's
+        monoid is named from ``hint``."""
         if kind == "monoid":
-            self.docs[name] = ix.monoid_doc(obj)
+            doc = ix.monoid_doc(obj)
         elif kind == "space":
-            self.monoid(obj.monoid, name + "_monoid")
-            self.docs[name] = ix.space_doc(obj, self.monoid(obj.monoid))
-        elif kind == "system":
-            self.docs[name] = ix.system_doc(obj)
+            doc = ix.space_doc(obj, self.name("monoid", obj.monoid, hint + "_monoid"))
         else:
-            raise ValueError(kind)
-        self._seen.append((name, kind, obj))
+            doc = ix.system_doc(obj)
+        self.docs[name] = doc
+        self._seen.append((name, obj))
+        return name
+
+    def morphism(self, kind: str, m, name: str) -> None:
+        """Write ``m``, a morphism between documents of ``kind``, under ``name``."""
+        source, target = self.name(kind, m.source, kind), self.name(kind, m.target, kind)
+        self.docs[name] = KINDS[kind][2](m, source, target)
 
 
 def _emit(args, writer, summary, lines) -> None:
@@ -439,11 +417,11 @@ OPTIONS = {
 }
 
 # per document kind: the kind of its morphisms, the name of its diagrams,
-# and the writer of its morphisms
+# and the maker of its morphisms' documents
 KINDS = {
-    "monoid": ("hom", "monoid", _Writer.hom),
-    "space": ("space_morphism", "state-space", _Writer.space_morphism),
-    "system": ("system_morphism", "system", _Writer.system_morphism),
+    "monoid": ("hom", "monoid", ix.hom_doc),
+    "space": ("space_morphism", "state-space", ix.space_morphism_doc),
+    "system": ("system_morphism", "system", ix.system_morphism_doc),
 }
 
 
@@ -496,15 +474,16 @@ def _inputs(cmd: Command, args, bundle) -> tuple:
 
 def _write(cmd: Command, args, inputs, out: Output) -> _Writer:
     """The output bundle: the ``--objects`` inputs under their names, the
-    result, then its morphisms."""
-    w = _Writer()
+    result under ``result``, then its morphisms under theirs.  An input whose
+    name is one of those, or that equals an earlier input, is written under
+    a fresh name or not again."""
+    w = _Writer(("result", *(name for name, _ in out.morphisms)))
     if cmd.options == "objects":
         for name, obj in zip(args.objects, inputs[0]):
-            w.seed(name, cmd.kind, obj)
-    w.seed("result", cmd.kind, out.result)
-    write = KINDS[cmd.kind][2]
+            w.name(cmd.kind, obj, name)
+    w.write(cmd.kind, out.result, "result", "result")
     for name, m in out.morphisms:
-        write(w, m, name)
+        w.morphism(cmd.kind, m, name)
     return w
 
 

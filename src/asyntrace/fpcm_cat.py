@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .diagrams import Diagram, refuse
+from .diagrams import Diagram, discrete, refuse
 from .errors import (
     DuplicateEvent,
     MalformedDiagram,
@@ -139,9 +139,9 @@ class PointedGrid:
     ``itertools.product(*axes)`` lists the tuples so that the one with axis
     indices ``(i_0, ..., i_{k-1})`` has index ``sum(i_j * strides[j])``.  The
     all-star tuple, the basepoint, has the last index, ``size``; the product's
-    elements are the ``size`` tuples before it.  Both products use this one
-    convention: generators of the monoid product and states of the space
-    product.
+    elements are the ``size`` tuples before it.  Products and limits, of
+    monoids and of spaces, list their generators and states by ``matching``;
+    a product is the limit of a discrete shape, whose tuples all match.
     """
 
     def __init__(self, factors: Sequence[Sequence[str]]):
@@ -154,35 +154,18 @@ class PointedGrid:
         self.strides = tuple(reversed(strides))
         self.size = size - 1
 
-    def digits(self, j: int) -> list[int]:
-        """Axis index of factor ``j`` in each element, by element index."""
-        stride, radix = self.strides[j], len(self.axes[j])
-        return [i // stride % radix for i in range(self.size)]
-
-    def components(self, clash: type[TraceError], what: str) -> dict[str, tuple[str, ...]]:
-        """Rendered name -> tuple for every element, in index order.
-
-        ``render_tuple`` is not injective once names hold commas; a name
-        rendered from two tuples raises ``clash``."""
-        tuples = list(itertools.product(*self.axes))[: self.size]
-        components = {render_tuple(t): t for t in tuples}
-        if len(components) < len(tuples):
-            seen: dict = {}
-            for t in tuples:
-                name = render_tuple(t)
-                if name in seen:
-                    raise clash(f"product {what} name {name!r} renders both {seen[name]!r} and {t!r}")
-                seen[name] = t
-        return components
-
     def matching(self, shape, maps, clash: type[TraceError], what: str) -> dict[str, tuple[str, ...]]:
         """Rendered name -> tuple for the elements, in index order, that agree
         along every arrow ``(name, src, dst)`` of ``shape``, whose objects are
         the factors: ``maps[name]`` sends component ``src`` to component
         ``dst``, and a component it lacks, star among them, to star.  Tuples
         grow one factor at a time, and an arrow is checked once both its ends
-        are placed.  Names are checked over the whole grid, as ``components``
-        checks them; only names with commas can clash."""
+        are placed.
+
+        ``render_tuple`` is not injective once names hold commas; a name
+        rendered from two tuples of the whole grid raises ``clash``.  So with
+        arrows and a comma, the names are checked by the walk of the
+        discrete shape."""
         index = {o: j for j, o in enumerate(shape.objects)}
         arrows = [(index[src], index[dst], maps[name]) for name, src, dst in shape.arrows]
         tuples = [()]
@@ -192,9 +175,17 @@ class PointedGrid:
             if checks:
                 tuples = [t for t in tuples if all(f.get(t[s], STAR) == t[d] for s, d, f in checks)]
         tuples.pop()  # the all-star basepoint, last in index order, always matches
-        if any("," in x for axis in self.axes for x in axis):
-            self.components(clash, what)
-        return {render_tuple(t): t for t in tuples}
+        names = {render_tuple(t): t for t in tuples}
+        if arrows and any("," in x for axis in self.axes for x in axis):
+            self.matching(discrete(len(self.axes)), {}, clash, what)
+        elif len(names) < len(tuples):
+            seen: dict = {}
+            for t in tuples:
+                name = render_tuple(t)
+                if name in seen:
+                    raise clash(f"product {what} name {name!r} renders both {seen[name]!r} and {t!r}")
+                seen[name] = t
+        return names
 
 
 @dataclass
@@ -227,7 +218,7 @@ def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> Produc
     if not ms:
         return ProductResult(TRIVIAL, (), {})
     grid = PointedGrid([m.events for m in ms])
-    components = grid.components(DuplicateEvent, "generator")
+    components = grid.matching(discrete(len(ms)), {}, DuplicateEvent, "generator")
     related = [[0]]  # element index -> ascending related indices, over the factors folded so far
     for m, axis, stride in reversed(list(zip(ms, grid.axes, grid.strides))):
         rel = pointed_relation(m, flag)
@@ -335,19 +326,29 @@ def cotupling(homs: Sequence[BasicHom], coprod: CoproductResult) -> BasicHom:
 # Coequalizers
 
 
-class _UnionFind:
-    def __init__(self, elements):
-        self.parent = {x: x for x in elements}
+def union_find(parent: dict, keys: dict):
+    """``find`` and ``union`` over the forest ``parent`` (a root is its own
+    parent), with path halving.  ``union`` joins two classes under the root
+    with the smaller ``keys`` entry, so each root is the least member of its
+    class, and says whether the classes were distinct.  Both dicts stay the
+    caller's: elements added to them later take part."""
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
+    def union(x, y) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if keys[rx] < keys[ry]:
+            rx, ry = ry, rx
+        parent[rx] = ry
+        return True
+
+    return find, union
 
 
 @dataclass
@@ -362,34 +363,29 @@ def _closure(target: TraceMonoid, equations, flag: Category) -> CoequalizerResul
     target events or None for the empty trace.  A class equated with the
     empty trace is removed with its independence pairs.  Under FPCM_PAR a
     class holding an independent pair is removed too; a removal only grows
-    the identity class, so one pass over the pairs settles it."""
-    uf = _UnionFind([None, *target.events])  # None is the identity class
+    the identity class, so one pass over the pairs settles it.
+
+    The union-find is keyed by target position with None first, so each
+    class is rooted at, and named by, its first event in target order, and
+    the identity class at None.  Two classes are independent when two of
+    their members are.  The quotient is valid by construction: independent
+    events go to independent classes, to one class, or to the empty trace."""
+    elements = (None, *target.events)
+    find, union = union_find({x: x for x in elements}, {x: k for k, x in enumerate(elements)})
     for a, b in equations:
-        uf.union(a, b)
+        union(a, b)
     if flag is Category.FPCM_PAR:
         for a, b in target.pairs():
-            if uf.find(a) == uf.find(b):
-                uf.union(a, None)
-    return _quotient_by(target, uf)
-
-
-def _quotient_by(target: TraceMonoid, uf: _UnionFind) -> CoequalizerResult:
-    """Each class outside the identity's is named by its first event in
-    target order; two classes are independent when two of their members
-    are.  The quotient is valid by construction: independent events go to
-    independent classes, to one class, or to the empty trace."""
-    groups: dict = {}
-    for e in target.events:
-        groups.setdefault(uf.find(e), []).append(e)
-    one_root = uf.find(None)
-    classes = {e: None if root == one_root else es[0] for root, es in groups.items() for e in es}
-    gens = [es[0] for root, es in groups.items() if root != one_root]
+            if find(a) == find(b):
+                union(a, None)
+    classes = {e: find(e) for e in target.events}
+    gens = [e for e, c in classes.items() if c == e]
     number = {c: k for k, c in enumerate(gens)}
-    code = [number.get(classes[e]) for e in target.events]  # class index, None if removed
+    code = [number.get(c) for c in classes.values()]  # class index, None if removed
     ends = [(code[i], code[j]) for i, j in target._pair_positions]
     pairs = {(min(p), max(p)) for p in ends if None not in p and p[0] != p[1]}
     monoid = _ordered_monoid(tuple(gens), sorted(pairs))
-    quotient = BasicHom(target, monoid, tuple(map(classes.__getitem__, target.events)))
+    quotient = BasicHom(target, monoid, tuple(classes.values()))
     return CoequalizerResult(monoid, quotient, classes)
 
 
@@ -532,32 +528,7 @@ def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Hom enumeration and isomorphism (finite, used for universal properties)
-
-
-def enumerate_homs(src: TraceMonoid, tgt: TraceMonoid, flag: Category = Category.FPCM) -> list[BasicHom]:
-    """All valid basic homs src -> tgt, independence-preserving ones only
-    under FPCM_PAR.  Deterministic order; exponential in len(src.events)."""
-    out = []
-    choices = (None,) + tuple(tgt.events)
-    for combo in itertools.product(choices, repeat=len(src.events)):
-        h = BasicHom(src, tgt, combo)
-        ok = True
-        for a, b in src.pairs():
-            fa, fb = h(a), h(b)
-            if fa is None or fb is None:
-                continue
-            if fa == fb:
-                if flag is Category.FPCM_PAR:
-                    ok = False
-                    break
-                continue
-            if not tgt.independent(fa, fb):
-                ok = False
-                break
-        if ok:
-            out.append(h)
-    return out
+# Isomorphism (finite search)
 
 
 def monoids_isomorphic(m1: TraceMonoid, m2: TraceMonoid) -> Optional[dict[str, str]]:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import fpcm_cat
-from .diagrams import Diagram, refuse
+from .diagrams import Diagram, discrete, refuse
 from .errors import (
     InvalidBound,
     InvalidSpace,
@@ -30,7 +30,7 @@ from .errors import (
     UnknownEvent,
     UnknownState,
 )
-from .fpcm_cat import Category, PointedGrid, ProductResult, render_tuple, tag
+from .fpcm_cat import Category, PointedGrid, ProductResult, render_tuple, tag, union_find
 from .trace_core import (
     STAR,
     BasicHom,
@@ -199,46 +199,19 @@ class SpaceProductResult:
 
 def product(spaces: Sequence[StateSpace], flag: Category = Category.FPCM) -> SpaceProductResult:
     """Monoid product acting componentwise on the product of pointed state
-    sets; only the all-star tuple plays the basepoint.
-
-    States and generators are indexed by ``fpcm_cat.PointedGrid``.  Factor
-    ``j`` gives a table: for each axis index ``x`` of its states and ``u`` of
-    its events, the axis index of ``x`` acted on by ``u`` (``x`` itself when
-    ``u`` is star) times the state stride.  Spread over the generators, the
-    table's rows add up, factor by factor, to the target index of every
-    (state, generator) entry; entries that reach the all-star index are left
-    out of the action.
-    """
+    sets; only the all-star tuple plays the basepoint.  It is the limit of
+    the discrete diagram: ``_componentwise`` over ``fpcm_cat.product``,
+    whose result it keeps for ``space_tupling``."""
     spaces = list(spaces)
     mp = fpcm_cat.product([s.monoid for s in spaces], flag)
-    if not spaces:
-        space = StateSpace(mp.monoid, (), {})
-        return SpaceProductResult(space, (), mp, {})
     grid = PointedGrid([s.states for s in spaces])
-    state_components = grid.components(InvalidSpace, "state")
-    states = list(state_components)
-    gens = mp.monoid.events
-    gen_grid = PointedGrid([s.monoid.events for s in spaces])
-    rows = [[0] * len(gens)]  # per state index so far, target offsets by generator
-    for j, s in enumerate(spaces):
-        offset = {x: i * grid.strides[j] for i, x in enumerate(grid.axes[j])}
-        events = s.monoid.events
-        table = [[offset[s.step(x, e)] for e in events] + [offset[x]] for x in grid.axes[j]]
-        digits = gen_grid.digits(j)
-        spread = [[row[u] for u in digits] for row in table]
-        rows = [[a + b for a, b in zip(r, t)] for r in rows for t in spread]
-    basepoint = grid.size
-    action = {}
-    for name, row in zip(states, rows):
-        for gen, t in zip(gens, row):
-            if t != basepoint:
-                action[(name, gen)] = states[t]
-    space = StateSpace(mp.monoid, tuple(states), action)
-    projections = []
-    for i, s in enumerate(spaces):
-        state_part = {name: state_components[name][i] for name in states}
-        projections.append(StateSpaceMorphism(space, s, mp.projections[i], state_part))
-    return SpaceProductResult(space, tuple(projections), mp, state_components)
+    state_components = grid.matching(discrete(len(spaces)), {}, InvalidSpace, "state")
+    space = _componentwise(spaces, mp.monoid, state_components, [h.image for h in mp.projections])
+    projections = tuple(
+        StateSpaceMorphism(space, s, mp.projections[j], {x: t[j] for x, t in state_components.items()})
+        for j, s in enumerate(spaces)
+    )
+    return SpaceProductResult(space, projections, mp, state_components)
 
 
 def space_tupling(
@@ -300,29 +273,38 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> SpaceCone:
     """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
     the monoid parts acting on the states of the objects' product, in its
     order and with its names, whose components agree along every arrow,
-    ``m(x_src) == x_dst``.  Generators act component by component, as in the
-    product; the legs are the component maps."""
+    ``m(x_src) == x_dst``.  Generators act component by component
+    (``_componentwise``); the legs are the component maps."""
     refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     spaces = [d.on_objects[o] for o in objs]
     cone = fpcm_cat.limit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
     maps = {a: m.state_part for a, m in d.on_arrows.items()}
     states = PointedGrid([s.states for s in spaces]).matching(d.shape, maps, InvalidSpace, "state")
-    name_of = {t: x for x, t in states.items()}
-    columns = list(zip(*states.values()))  # factor -> its component of every state
-    steps = [{u: {x: s.step(x, u) for x in (*s.states, STAR)} for u in s.monoid.events} for s in spaces]
-    targets = []  # generator -> the state each state goes to, None for star
-    for us in zip(*[[STAR if v is None else v for v in cone.legs[o].image] for o in objs]):
-        parts = [col if u == STAR else map(step[u].__getitem__, col) for step, col, u in zip(steps, columns, us)]
-        targets.append(map(name_of.get, zip(*parts)))
-    events = cone.apex.events
-    action = {(x, e): y for x, ys in zip(states, zip(*targets)) for e, y in zip(events, ys) if y is not None}
-    apex = StateSpace(cone.apex, tuple(states), action)
+    apex = _componentwise(spaces, cone.apex, states, [cone.legs[o].image for o in objs])
     legs = {
         o: StateSpaceMorphism(apex, s, cone.legs[o], {x: t[j] for x, t in states.items()})
         for j, (o, s) in enumerate(zip(objs, spaces))
     }
     return SpaceCone(apex, legs)
+
+
+def _componentwise(spaces: list[StateSpace], monoid: TraceMonoid, states: dict, images: list) -> StateSpace:
+    """``monoid`` acting on ``states``, name -> tuple of components, closed
+    under the action: a generator whose image in factor ``j`` is
+    ``images[j]``'s entry acts on component ``j`` by that event, or not at
+    all for None.  Entries that reach a tuple outside ``states`` (the
+    all-star one) are left out."""
+    name_of = {t: x for x, t in states.items()}
+    columns = list(zip(*states.values()))  # factor -> its component of every state
+    steps = [{u: {x: s.step(x, u) for x in (*s.states, STAR)} for u in s.monoid.events} for s in spaces]
+    targets = []  # generator -> the state each state goes to, None for star
+    for us in zip(*images):
+        parts = [col if u is None else map(step[u].__getitem__, col) for step, col, u in zip(steps, columns, us)]
+        targets.append(map(name_of.get, zip(*parts)))
+    events = monoid.events
+    action = {(x, e): y for x, ys in zip(states, zip(*targets)) for e, y in zip(events, ys) if y is not None}
+    return StateSpace(monoid, tuple(states), action)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +407,9 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     successor codes of a term are its trace's row plus its generator index.
     ``parent`` and the sort key ``(len(trace), generator, trace)`` are dicts
     over the present terms (those that belong to the closure), in the order
-    they joined.  This is the memoized successor table of congruence closure
-    (Downey, Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM
-    27(2), 1980).
+    they joined, and ``fpcm_cat.union_find`` works on them.  This is the
+    memoized successor table of congruence closure (Downey, Sethi and
+    Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2), 1980).
 
     Each fixpoint pass groups the present terms by class and visits the
     classes in key order.  ``union`` keeps the term with the smaller key as
@@ -465,9 +447,13 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
     m = p.monoid
     events = m.events
-    bad = next((rule for rule in p.transitions if len(rule) != 3), None)
-    if bad is not None:
-        raise MalformedRelation(f"rule {bad!r} is not a (generator, event, target) triple")
+    bad = [g for g in p.generators if not isinstance(g, str)]
+    if bad:
+        raise MalformedRelation(f"generator {bad[0]!r} is not a name")
+    bad = [rule for rule in p.transitions
+           if not (isinstance(rule, (tuple, list)) and len(rule) == 3 and all(isinstance(x, str) for x in rule))]
+    if bad:
+        raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
     bad = next((pair for pair in p.identifications
                 if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_term, pair)))), None)
     if bad is not None:
@@ -489,6 +475,7 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     star = -1
     parent = {star: star}  # present code -> parent code, in the order the terms joined
     keys: dict = {star: (-1, "", ())}  # star sorts first, so it is always its own root
+    find, union = union_find(parent, keys)
 
     def trace_id(t: tuple[str, ...]) -> int:
         i = trace_ids.get(t)
@@ -515,21 +502,6 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
             parent[c] = c
             keys[c] = (len(traces[i]), gens[k], traces[i])
         return c
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if keys[rx] < keys[ry]:
-            rx, ry = ry, rx
-        parent[rx] = ry
-        return True
 
     def groups() -> dict[int, list[int]]:
         out: dict = {}
@@ -711,7 +683,7 @@ def colimit(
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing (brute force with pruning; test support)
+# Isomorphism testing (brute force with pruning; the CLI's iso-check)
 
 
 def is_isomorphic(s1: StateSpace, s2: StateSpace) -> Optional[tuple[dict[str, str], dict[str, str]]]:

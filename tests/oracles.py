@@ -8,12 +8,14 @@ library validators' logic.  The exceptions are frozen copies of earlier
 versions of the package, kept as regression references: ``reference_saturate``
 (pass-based saturation, for the memoized successor table),
 ``reference_product`` and ``reference_space_product`` (pairwise and per-entry
-products, for the index arithmetic over per-factor tables), and
+products, for the monoid product's index arithmetic over per-factor tables
+and the space product's discrete limit), and
 ``reference_limit`` and ``reference_space_limit`` (the product, tupling and
 equalizer limit driver, for the compatible families of the object product).
 ``reference_dumps`` is the standard library's indented encoder, the judge of
 the container-level JSON writer.  ``check_monoid_order`` recomputes the pair
-caches that the package's monoid constructions preset.
+caches that the package's monoid constructions preset.  ``enumerate_homs``
+and ``enumerate_system_morphisms`` list every morphism by exhaustive search.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from asyntrace.state_space import (
     compose_morphisms,
 )
 from asyntrace.async_system import SystemMorphism, WeakAsyncSystem
-from asyntrace.trace_core import STAR, TraceMonoid, compose, make_hom, make_monoid, normal_form
+from asyntrace.trace_core import STAR, BasicHom, TraceMonoid, compose, make_hom, make_monoid, normal_form
 
 
 def transposition_class(word, m: TraceMonoid) -> frozenset:
@@ -496,7 +498,32 @@ def reference_dumps(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# System morphisms by exhaustive search
+# Homs and system morphisms by exhaustive search
+
+
+def enumerate_homs(src: TraceMonoid, tgt: TraceMonoid, flag: Category = Category.FPCM) -> list[BasicHom]:
+    """All valid basic homs src -> tgt, independence-preserving ones only
+    under FPCM_PAR.  Deterministic order; exponential in len(src.events)."""
+    out = []
+    choices = (None,) + tuple(tgt.events)
+    for combo in itertools.product(choices, repeat=len(src.events)):
+        h = BasicHom(src, tgt, combo)
+        ok = True
+        for a, b in src.pairs():
+            fa, fb = h(a), h(b)
+            if fa is None or fb is None:
+                continue
+            if fa == fb:
+                if flag is Category.FPCM_PAR:
+                    ok = False
+                    break
+                continue
+            if not tgt.independent(fa, fb):
+                ok = False
+                break
+        if ok:
+            out.append(h)
+    return out
 
 
 def enumerate_system_morphisms(a: WeakAsyncSystem, b: WeakAsyncSystem, polygonal: bool = False):

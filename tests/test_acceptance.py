@@ -25,7 +25,6 @@ from asyntrace.fpcm_cat import (
     coequalizer,
     colimit as monoid_colimit,
     coproduct,
-    enumerate_homs,
     equalizer,
     limit as monoid_limit,
     monoids_isomorphic,
@@ -46,6 +45,7 @@ from asyntrace.trace_core import (
 )
 
 import oracles
+from oracles import enumerate_homs
 from test_async_system import subsystem_inclusion
 
 MUTEX = make_monoid(

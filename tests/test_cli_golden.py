@@ -10,6 +10,12 @@ that kind, its first document, so that wrong-kind and missing-document
 errors are pinned too.  Help text is wrapped to ``COLUMNS=80``; its digests
 hold for the argparse of the Python that captured them (3.11).
 
+Every ``--format json`` case that exits 0 is also re-parsed with
+``interchange.parse`` and checked against the same construction run
+in-process, and a bundle whose inputs are named like the output's own
+documents (``result``, ``proj_0``, ...) checks that no document is
+overwritten and that each morphism names its own endpoints.
+
 Regenerate the digests (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -136,7 +142,8 @@ def cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run(argv: list[str], fixture_path: str) -> dict:
+def call(argv: list[str], fixture_path: str) -> tuple[int, str, str]:
+    """``cli.main`` on ``argv``: its exit code, stdout and stderr."""
     from asyntrace import cli
 
     argv = [fixture_path if a == "{fixture}" else a for a in argv]
@@ -147,9 +154,14 @@ def run(argv: list[str], fixture_path: str) -> dict:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse's --help and usage errors
             rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str], fixture_path: str) -> dict:
+    rc, out, err = call(argv, fixture_path)
     return {
-        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.encode()).hexdigest(),
         "exit": rc,
     }
 
@@ -192,6 +204,93 @@ def test_output_file_holds_the_stdout_bytes(tmp_path):
     want = json.loads(GOLDEN.read_text())[label]
     assert got == {"stdout": empty, "stderr": want["stderr"], "exit": 0}
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want["stdout"]
+
+
+def reparse(argv: list[str], fixture_path: str):
+    """Run ``argv`` (a ``--format json`` construction that exits 0), re-parse
+    its output, and check it against the same construction run in-process:
+    ``result`` is the result, each morphism is under its name, its source
+    and target name documents equal to its endpoints, and every
+    ``--objects`` input is in the bundle.  Returns the output documents, as
+    written and as parsed."""
+    from asyntrace import cli, interchange
+
+    rc, text, err = call(argv, fixture_path)
+    assert (rc, err) == (0, "")
+    parsed = interchange.parse(text)
+    args = cli._parser().parse_args([fixture_path if a == "{fixture}" else a for a in argv])
+    bundle = interchange.parse_file(args.bundle)
+    inputs = cli._inputs(args.cmd, args, bundle) if args.cmd.options in cli.STYLES else (bundle,)
+    out = args.cmd.handler(args, *inputs)
+    docs = json.loads(text)["documents"]
+    if out.result is None:
+        assert docs == {}
+        return docs, parsed
+    assert parsed.get("result") == out.result
+    for name, m in out.morphisms:
+        assert parsed.get(name) == m, name
+        assert parsed.get(docs[name]["source"]) == m.source, name
+        assert parsed.get(docs[name]["target"]) == m.target, name
+    if args.cmd.options == "objects":
+        for obj in inputs[0]:
+            assert obj in parsed.documents.values()
+    return docs, parsed
+
+
+JSON_OK = [(label, argv) for label, argv in CASES
+           if label.endswith(" json") and json.loads(GOLDEN.read_text())[label]["exit"] == 0]
+
+
+@pytest.mark.parametrize("label, argv", JSON_OK, ids=[label for label, _ in JSON_OK])
+def test_json_output_reparses(label, argv):
+    reparse(argv, _fixture_of(label))
+
+
+# inputs named like the output's own documents, and a monoid with no events,
+# whose product with nothing else equals it
+COLLISIONS = {
+    "result": {"kind": "monoid", "events": ["a", "b"], "independence": [["a", "b"]]},
+    "proj_0": {"kind": "monoid", "events": ["c"], "independence": []},
+    "inj_1": {"kind": "monoid", "events": ["d"], "independence": []},
+    "e": {"kind": "monoid", "events": [], "independence": []},
+    "result_monoid": {"kind": "space", "monoid": "proj_0", "states": ["x", "y"], "action": {"x": {"c": "y"}}},
+    "proj_1": {"kind": "space", "monoid": "inj_1", "states": ["u"], "action": {"u": {"d": "u"}}},
+    "sys_result": {"kind": "system", "states": ["p0", "p1"], "initial": "p0", "events": ["a"],
+                   "independence": [], "transitions": [["p0", "a", "p1"]]},
+    "proj_o0": {"kind": "system", "states": ["q0"], "initial": "q0", "events": ["b"],
+                 "independence": [], "transitions": [["q0", "b", "q0"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, morphisms",
+    [
+        (["monoid", "product", "--objects", "result", "proj_0"],
+         {"result": "result_2", "proj_0": "proj_0_2"},
+         {"proj_0": ("result", "result_2"), "proj_1": ("result", "proj_0_2")}),
+        (["monoid", "coproduct", "--objects", "inj_1", "result"],
+         {"inj_1": "inj_1_2", "result": "result_2"},
+         {"inj_0": ("inj_1_2", "result"), "inj_1": ("result_2", "result")}),
+        (["monoid", "product", "--objects", "e"], {"e": "e"}, {"proj_0": ("result", "e")}),
+        (["space", "product", "--objects", "result_monoid", "proj_1"],
+         {"result_monoid": "result_monoid", "proj_1": "proj_1_2"},
+         {"proj_0": ("result", "result_monoid"), "proj_1": ("result", "proj_1_2")}),
+        (["asys", "product", "--objects", "sys_result", "proj_o0"],
+         {"sys_result": "sys_result", "proj_o0": "proj_o0_2"},
+         {"proj_o0": ("result", "sys_result"), "proj_o1": ("result", "proj_o0_2")}),
+    ],
+    ids=["monoid product", "monoid coproduct", "monoid product of an empty monoid", "space product", "asys product"],
+)
+def test_output_names_never_collide(tmp_path, argv, inputs, morphisms):
+    from asyntrace import interchange
+
+    path = tmp_path / "collisions.json"
+    path.write_text(json.dumps({"version": 1, "documents": COLLISIONS}))
+    docs, written = reparse(argv[:2] + ["{fixture}"] + argv[2:] + ["--format", "json"], str(path))
+    assert {name: (docs[name]["source"], docs[name]["target"]) for name in morphisms} == morphisms
+    given = interchange.parse_file(path)
+    for name, out_name in inputs.items():
+        assert written.get(out_name) == given.get(name)
 
 
 if __name__ == "__main__":

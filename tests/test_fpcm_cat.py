@@ -21,7 +21,6 @@ from asyntrace.fpcm_cat import (
     colimit,
     coproduct,
     cotupling,
-    enumerate_homs,
     equalizer,
     from_com_rel,
     from_ind_rel,
@@ -44,6 +43,7 @@ from asyntrace.trace_core import (
 )
 
 import oracles
+from oracles import enumerate_homs
 
 BOTH = (Category.FPCM, Category.FPCM_PAR)
 

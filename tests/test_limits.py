@@ -18,7 +18,7 @@ from asyntrace import async_system, fpcm_cat, state_space
 from asyntrace.async_system import SystemMorphism
 from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete, parallel_pair, span
 from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram, TraceError
-from asyntrace.fpcm_cat import Category, enumerate_homs
+from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import StateSpaceMorphism, make_space, make_space_morphism
 from asyntrace.trace_core import (
     STAR,
@@ -32,6 +32,7 @@ from asyntrace.trace_core import (
 )
 
 import oracles
+from oracles import enumerate_homs
 
 BOTH = (Category.FPCM, Category.FPCM_PAR)
 PATH = DiagramShape(("o0", "o1", "o2"), (("f", "o0", "o1"), ("g", "o1", "o2")))
@@ -120,6 +121,30 @@ class TestLimitReference:
         got = state_space.limit(d, flag)
         oracles.check_monoid_order(got.apex.monoid)
         assert_same_space_cone(got, oracles.reference_space_limit(d, flag))
+
+
+class TestProductsAreDiscreteLimits:
+    """A product is the limit of the discrete diagram on its factors: the
+    same apex, in the same order, and its projections are the legs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(BOTH))
+    def test_monoid_product_is_the_discrete_limit(self, seed, k, flag):
+        rng = random.Random(seed)
+        ms = [oracles.random_monoid(rng, 3) for _ in range(k)]
+        prod = fpcm_cat.product(ms, flag)
+        cone = fpcm_cat.limit(Diagram(discrete(k), {f"o{j}": m for j, m in enumerate(ms)}, {}), flag)
+        assert_same_monoid_cone(fpcm_cat.MonoidCone(prod.monoid, dict(zip(cone.legs, prod.projections))), cone)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(BOTH))
+    def test_space_product_is_the_discrete_limit(self, seed, k, flag):
+        rng = random.Random(seed)
+        spaces = [oracles.random_space(rng, oracles.random_monoid(rng, 3), n=rng.randint(0, 3)) for _ in range(k)]
+        prod = state_space.product(spaces, flag)
+        cone = state_space.limit(Diagram(discrete(k), {f"o{j}": s for j, s in enumerate(spaces)}, {}), flag)
+        assert_same_space_cone(state_space.SpaceCone(prod.space, dict(zip(cone.legs, prod.projections))), cone)
+        assert list(prod.state_components) == list(cone.apex.states)
 
 
 class TestColimitReference:

@@ -348,6 +348,22 @@ class TestSaturation:
             saturate(p, 2)
 
     @pytest.mark.parametrize(
+        "rule",
+        [(5, "a", "g"), ("g", "a", 5), ("g", ["a"], "g")],
+        ids=["generator-not-a-name", "target-not-a-name", "event-not-a-name"],
+    )
+    def test_rule_on_a_non_name_is_named(self, rule):
+        p = PresentedAction(free_monoid("ab"), ("g",), (rule,))
+        msg = rf"^rule {re.escape(repr(rule))} is not a \(generator, event, target\) triple of names$"
+        with pytest.raises(MalformedRelation, match=msg):
+            saturate(p, 1)
+
+    def test_generator_that_is_not_a_name_is_named(self):
+        p = PresentedAction(free_monoid("ab"), (5,), ())
+        with pytest.raises(MalformedRelation, match=r"^generator 5 is not a name$"):
+            saturate(p, 1)
+
+    @pytest.mark.parametrize(
         "pair",
         [(("g", ()),), (("g",), ("g", ())), ("g", ("g", ())), (("g", 5), STAR), ((5, ()), ("g", ()))],
         ids=["one-term", "short-term", "bare-generator", "trace-not-a-sequence", "generator-not-a-name"],

@@ -18,6 +18,7 @@ handler holds only its construction, its summary and its text lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -108,6 +109,9 @@ class _Writer:
         self.docs[name] = KINDS[kind][2](m, source, target)
 
 
+_SLICE = 1 << 20  # characters per write
+
+
 def _emit(args, writer, summary, lines) -> None:
     if args.format == "json":
         payload = {"version": ix.VERSION, "documents": writer.docs if writer else {}}
@@ -116,11 +120,10 @@ def _emit(args, writer, summary, lines) -> None:
         text = ix.dumps(payload)
     else:
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # in slices, so that a text file never encodes a second copy of all of it
+    with open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        for i in range(0, len(text), _SLICE):
+            fh.write(text[i : i + _SLICE])
 
 
 class Output(NamedTuple):

@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import async_system as asys
-from . import fpcm_cat
 from . import state_space as ss
 from .diagrams import Diagram, DiagramShape, validate_shape
 from .errors import DanglingReference, ParseError, SchemaError
@@ -162,11 +161,11 @@ def _parse_shape(doc, where) -> DiagramShape:
     return shape
 
 
-# per diagram base: the kinds of its objects and arrows, and its diagram check
+# per diagram base: the kinds of its objects and arrows
 _BASES = {
-    "monoid": ("monoid", "hom", fpcm_cat.diagram_problems),
-    "space": ("space", "space_morphism", ss.diagram_problems),
-    "system": ("system", "system_morphism", asys.diagram_problems),
+    "monoid": ("monoid", "hom"),
+    "space": ("space", "space_morphism"),
+    "system": ("system", "system_morphism"),
 }
 
 
@@ -179,13 +178,14 @@ def _parse_diagram(doc, bundle, where) -> Diagram:
         raise SchemaError(f"{where}: field 'arrows' has wrong type")
     if over not in _BASES:
         raise SchemaError(f"{where}: unknown diagram base {over!r}")
-    object_kind, arrow_kind, check = _BASES[over]
+    object_kind, arrow_kind = _BASES[over]
     d = Diagram(
         shape,
         {o: bundle.get(n, object_kind) for o, n in objects.items()},
         {a: bundle.get(n, arrow_kind) for a, n in arrows.items()},
     )
-    problems = check(d)
+    # the shape only: parsing checked every object and arrow as it built them
+    problems = d.problems(object_kind, lambda a: [])
     if problems:
         raise SchemaError(f"{where}: " + "; ".join(problems))
     return d
@@ -278,8 +278,22 @@ def hom_doc(h: BasicHom, source: str, target: str) -> dict:
         "kind": "hom",
         "source": source,
         "target": target,
-        "image": {e: h(e) for e in h.source.events},
+        "image": _image(h),
     }
+
+
+def _image(h: BasicHom) -> dict:
+    """``h``'s image of each source event; a short image raises ``InvalidHom``."""
+    events = h.source.events
+    if len(h.image) < len(events):
+        h(events[len(h.image)])
+    return h.mapping
+
+
+def _state_map(m) -> dict:
+    """A morphism's image of each source state, star written as ``None``."""
+    states = m.source.states
+    return {x: None if y == STAR else y for x, y in zip(states, map(m.state, states))}
 
 
 def space_doc(s: ss.StateSpace, monoid: str) -> dict:
@@ -295,7 +309,7 @@ def space_morphism_doc(m: ss.StateSpaceMorphism, source: str, target: str) -> di
         "source": source,
         "target": target,
         "events": {e: m.monoid_part(e) for e in m.source.monoid.events},
-        "states": {x: (None if m.state(x) == STAR else m.state(x)) for x in m.source.states},
+        "states": _state_map(m),
     }
 
 
@@ -306,7 +320,8 @@ def system_doc(a: asys.WeakAsyncSystem) -> dict:
         "initial": None if a.initial == STAR else a.initial,
         "events": a.monoid.events,
         "independence": a.monoid.pairs(),
-        "transitions": [[s, e, t] for (s, e), t in sorted(a.transitions.items())],
+        # flat (state, event, target) rows: tuples with a str first sort on CPython's fast path
+        "transitions": sorted(map(tuple.__add__, a.transitions, zip(a.transitions.values()))),
     }
 
 
@@ -316,9 +331,7 @@ def system_morphism_doc(m: asys.SystemMorphism, source: str, target: str) -> dic
         "source": source,
         "target": target,
         "events": dict(m.event_part),
-        "states": {
-            x: (None if m.state(x) == STAR else m.state(x)) for x in m.source.states
-        },
+        "states": _state_map(m),
     }
 
 
@@ -343,15 +356,31 @@ def dumps(payload: dict) -> str:
     it, plus a newline, byte for byte.  ``indent`` forces ``json``'s
     pure-Python encoder, so this writer appends string pieces to one list,
     joined once: no byte is copied again per nesting level.  Dict keys are
-    sorted.  Strings are quoted by ``json``'s C quoting; a list of strings,
-    or of equal-width rows of strings, is one ``str.join``, and a list of
-    rows quotes each of its distinct names once.  A key that is not a str,
-    or a value that is not a str, int, bool, None, dict, list or tuple,
-    raises ``TypeError``."""
+    sorted.  A name is plain when it is printable ASCII without ``"`` or
+    ``\\``, which JSON writes as it is.  A list of equal-width rows of plain
+    names, a list of at least ``_BULK`` of them, or a dict of at least
+    ``_BULK`` of them to them or ``None`` is checked by one pass over its
+    joined names and written by one ``str.join`` whose separators carry the
+    quotes; a ``None`` goes through the placeholder ``"\\x00"``, which no
+    plain name holds.  Other strings are quoted by ``json``'s C quoting, each
+    distinct name of a row list once.  A key that is not a str, or a value
+    that is not a str, int, bool, None, dict, list or tuple, raises
+    ``TypeError``."""
     out: list = []
     _write(payload, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+# the bytes of plain names: printable ASCII but for the quote and the backslash
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+_HOLE = {None: "\0"}  # a None value of a name map, written as a name until replaced by null
+_BULK = 8  # a shorter list or map is quoted name by name, which costs less than a check and a join
+
+
+def _plain(names: str, holes: int = 0) -> bool:
+    """Whether ``names`` is plain but for exactly ``holes`` placeholder NULs."""
+    return names.isascii() and names.encode().translate(None, _PLAIN) == b"\0" * holes
 
 
 def _write(v, nl: str, out: list) -> None:
@@ -368,7 +397,19 @@ def _write(v, nl: str, out: list) -> None:
         out.append("{}" if isinstance(v, dict) else "[]")
     elif isinstance(v, dict):
         inner = nl + "  "
-        for i, k in enumerate(sorted(v)):
+        keys = sorted(v)
+        if len(keys) >= _BULK and ((first := v[keys[0]]) is None or isinstance(first, str)):  # maybe a name map
+            values = list(map(v.__getitem__, keys))
+            try:  # TypeError: a key or value that is not a str, or a value that is unhashable
+                filled = list(map(_HOLE.get, values, values))
+                plain = _plain("".join(keys) + "".join(filled), values.count(None))
+            except TypeError:
+                plain = False
+            if plain:
+                body = '"' + ('",' + inner + '"').join(map('": "'.join, zip(keys, filled))) + '"'
+                out += "{", inner, body.replace('"\0"', "null"), nl, "}"
+                return
+        for i, k in enumerate(keys):
             out.append(("," if i else "{") + inner + _quote(k) + ": ")
             _write(v[k], inner, out)
         out.append(nl + "}")
@@ -377,16 +418,20 @@ def _write(v, nl: str, out: list) -> None:
         sep = "," + inner
         try:  # TypeError: an element that is not a str; ValueError: rows of unequal widths
             if not isinstance(v[0], (list, tuple)):
-                out += "[", inner, sep.join(map(_quote, v)), nl, "]"
+                q = '"' if len(v) >= _BULK and _plain("".join(v)) else ""
+                out += "[", inner, q, (q + sep + q).join(v if q else map(_quote, v)), q, nl, "]"
                 return
             (width,) = set(map(len, v))
             if width and set(map(type, v)) <= {list, tuple}:
-                flat = list(chain.from_iterable(v))
-                names = set(flat)
-                quoted = dict(zip(names, map(_quote, names)))
-                rows = zip(*[map(quoted.__getitem__, flat)] * width)
-                between = inner + "]" + sep + "[" + inner + "  "
-                out += "[", inner, "[", inner, "  ", between.join(map((sep + "  ").join, rows)), inner, "]", nl, "]"
+                if _plain("".join(map("".join, v))):
+                    q, rows = '"', v
+                else:  # each distinct name quoted once
+                    q, flat = "", list(chain.from_iterable(v))
+                    names = set(flat)
+                    quoted = dict(zip(names, map(_quote, names)))
+                    rows = zip(*[map(quoted.__getitem__, flat)] * width)
+                between = q + inner + "]" + sep + "[" + inner + "  " + q
+                out += "[", inner, "[", inner, "  " + q, between.join(map((q + sep + "  " + q).join, rows)), q + inner, "]", nl, "]"
                 return
         except (TypeError, ValueError):
             pass

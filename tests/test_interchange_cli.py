@@ -1,20 +1,22 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyntrace import interchange as ix, state_space
+from asyntrace import async_system, interchange as ix, state_space
 from asyntrace.cli import main, parse_word
 from asyntrace.errors import (
     DanglingReference,
+    InvalidHom,
     ParseError,
     SchemaError,
 )
-from asyntrace.trace_core import STAR, free_monoid, make_monoid
+from asyntrace.trace_core import STAR, BasicHom, free_monoid, make_monoid
 
 import oracles
 
@@ -221,6 +223,22 @@ class TestRoundTrip:
         assert b2.get("tbl") == b.get("tbl")
 
 
+class TestDocuments:
+    def test_hom_doc_of_a_short_image_raises(self):
+        h = BasicHom(free_monoid("ab"), free_monoid("c"), ("c",))
+        with pytest.raises(InvalidHom):
+            ix.hom_doc(h, "m", "n")
+
+    def test_system_doc_lists_transitions_in_sorted_order(self):
+        rng = random.Random(19)
+        m = make_monoid("abcd", [("a", "b"), ("c", "d")])
+        for _ in range(20):
+            s = oracles.random_space(rng, m, max_states=12)
+            a = async_system.WeakAsyncSystem(s.states, s.states[0], m, s.action)
+            rows = ix.system_doc(a)["transitions"]
+            assert rows == [(x, e, y) for (x, e), y in sorted(a.transitions.items())]
+
+
 class Name(str):
     """A ``str`` subclass, which ``json`` writes as a plain string."""
 
@@ -241,6 +259,35 @@ MIXED_ROWS = st.lists(
     max_size=4,
 )
 ROWS = NAMED_ROWS | MIXED_ROWS
+# names that JSON writes as they are, and ones with a character it escapes
+PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters='"\\'), max_size=3) | st.just("null")
+ESCAPED = st.builds(lambda n, c: n + c, PLAIN, st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001f600"]))
+
+
+def _spoil(names, bad, at):
+    """``names`` with the one that ``at`` picks replaced by ``bad``, unless that is None."""
+    if bad is not None:
+        names[at % len(names)] = bad
+    return names
+
+
+def _rows(names, width):
+    """``names`` cut into rows of ``width``, every other row a tuple."""
+    rows = [names[i : i + width] for i in range(0, len(names) - width + 1, width)]
+    return [tuple(r) if i % 2 else r for i, r in enumerate(rows)]
+
+
+# long enough to be written by one join: plain but for at most one name
+LONG_NAMES = st.builds(
+    _spoil, st.lists(PLAIN | PLAIN.map(Name), min_size=ix._BULK, max_size=ix._BULK + 6), st.none() | ESCAPED, st.integers(0, 99)
+)
+MIXED_NAMES = LONG_NAMES | st.builds(_rows, LONG_NAMES, st.integers(1, 3))
+LONG_ENTRIES = st.lists(
+    st.tuples(PLAIN | PLAIN.map(Name), PLAIN | st.none()), min_size=ix._BULK, max_size=ix._BULK + 6, unique_by=lambda kv: kv[0]
+)
+NAME_MAPS = st.dictionaries(STRS, STRS | st.none(), max_size=4) | st.builds(
+    _spoil, LONG_ENTRIES, st.none() | st.tuples(ESCAPED, PLAIN) | st.tuples(PLAIN, ESCAPED), st.integers(0, 99)
+).map(dict)
 
 
 def _nest(rows, wrappers):
@@ -252,7 +299,7 @@ def _nest(rows, wrappers):
 # a list of rows at least 6 containers deep
 DEEP_ROWS = st.builds(_nest, ROWS, st.lists(st.booleans(), min_size=6, max_size=8))
 TREES = st.recursive(
-    SCALARS | st.lists(STRS, max_size=4) | ROWS | DEEP_ROWS,
+    SCALARS | st.lists(STRS, max_size=4) | ROWS | DEEP_ROWS | MIXED_NAMES | NAME_MAPS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(STRS, kids, max_size=4),
     max_leaves=24,
 )
@@ -280,6 +327,34 @@ class TestDumps:
     )
     def test_rows_that_are_not_string_rows(self, payload):
         assert ix.dumps(payload) == oracles.reference_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"a": None}, {"a": "\x00", "b": None}, {"b": "null", "a": None}, {"a": None, "b": 1}, ["a", "\x7f"], [["a", "é"]], {"a": Name("b")}],
+    )
+    @pytest.mark.parametrize("pad", [0, ix._BULK], ids=["short", "long"])
+    def test_name_maps_and_names_next_to_escapes(self, payload, pad):
+        """Each case alone, and padded with plain names up to the length that one join writes."""
+        names = [f"p{i}" for i in range(pad)]
+        payload = {**dict.fromkeys(names, "v"), **payload} if isinstance(payload, dict) else names + payload
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+
+    def test_plain_names_are_never_quoted_one_by_one(self, monkeypatch):
+        """No name of a plain row list, or of a plain list or name map as
+        long as ``_BULK``, reaches ``_quote``: only the other dicts' keys do."""
+        names = [f"e{i}" for i in range(ix._BULK)]
+        payload = {
+            "doc": {
+                "events": names,
+                "independence": [[names[i], names[(i + 3) % len(names)]] for i in range(len(names))],
+                "image": dict(zip(names, [None, *names[1:]])),
+            }
+        }
+        calls = []
+        quote = ix._quote
+        monkeypatch.setattr(ix, "_quote", lambda s: calls.append(s) or quote(s))
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+        assert sorted(calls) == ["doc", "events", "image", "independence"]
 
     @pytest.mark.parametrize(
         "payload",
@@ -424,6 +499,28 @@ class TestCli:
         for name in legs:
             assert main(["asys", "morphism-check", str(path), "--morphism", name]) == 0, name
         assert "valid system morphism" in capsys.readouterr().out
+
+    def test_space_colimit_checks_each_arrow_once_at_parse(self, tmp_path, capsys, monkeypatch):
+        # parsing checks each morphism as it builds it and the diagram for
+        # its shape only; state_space.colimit checks each arrow once more
+        docs = {
+            "m": {"kind": "monoid", "events": ["c"], "independence": []},
+            "apex": {"kind": "space", "monoid": "m", "states": ["u"], "action": {"u": {"c": "u"}}},
+            "side": {"kind": "space", "monoid": "m", "states": ["x", "y"], "action": {"x": {"c": "y"}, "y": {"c": "y"}}},
+            "span": {"kind": "shape", "objects": ["apex", "left", "right"], "arrows": [["l", "apex", "left"], ["r", "apex", "right"]]},
+            "d": {"kind": "diagram", "shape": "span", "over": "space", "objects": {"apex": "apex", "left": "side", "right": "side"},
+                  "arrows": {"l": "to_y", "r": "to_y2"}},
+        }
+        for name in ("to_y", "to_y2"):
+            docs[name] = {"kind": "space_morphism", "source": "apex", "target": "side", "events": {"c": "c"}, "states": {"u": "y"}}
+        path = tmp_path / "span.json"
+        path.write_text(json.dumps({"version": 1, "documents": docs}))
+        calls = []
+        real = state_space.validate_morphism
+        monkeypatch.setattr(state_space, "validate_morphism", lambda *a: calls.append(a[0]) or real(*a))
+        assert main(["space", "colimit", str(path), "--diagram", "d", "--bound", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["status"] == "EXACT"
+        assert len(calls) == 4
 
     def test_deterministic_bytes(self, fixtures_dir, tmp_path):
         outs = []

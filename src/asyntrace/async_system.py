@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import state_space
-from .diagrams import Diagram, DiagramShape, refuse
+from .diagrams import Cone, Diagram, discrete, refuse
 from .errors import InvalidBound, InvalidSpace, InvalidSystem, NotAMorphism
 from .fpcm_cat import Category, render_tuple, tag
 from .state_space import (
@@ -205,18 +205,6 @@ def diagram_problems(d: Diagram) -> list[str]:
     return d.problems("system", morphism_violations, validate_system)
 
 
-@dataclass
-class SystemCone:
-    apex: WeakAsyncSystem
-    legs: dict[str, SystemMorphism]
-
-
-@dataclass
-class SystemCocone:
-    apex: WeakAsyncSystem
-    legs: dict[str, SystemMorphism]
-
-
 def _space_to_system_morphism(m: StateSpaceMorphism, src: WeakAsyncSystem, dst: WeakAsyncSystem) -> SystemMorphism:
     event_part = dict(zip(m.monoid_part.source.events, m.monoid_part.image))
     return SystemMorphism(src, dst, event_part, dict(m.state_part))
@@ -227,15 +215,15 @@ def _checked(d: Diagram) -> Diagram:
     return d.map(lambda a: a.space, induced_space_morphism)
 
 
-def product(systems: Sequence[WeakAsyncSystem]) -> SystemCone:
+def product(systems: Sequence[WeakAsyncSystem]) -> Cone:
     """Product system: product of state spaces with the tuple of initial
     states as the distinguished point."""
     systems = list(systems)
-    shape = DiagramShape(tuple(f"o{i}" for i in range(len(systems))), ())
-    return limit(Diagram(shape, {f"o{i}": a for i, a in enumerate(systems)}, {}))
+    shape = discrete(len(systems))
+    return limit(Diagram(shape, dict(zip(shape.objects, systems)), {}))
 
 
-def limit(d: Diagram) -> SystemCone:
+def limit(d: Diagram) -> Cone:
     """State-space limit pointed at the tuple of initial states (star when
     all of them are star).  The apex space is valid by construction, so only
     the initial state is checked."""
@@ -244,10 +232,10 @@ def limit(d: Diagram) -> SystemCone:
     combo = tuple(d.on_objects[o].initial for o in objs)
     apex = _pointed(cone.apex, STAR if all(x == STAR for x in combo) else render_tuple(combo))
     legs = {o: _space_to_system_morphism(cone.legs[o], apex, d.on_objects[o]) for o in objs}
-    return SystemCone(apex, legs)
+    return Cone(apex, legs)
 
 
-def colimit(d: Diagram, bound: int = 8) -> tuple[SystemCocone, SaturationResult]:
+def colimit(d: Diagram, bound: int = 8) -> tuple[Cone, SaturationResult]:
     """State-space colimit with all injected initial states glued into one
     class (star if any component initial is star)."""
     sd = _checked(d)
@@ -261,7 +249,7 @@ def colimit(d: Diagram, bound: int = 8) -> tuple[SystemCocone, SaturationResult]
     initial = sat.class_map[initials[0][0]] if initials and no_star else STAR
     apex = WeakAsyncSystem(sat.space.states, initial, sat.space.monoid, dict(sat.space.action))
     legs = {o: _space_to_system_morphism(res.cocone.legs[o], a, apex) for o, a in zip(objs, systems)}
-    return SystemCocone(apex, legs), sat
+    return Cone(apex, legs), sat
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +279,8 @@ def reachable(a: WeakAsyncSystem) -> WeakAsyncSystem:
 
 def unfold(a: WeakAsyncSystem, depth: int) -> list[tuple[tuple[str, ...], str]]:
     """Canonical traces of length <= depth with their end states, sorted."""
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise InvalidBound(f"unfold depth must be an int, got {depth!r}")
     if depth < 0:
         raise InvalidBound(f"unfold depth must be >= 0, got {depth}")
     if a.initial == STAR:

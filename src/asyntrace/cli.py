@@ -106,7 +106,7 @@ class _Writer:
     def morphism(self, kind: str, m, name: str) -> None:
         """Write ``m``, a morphism between documents of ``kind``, under ``name``."""
         source, target = self.name(kind, m.source, kind), self.name(kind, m.target, kind)
-        self.docs[name] = KINDS[kind][2](m, source, target)
+        self.docs[name] = KINDS[kind][1](m, source, target)
 
 
 _SLICE = 1 << 20  # characters per write
@@ -419,12 +419,11 @@ OPTIONS = {
     "--depth": {"type": int, "required": True},
 }
 
-# per document kind: the kind of its morphisms, the name of its diagrams,
-# and the maker of its morphisms' documents
+# per document kind: the name of its diagrams and the maker of its morphisms' documents
 KINDS = {
-    "monoid": ("hom", "monoid", ix.hom_doc),
-    "space": ("space_morphism", "state-space", ix.space_morphism_doc),
-    "system": ("system_morphism", "system", ix.system_morphism_doc),
+    "monoid": ("monoid", ix.hom_doc),
+    "space": ("state-space", ix.space_morphism_doc),
+    "system": ("system", ix.system_morphism_doc),
 }
 
 
@@ -464,14 +463,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _inputs(cmd: Command, args, bundle) -> tuple:
     """The documents that the options of ``cmd``'s style name."""
-    morphism, noun, _ = KINDS[cmd.kind]
     if cmd.options == "objects":
         return ([bundle.get(name, cmd.kind) for name in args.objects],)
     if cmd.options == "pair":
+        morphism = ix.MORPHISM_KINDS[cmd.kind]
         return bundle.get(args.left, morphism), bundle.get(args.right, morphism)
     d = bundle.get(args.diagram, "diagram")
     if bundle.bases[args.diagram] != cmd.kind:
-        raise SchemaError(f"diagram {args.diagram!r} is not a {noun} diagram")
+        raise SchemaError(f"diagram {args.diagram!r} is not a {KINDS[cmd.kind][0]} diagram")
     return (d,)
 
 

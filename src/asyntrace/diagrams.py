@@ -59,6 +59,16 @@ def cospan() -> DiagramShape:
 
 
 @dataclass
+class Cone:
+    """A limit or colimit of a diagram: its apex, and one leg per diagram
+    object.  For a limit each leg goes out of the apex to its object; for a
+    colimit each goes into the apex from its object."""
+
+    apex: object
+    legs: dict  # diagram object -> morphism
+
+
+@dataclass
 class Diagram:
     """A shape's objects and arrows sent to monoids and homs, to spaces and
     their morphisms, or to systems and theirs."""

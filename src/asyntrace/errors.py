@@ -72,7 +72,7 @@ class SizeLimit(TraceError):
 
 
 class InvalidBound(TraceError):
-    """A negative saturation bound or unfold depth."""
+    """A saturation bound or unfold depth that is not an int >= 0."""
 
 
 class ParseError(TraceError):

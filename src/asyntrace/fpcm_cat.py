@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .diagrams import Diagram, discrete, refuse
+from .diagrams import Cone, Diagram, discrete, refuse
 from .errors import (
     DuplicateEvent,
     MalformedDiagram,
@@ -424,19 +424,7 @@ def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
     return d.problems("monoid", check)
 
 
-@dataclass
-class MonoidCone:
-    apex: TraceMonoid
-    legs: dict[str, BasicHom]  # diagram object -> hom out of apex
-
-
-@dataclass
-class MonoidCocone:
-    apex: TraceMonoid
-    legs: dict[str, BasicHom]  # diagram object -> hom into apex
-
-
-def limit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCone:
+def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     """The limit as the compatible families (Mac Lane, Categories for the
     Working Mathematician, V.2): the generators of the objects' product, in
     its order and with its names, whose components agree along every arrow,
@@ -454,10 +442,10 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCone:
     apex = _ordered_monoid(tuple(gens), pairs)
     legs = {o: BasicHom(apex, m, tuple(None if t[j] == STAR else t[j] for t in gens.values()))
             for j, (o, m) in enumerate(zip(objs, ms))}
-    return MonoidCone(apex, legs)
+    return Cone(apex, legs)
 
 
-def colimit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCocone:
+def colimit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     """The dual of the compatible families: the coproduct of the objects
     modulo the congruence generated by ``tag(src, e) ~ tag(dst, h(e))``
     along every arrow ``h``, the identity class standing for an empty
@@ -472,7 +460,7 @@ def colimit(d: Diagram, flag: Category = Category.FPCM) -> MonoidCocone:
         for e, v in zip(d.on_objects[src].events, d.on_arrows[name].image)
     ]
     res = _closure(cop.monoid, equations, flag)
-    return MonoidCocone(res.monoid, {o: compose(res.quotient, inj) for o, inj in zip(objs, cop.injections)})
+    return Cone(res.monoid, {o: compose(res.quotient, inj) for o, inj in zip(objs, cop.injections)})
 
 
 # ---------------------------------------------------------------------------

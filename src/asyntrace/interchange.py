@@ -23,17 +23,8 @@ from .trace_core import STAR, BasicHom, TraceMonoid, make_hom, make_monoid
 
 VERSION = 1
 
-KINDS = (
-    "monoid",
-    "hom",
-    "space",
-    "space_morphism",
-    "system",
-    "system_morphism",
-    "shape",
-    "diagram",
-    "monoid_table",
-)
+# per object kind, the kind of its morphisms; a diagram is over one of these
+MORPHISM_KINDS = {"monoid": "hom", "space": "space_morphism", "system": "system_morphism"}
 
 
 @dataclass
@@ -96,7 +87,7 @@ def _name_map(doc, field, where) -> dict:
     return mapping
 
 
-def _parse_monoid(doc, where) -> TraceMonoid:
+def _parse_monoid(doc, bundle, where) -> TraceMonoid:
     return make_monoid(_names(doc, "events", where), _tuples(doc, "independence", 2, where))
 
 
@@ -128,7 +119,7 @@ def _parse_space_morphism(doc, bundle, where) -> ss.StateSpaceMorphism:
     return ss.make_space_morphism(src, tgt, monoid_part, state_part)
 
 
-def _parse_system(doc, where) -> asys.WeakAsyncSystem:
+def _parse_system(doc, bundle, where) -> asys.WeakAsyncSystem:
     states = _names(doc, "states", where)
     initial = doc.get("initial")
     if initial is not None and not isinstance(initial, str):
@@ -151,7 +142,7 @@ def _parse_system_morphism(doc, bundle, where) -> asys.SystemMorphism:
     return asys.make_morphism(src, tgt, dict(events), state_part)
 
 
-def _parse_shape(doc, where) -> DiagramShape:
+def _parse_shape(doc, bundle, where) -> DiagramShape:
     objects = _names(doc, "objects", where)
     arrows = tuple(_tuples(doc, "arrows", 3, where))
     shape = DiagramShape(tuple(objects), arrows)
@@ -161,14 +152,6 @@ def _parse_shape(doc, where) -> DiagramShape:
     return shape
 
 
-# per diagram base: the kinds of its objects and arrows
-_BASES = {
-    "monoid": ("monoid", "hom"),
-    "space": ("space", "space_morphism"),
-    "system": ("system", "system_morphism"),
-}
-
-
 def _parse_diagram(doc, bundle, where) -> Diagram:
     shape = bundle.get(_require(doc, "shape", str, where), "shape")
     over = _require(doc, "over", str, where)
@@ -176,22 +159,21 @@ def _parse_diagram(doc, bundle, where) -> Diagram:
     arrows = doc.get("arrows", {})
     if not isinstance(arrows, dict):
         raise SchemaError(f"{where}: field 'arrows' has wrong type")
-    if over not in _BASES:
+    if over not in MORPHISM_KINDS:
         raise SchemaError(f"{where}: unknown diagram base {over!r}")
-    object_kind, arrow_kind = _BASES[over]
     d = Diagram(
         shape,
-        {o: bundle.get(n, object_kind) for o, n in objects.items()},
-        {a: bundle.get(n, arrow_kind) for a, n in arrows.items()},
+        {o: bundle.get(n, over) for o, n in objects.items()},
+        {a: bundle.get(n, MORPHISM_KINDS[over]) for a, n in arrows.items()},
     )
     # the shape only: parsing checked every object and arrow as it built them
-    problems = d.problems(object_kind, lambda a: [])
+    problems = d.problems(over, lambda a: [])
     if problems:
         raise SchemaError(f"{where}: " + "; ".join(problems))
     return d
 
 
-def _parse_table(doc, where) -> MonoidTable:
+def _parse_table(doc, bundle, where) -> MonoidTable:
     elements = _names(doc, "elements", where)
     table = _require(doc, "table", list, where)
     if not all(isinstance(row, list) and all(isinstance(x, str) for x in row) for row in table):
@@ -199,13 +181,19 @@ def _parse_table(doc, where) -> MonoidTable:
     return MonoidTable(tuple(elements), tuple(tuple(row) for row in table))
 
 
-# parse order ensures references resolve regardless of document order
-_PASSES = (
-    ("monoid", "shape", "monoid_table"),
-    ("hom", "space", "system"),
-    ("space_morphism", "system_morphism"),
-    ("diagram",),
-)
+# per document kind: its pass and its parser.  Passes run in order, so a
+# document refers only to kinds of earlier passes, whatever the document order.
+_KINDS = {
+    "monoid": (0, _parse_monoid),
+    "shape": (0, _parse_shape),
+    "monoid_table": (0, _parse_table),
+    "hom": (1, _parse_hom),
+    "space": (1, _parse_space),
+    "system": (1, _parse_system),
+    "space_morphism": (2, _parse_space_morphism),
+    "system_morphism": (2, _parse_system_morphism),
+    "diagram": (3, _parse_diagram),
+}
 
 
 def parse(text: str) -> Bundle:
@@ -224,35 +212,16 @@ def parse(text: str) -> Bundle:
     for name, doc in docs.items():
         if not isinstance(doc, dict) or "kind" not in doc:
             raise SchemaError(f"document {name!r}: missing 'kind'")
-        if doc["kind"] not in KINDS:
-            raise SchemaError(f"document {name!r}: unknown kind {doc['kind']!r}")
-    for pass_kinds in _PASSES:
-        for name, doc in docs.items():
-            kind = doc["kind"]
-            if kind not in pass_kinds:
-                continue
-            where = f"document {name!r}"
-            if kind == "monoid":
-                obj = _parse_monoid(doc, where)
-            elif kind == "shape":
-                obj = _parse_shape(doc, where)
-            elif kind == "monoid_table":
-                obj = _parse_table(doc, where)
-            elif kind == "hom":
-                obj = _parse_hom(doc, bundle, where)
-            elif kind == "space":
-                obj = _parse_space(doc, bundle, where)
-            elif kind == "system":
-                obj = _parse_system(doc, where)
-            elif kind == "space_morphism":
-                obj = _parse_space_morphism(doc, bundle, where)
-            elif kind == "system_morphism":
-                obj = _parse_system_morphism(doc, bundle, where)
-            else:
-                obj = _parse_diagram(doc, bundle, where)
-                bundle.bases[name] = doc["over"]
-            bundle.documents[name] = obj
-            bundle.kinds[name] = kind
+        kind = doc["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise SchemaError(f"document {name!r}: unknown kind {kind!r}")
+    # a stable sort: documents of one pass are parsed in document order
+    for name, doc in sorted(docs.items(), key=lambda item: _KINDS[item[1]["kind"]][0]):
+        kind = doc["kind"]
+        bundle.documents[name] = _KINDS[kind][1](doc, bundle, f"document {name!r}")
+        bundle.kinds[name] = kind
+        if kind == "diagram":
+            bundle.bases[name] = doc["over"]
     return bundle
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import fpcm_cat
-from .diagrams import Diagram, discrete, refuse
+from .diagrams import Cone, Diagram, discrete, refuse
 from .errors import (
     InvalidBound,
     InvalidSpace,
@@ -36,6 +36,7 @@ from .trace_core import (
     BasicHom,
     Trace,
     TraceMonoid,
+    check_word,
     compose,
     extend_normal_form,
     is_independence_preserving,
@@ -71,9 +72,12 @@ def make_space(monoid: TraceMonoid, states: Sequence[str], action) -> StateSpace
 
 
 def act_trace(s: StateSpace, x: str, t: Union[Trace, Sequence[str]]) -> str:
-    letters = t.letters if isinstance(t, Trace) else tuple(t)
-    if isinstance(t, Trace) and t.monoid != s.monoid:
+    if not isinstance(t, Trace):
+        letters = check_word(t, s.monoid)
+    elif t.monoid != s.monoid:
         raise MonoidMismatch("trace is not over the space's monoid")
+    else:
+        letters = t.letters
     if x != STAR and x not in s.states:
         raise UnknownState(f"unknown state {x!r}")
     for e in letters:
@@ -82,19 +86,23 @@ def act_trace(s: StateSpace, x: str, t: Union[Trace, Sequence[str]]) -> str:
 
 
 def validate_space(s: StateSpace) -> list[str]:
-    problems = []
+    """The space's problems; a state, action key or action value that is
+    not made of names is reported alone, before anything reads it."""
+    problems = [f"state {x!r} is not a name" for x in s.states if not isinstance(x, str)]
+    for key, y in s.action.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], str)):
+            problems.append(f"action key {key!r} is not a (state, event) pair of names")
+        elif not isinstance(y, str):
+            problems.append(f"action value {y!r} is not a name")
+    if problems:
+        return problems
     states = set(s.states)
     if len(states) != len(s.states):
         problems.append("duplicate state names")
     if STAR in states:
         problems.append(f"{STAR!r} is reserved and cannot be a state name")
     events = set(s.monoid.events)
-    for key, y in sorted(s.action.items()):
-        try:
-            x, e = key
-        except (TypeError, ValueError):
-            problems.append(f"action key {key!r} is not a (state, event) pair")
-            continue
+    for (x, e), y in sorted(s.action.items()):
         if x not in states:
             problems.append(f"action entry on unknown state {x!r}")
         if e not in events:
@@ -263,13 +271,7 @@ def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
     return d.problems("space", check)
 
 
-@dataclass
-class SpaceCone:
-    apex: StateSpace
-    legs: dict[str, StateSpaceMorphism]
-
-
-def limit(d: Diagram, flag: Category = Category.FPCM) -> SpaceCone:
+def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
     the monoid parts acting on the states of the objects' product, in its
     order and with its names, whose components agree along every arrow,
@@ -286,7 +288,7 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> SpaceCone:
         o: StateSpaceMorphism(apex, s, cone.legs[o], {x: t[j] for x, t in states.items()})
         for j, (o, s) in enumerate(zip(objs, spaces))
     }
-    return SpaceCone(apex, legs)
+    return Cone(apex, legs)
 
 
 def _componentwise(spaces: list[StateSpace], monoid: TraceMonoid, states: dict, images: list) -> StateSpace:
@@ -379,9 +381,10 @@ def term_name(t: Term) -> str:
 
 
 def _is_term(t) -> bool:
-    """Whether ``t`` is star or a (generator name, sequence of events) pair."""
+    """Whether ``t`` is star or a (generator name, sequence of event names) pair."""
     return t == STAR or (
-        isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], (tuple, list))
+        isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str)
+        and isinstance(t[1], (tuple, list)) and all(isinstance(x, str) for x in t[1])
     )
 
 
@@ -443,6 +446,8 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     first access and ``frontier_names()`` renders them, one ``".".join``
     per distinct trace.
     """
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise InvalidBound(f"saturation bound must be an int, got {bound!r}")
     if bound < 0:
         raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
     m = p.monoid
@@ -607,21 +612,15 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
 
 
 @dataclass
-class SpaceCocone:
-    apex: StateSpace
-    legs: dict[str, StateSpaceMorphism]
-
-
-@dataclass
 class SpaceColimitResult:
-    monoid_cocone: fpcm_cat.MonoidCocone
+    monoid_cocone: Cone
     presentation: PresentedAction
     saturation: SaturationResult
-    cocone: SpaceCocone
+    cocone: Cone
 
 
 def build_presentation(
-    d: Diagram, monoid_cocone: fpcm_cat.MonoidCocone, identifications: tuple = ()
+    d: Diagram, monoid_cocone: Cone, identifications: tuple = ()
 ) -> PresentedAction:
     """Presented action of a colimit: tagged states, action rules pushed
     through the colimit cocone, identifications along diagram arrows, then
@@ -679,7 +678,7 @@ def colimit(
         space = d.on_objects[o]
         state_part = {x: sat.class_map[tag(i, x)] for x in space.states}
         legs[o] = StateSpaceMorphism(space, sat.space, monoid_cocone.legs[o], state_part)
-    return SpaceColimitResult(monoid_cocone, presentation, sat, SpaceCocone(sat.space, legs))
+    return SpaceColimitResult(monoid_cocone, presentation, sat, Cone(sat.space, legs))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,9 @@ class TraceMonoid:
 
 def make_monoid(events: Sequence[str], independence: Iterable[Sequence[str]] = ()) -> TraceMonoid:
     events = tuple(events)
+    bad = [e for e in events if not isinstance(e, str)]
+    if bad:
+        raise MalformedRelation(f"event {bad[0]!r} is not a name")
     if len(set(events)) != len(events):
         raise DuplicateEvent(f"duplicate event names in {list(events)}")
     if STAR in events:
@@ -126,10 +129,9 @@ def make_monoid(events: Sequence[str], independence: Iterable[Sequence[str]] = (
             a, b = pair
         except (TypeError, ValueError):
             raise MalformedRelation(f"independence entry {pair!r} is not a pair of events") from None
-        if a not in pos:
-            raise UnknownEvent(f"independence pair mentions unknown event {a!r}")
-        if b not in pos:
-            raise UnknownEvent(f"independence pair mentions unknown event {b!r}")
+        for x in (a, b):
+            if not isinstance(x, str) or x not in pos:
+                raise UnknownEvent(f"independence pair mentions unknown event {x!r}")
         if a == b:
             raise ReflexivePair(f"reflexive independence pair ({a!r}, {b!r})")
         i, j = pos[a], pos[b]
@@ -160,7 +162,7 @@ def check_word(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     letters = tuple(letters)
     position = m._position
     for x in letters:
-        if x not in position:
+        if not isinstance(x, str) or x not in position:
             raise UnknownEvent(f"letter {x!r} not in alphabet {list(m.events)}")
     return letters
 
@@ -408,7 +410,7 @@ def malformed_image(h: BasicHom) -> Optional[str]:
     if len(h.image) != len(h.source.events):
         return f"image has {len(h.image)} entries for {len(h.source.events)} source events"
     for e, v in zip(h.source.events, h.image):
-        if v is not None and v not in h.target._position:
+        if v is not None and (not isinstance(v, str) or v not in h.target._position):
             return f"image of {e!r} is unknown target event {v!r}"
     return None
 
@@ -420,8 +422,7 @@ def identity_hom(m: TraceMonoid) -> BasicHom:
 def apply(h: BasicHom, t: Trace) -> Trace:
     if t.monoid != h.source:
         raise MonoidMismatch("trace is not over the homomorphism's source")
-    letters = [h(x) for x in t.letters]
-    return normalize([x for x in letters if x is not None], h.target)
+    return apply_word(h, t.letters)
 
 
 def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:

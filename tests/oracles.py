@@ -26,7 +26,7 @@ import string
 from collections import deque
 
 from asyntrace import fpcm_cat
-from asyntrace.diagrams import refuse
+from asyntrace.diagrams import Cone, refuse
 from asyntrace.fpcm_cat import TRIVIAL, Category, ProductResult, render_tuple
 from asyntrace import state_space
 from asyntrace.state_space import (
@@ -34,7 +34,6 @@ from asyntrace.state_space import (
     TRUNCATED,
     PresentedAction,
     SaturationResult,
-    SpaceCone,
     SpaceProductResult,
     StateSpace,
     StateSpaceMorphism,
@@ -419,7 +418,7 @@ def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
 # coproducts
 
 
-def reference_limit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCone:
+def reference_limit(d, flag=Category.FPCM) -> Cone:
     """``fpcm_cat.limit`` as it was before compatible families: the product
     over the objects, equalized against the product over the arrow
     codomains, built from the package's own ``product``, ``tupling`` and
@@ -431,15 +430,15 @@ def reference_limit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCone:
     proj = {o: obj_prod.projections[i] for i, o in enumerate(objs)}
     arrows = sorted(d.shape.arrows)
     if not arrows:
-        return fpcm_cat.MonoidCone(obj_prod.monoid, proj)
+        return Cone(obj_prod.monoid, proj)
     arr_prod = fpcm_cat.product([d.on_objects[dst] for _, _, dst in arrows], flag)
     s = fpcm_cat.tupling([proj[dst] for _, _, dst in arrows], arr_prod)
     t = fpcm_cat.tupling([compose(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod)
     _, inclusion = fpcm_cat.equalizer(s, t, flag)
-    return fpcm_cat.MonoidCone(inclusion.source, {o: compose(proj[o], inclusion) for o in objs})
+    return Cone(inclusion.source, {o: compose(proj[o], inclusion) for o in objs})
 
 
-def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
+def reference_space_limit(d, flag=Category.FPCM) -> Cone:
     """``state_space.limit`` as it was before compatible families, built
     from the package's ``product``, ``space_tupling`` and ``equalizer``; a
     regression reference down to the order of action entries."""
@@ -449,17 +448,17 @@ def reference_space_limit(d, flag=Category.FPCM) -> SpaceCone:
     proj = {o: prod.projections[i] for i, o in enumerate(objs)}
     arrows = sorted(d.shape.arrows)
     if not arrows:
-        return SpaceCone(prod.space, proj)
+        return Cone(prod.space, proj)
     arr_prod = state_space.product([d.on_objects[dst] for _, _, dst in arrows], flag)
     s = state_space.space_tupling([proj[dst] for _, _, dst in arrows], arr_prod)
     t = state_space.space_tupling(
         [compose_morphisms(d.on_arrows[name], proj[src]) for name, src, _ in arrows], arr_prod
     )
     apex, incl = state_space.equalizer(s, t, flag)
-    return SpaceCone(apex, {o: compose_morphisms(proj[o], incl) for o in objs})
+    return Cone(apex, {o: compose_morphisms(proj[o], incl) for o in objs})
 
 
-def reference_colimit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCocone:
+def reference_colimit(d, flag=Category.FPCM) -> Cone:
     """``fpcm_cat.colimit`` as it was before the congruence closure: the
     coproduct over the objects, coequalized against the coproduct over the
     arrow domains by two cotuplings, built from the package's own
@@ -471,12 +470,12 @@ def reference_colimit(d, flag=Category.FPCM) -> fpcm_cat.MonoidCocone:
     inj = {o: obj_cop.injections[i] for i, o in enumerate(objs)}
     arrows = sorted(d.shape.arrows)
     if not arrows:
-        return fpcm_cat.MonoidCocone(obj_cop.monoid, inj)
+        return Cone(obj_cop.monoid, inj)
     arr_cop = fpcm_cat.coproduct([d.on_objects[src] for _, src, _ in arrows], flag)
     u = fpcm_cat.cotupling([inj[src] for _, src, _ in arrows], arr_cop)
     v = fpcm_cat.cotupling([compose(inj[dst], d.on_arrows[name]) for name, _, dst in arrows], arr_cop)
     coeq = fpcm_cat.coequalizer(u, v, flag)
-    return fpcm_cat.MonoidCocone(coeq.monoid, {o: compose(coeq.quotient, inj[o]) for o in objs})
+    return Cone(coeq.monoid, {o: compose(coeq.quotient, inj[o]) for o in objs})
 
 
 def check_monoid_order(m: TraceMonoid) -> None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -418,3 +419,17 @@ class TestExploration:
     def test_unfold_negative_depth_is_invalid_bound(self):
         with pytest.raises(InvalidBound, match="unfold depth must be >= 0, got -1"):
             unfold(diamond_system(), -1)
+
+    @pytest.mark.parametrize("depth", [None, 1.5, "1", False])
+    def test_unfold_depth_that_is_not_an_int_is_invalid_bound(self, depth):
+        with pytest.raises(InvalidBound, match=rf"^unfold depth must be an int, got {re.escape(repr(depth))}$"):
+            unfold(diamond_system(), depth)
+
+    def test_colimit_bound_that_is_not_an_int_is_invalid_bound(self):
+        a = make_system(["x"], "x", free_monoid("a"), {})
+        with pytest.raises(InvalidBound, match="must be an int"):
+            colimit(Diagram(discrete(1), {"o0": a}, {}), bound="1")
+
+    def test_state_that_is_not_a_name(self):
+        with pytest.raises(InvalidSystem, match="state 1 is not a name"):
+            make_system([1], 1, free_monoid("a"), {})

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, fpcm_cat, state_space
 from asyntrace.async_system import SystemMorphism
-from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete, parallel_pair, span
+from asyntrace.diagrams import Cone, Diagram, DiagramShape, cospan, discrete, parallel_pair, span
 from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram, TraceError
 from asyntrace.fpcm_cat import Category
 from asyntrace.state_space import StateSpaceMorphism, make_space, make_space_morphism
@@ -134,7 +134,7 @@ class TestProductsAreDiscreteLimits:
         ms = [oracles.random_monoid(rng, 3) for _ in range(k)]
         prod = fpcm_cat.product(ms, flag)
         cone = fpcm_cat.limit(Diagram(discrete(k), {f"o{j}": m for j, m in enumerate(ms)}, {}), flag)
-        assert_same_monoid_cone(fpcm_cat.MonoidCone(prod.monoid, dict(zip(cone.legs, prod.projections))), cone)
+        assert_same_monoid_cone(Cone(prod.monoid, dict(zip(cone.legs, prod.projections))), cone)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(BOTH))
@@ -143,7 +143,7 @@ class TestProductsAreDiscreteLimits:
         spaces = [oracles.random_space(rng, oracles.random_monoid(rng, 3), n=rng.randint(0, 3)) for _ in range(k)]
         prod = state_space.product(spaces, flag)
         cone = state_space.limit(Diagram(discrete(k), {f"o{j}": s for j, s in enumerate(spaces)}, {}), flag)
-        assert_same_space_cone(state_space.SpaceCone(prod.space, dict(zip(cone.legs, prod.projections))), cone)
+        assert_same_space_cone(Cone(prod.space, dict(zip(cone.legs, prod.projections))), cone)
         assert list(prod.state_components) == list(cone.apex.states)
 
 

@@ -113,6 +113,24 @@ class TestSpaceBasics:
         s = diamond_space()
         assert act_trace(s, "x00", normalize("ba", IND)) == "x11"
 
+    @pytest.mark.parametrize("letters", [["z"], ["a", "z"], [["a"]]])
+    def test_act_trace_unknown_letter(self, letters):
+        with pytest.raises(UnknownEvent, match="not in alphabet"):
+            act_trace(diamond_space(), "x00", letters)
+
+    @pytest.mark.parametrize(
+        "states, action, problem",
+        [
+            ([1, 2], {}, "state 1 is not a name; state 2 is not a name"),
+            (["x"], {(1, "a"): "x", ("x", "a"): "x"}, r"action key \(1, 'a'\) is not a \(state, event\) pair of names"),
+            (["x"], {("x",): "x"}, r"action key \('x',\) is not a \(state, event\) pair of names"),
+            (["x"], {("x", "a"): ["x"]}, r"action value \['x'\] is not a name"),
+        ],
+    )
+    def test_names_that_are_not_strings(self, states, action, problem):
+        with pytest.raises(InvalidSpace, match=rf"^{problem}$"):
+            make_space(IND, states, action)
+
 
 class TestSpaceMorphisms:
     def test_identity_and_compose(self):
@@ -341,6 +359,21 @@ class TestSaturation:
     def test_negative_bound_is_invalid_bound(self):
         with pytest.raises(InvalidBound, match="saturation bound must be >= 0, got -1"):
             saturate(PresentedAction(free_monoid("a"), ("g",), ()), -1)
+
+    @pytest.mark.parametrize("bound", ["1", 1.5, True, None])
+    def test_bound_that_is_not_an_int_is_invalid_bound(self, bound):
+        with pytest.raises(InvalidBound, match=rf"^saturation bound must be an int, got {re.escape(repr(bound))}$"):
+            saturate(PresentedAction(free_monoid("a"), ("g",), ()), bound)
+
+    def test_colimit_bound_that_is_not_an_int_is_invalid_bound(self):
+        s = make_space(free_monoid("a"), ["x"], {})
+        with pytest.raises(InvalidBound, match="must be an int"):
+            colimit(Diagram(discrete(1), {"o0": s}, {}), bound=1.5)
+
+    def test_identification_with_a_letter_that_is_not_a_name(self):
+        pair = (("g", (["a"],)), STAR)
+        with pytest.raises(MalformedRelation, match="is not a pair of terms"):
+            saturate(PresentedAction(free_monoid("a"), ("g",), (), (pair,)), 1)
 
     def test_rule_that_is_not_a_triple_is_named(self):
         p = PresentedAction(free_monoid("a"), ("g",), (("g", "a"),))

@@ -128,6 +128,15 @@ class TestMonoidConstruction:
         with pytest.raises(MalformedRelation):
             make_monoid("abc", [bad])
 
+    @pytest.mark.parametrize("events, name", [([1, 2], "1"), ([None], "None"), (["a", ["b"]], r"\['b'\]")])
+    def test_event_that_is_not_a_name_rejected(self, events, name):
+        with pytest.raises(MalformedRelation, match=rf"^event {name} is not a name$"):
+            make_monoid(events)
+
+    def test_pair_of_non_names_is_unknown(self):
+        with pytest.raises(UnknownEvent, match=r"unknown event \['a'\]"):
+            make_monoid("ab", [(["a"], "b")])
+
 
 class TestMonoidIndex:
     def test_caches_stay_out_of_eq_hash_repr(self):
@@ -467,6 +476,11 @@ class TestBasicHom:
         except InvalidHom:
             return
         assert apply_word(h, w) == apply(h, normalize(w, h.source))
+
+    def test_apply_short_image(self):
+        h = dataclasses.replace(identity_hom(MUTEX), image=("a", "b"))
+        with pytest.raises(InvalidHom, match="image has 2 entries for 5 source events"):
+            apply(h, normalize("ae", MUTEX))
 
     def test_apply_word_short_image(self):
         h = dataclasses.replace(identity_hom(MUTEX), image=("a", "b"))

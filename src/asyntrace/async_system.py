@@ -1,18 +1,21 @@
 """Weak asynchronous systems and polygonal morphisms.
 
 A weak asynchronous system is a pointed state space over a trace monoid of
-events together with an initial state (possibly star), with the one extra
-rule that no transition names star as its target.  ``WeakAsyncSystem.space``
-is that state space, so validation, limits and colimits are the state-space
-ones, taken in FPCM_PAR: a polygonal morphism commutes with the actions and
-preserves the independence of events.  Colimits add the comma-category
-gluing of initial states as extra identifications.
+events with one more field, an initial state (possibly star), and the one
+extra rule that no transition names star as its target: ``WeakAsyncSystem``
+is a ``StateSpace`` whose ``action`` is the transition table.  A system
+morphism is a ``StateSpaceMorphism`` between systems that meets three
+conditions: it keeps the initial state, maps transitions to transitions and
+preserves the independence of events.  It is polygonal when it is also a
+space morphism, so validation, limits and colimits are the state-space ones,
+taken in FPCM_PAR, on the system diagram itself.  Colimits add the
+comma-category gluing of initial states as extra identifications.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from . import state_space
 from .diagrams import Cone, Diagram, discrete, refuse
@@ -25,25 +28,15 @@ from .state_space import (
     validate_morphism,
     validate_space,
 )
-from .trace_core import STAR, BasicHom, TraceMonoid, extend_normal_form
+from .trace_core import STAR, BasicHom, extend_normal_form
 
 
 @dataclass
-class WeakAsyncSystem:
-    states: tuple[str, ...]
+class WeakAsyncSystem(StateSpace):
+    """A state space with an initial state; ``action`` is the transition
+    table, (state, event) -> state."""
+
     initial: str  # state name or star
-    monoid: TraceMonoid
-    transitions: dict[tuple[str, str], str]  # (state, event) -> state
-
-    @property
-    def space(self) -> StateSpace:
-        """The underlying state space; it shares the transition table."""
-        return StateSpace(self.monoid, self.states, self.transitions)
-
-    def step(self, s: str, e: str) -> str:
-        if s == STAR:
-            return STAR
-        return self.transitions.get((s, e), STAR)
 
 
 WEAK = "WEAK"
@@ -54,16 +47,16 @@ ATS = "ATS"
 def validate_system(a: WeakAsyncSystem) -> list[str]:
     """The space's problems, an unknown initial state, and transitions into
     star, which a space allows but a system's table does not hold."""
-    problems = validate_space(a.space)
+    problems = validate_space(a)
     if a.initial != STAR and a.initial not in a.states:
         problems.append(f"initial state {a.initial!r} unknown")
-    if STAR in a.transitions.values():
+    if STAR in a.action.values():
         problems.append(f"transition into unknown state {STAR!r}")
     return problems
 
 
 def make_system(states, initial, monoid, transitions) -> WeakAsyncSystem:
-    a = WeakAsyncSystem(tuple(states), initial, monoid, dict(transitions))
+    a = WeakAsyncSystem(monoid, tuple(states), dict(transitions), initial)
     problems = validate_system(a)
     if problems:
         raise InvalidSystem("; ".join(problems))
@@ -73,7 +66,7 @@ def make_system(states, initial, monoid, transitions) -> WeakAsyncSystem:
 def classify(a: WeakAsyncSystem) -> str:
     if a.initial == STAR or not a.states:
         return WEAK
-    occurring = {e for (_, e) in a.transitions}
+    occurring = {e for (_, e) in a.action}
     if all(e in occurring for e in a.monoid.events):
         return ATS
     return BEDNARCZYK
@@ -83,48 +76,32 @@ def from_state_space(s: StateSpace, initial: str) -> WeakAsyncSystem:
     problems = validate_space(s)
     if problems:
         raise InvalidSpace("; ".join(problems))
-    return _pointed(s, initial)
-
-
-def _pointed(s: StateSpace, initial: str) -> WeakAsyncSystem:
-    """The system of a valid space and an initial state, which is checked."""
     if initial != STAR and initial not in s.states:
         raise InvalidSpace(f"initial state {initial!r} unknown")
-    return WeakAsyncSystem(s.states, initial, s.monoid, dict(s.action))
+    return WeakAsyncSystem(s.monoid, s.states, dict(s.action), initial)
 
 
-@dataclass
-class SystemMorphism:
-    """Partial event and state maps, encoded total with sentinels."""
-
-    source: WeakAsyncSystem
-    target: WeakAsyncSystem
-    event_part: dict[str, Optional[str]]  # event -> target event or None
-    state_part: dict[str, str]  # state -> target state or star
-
-    def event(self, e: str) -> Optional[str]:
-        return self.event_part[e]
-
-    def state(self, s: str) -> str:
-        if s == STAR:
-            return STAR
-        return self.state_part[s]
-
-
-def morphism_violations(m: SystemMorphism) -> list[str]:
-    """Check the three morphism conditions; empty list means valid."""
-    a, b = m.source, m.target
+def _map_problems(a: WeakAsyncSystem, b: WeakAsyncSystem, event_part: dict, state_part: dict) -> list[str]:
+    """The events and states that the maps leave out or send outside ``b``."""
     problems = []
     for e in a.monoid.events:
-        if e not in m.event_part:
+        if e not in event_part:
             problems.append(f"event map missing for {e!r}")
-        elif m.event_part[e] is not None and m.event_part[e] not in b.monoid.events:
+        elif event_part[e] is not None and event_part[e] not in b.monoid.events:
             problems.append(f"event map sends {e!r} outside the target")
     for s in a.states:
-        if s not in m.state_part:
+        if s not in state_part:
             problems.append(f"state map missing for {s!r}")
-        elif m.state_part[s] != STAR and m.state_part[s] not in b.states:
+        elif state_part[s] != STAR and state_part[s] not in b.states:
             problems.append(f"state map sends {s!r} outside the target")
+    return problems
+
+
+def morphism_violations(m: StateSpaceMorphism) -> list[str]:
+    """Check the three morphism conditions; empty list means valid."""
+    a, b = m.source, m.target
+    event_part = m.monoid_part.mapping
+    problems = _map_problems(a, b, event_part, m.state_part)
     if problems:
         return problems
     if m.state(a.initial) != b.initial:
@@ -134,8 +111,8 @@ def morphism_violations(m: SystemMorphism) -> list[str]:
     # condition 2, in the pointed reading: along every transition, the image
     # state is the image source acted on by the image event (star absorbing).
     # For total state maps this is exactly "transitions map to transitions".
-    for (s1, e), s2 in sorted(a.transitions.items()):
-        fe = m.event(e)
+    for (s1, e), s2 in sorted(a.action.items()):
+        fe = event_part[e]
         expected = m.state(s1) if fe is None else b.step(m.state(s1), fe)
         if m.state(s2) != expected:
             problems.append(
@@ -143,56 +120,38 @@ def morphism_violations(m: SystemMorphism) -> list[str]:
                 f" ({m.state(s1)!r}, {fe!r}, {m.state(s2)!r})"
             )
     for x, y in a.monoid.pairs():
-        fx, fy = m.event(x), m.event(y)
+        fx, fy = event_part[x], event_part[y]
         if fx is not None and fy is not None and not b.monoid.independent(fx, fy):
             problems.append(f"condition 3: independent pair ({x!r}, {y!r}) maps to dependent pair")
     return problems
 
 
-def is_morphism(m: SystemMorphism) -> bool:
+def is_morphism(m: StateSpaceMorphism) -> bool:
     return not morphism_violations(m)
 
 
-def make_morphism(source, target, event_part, state_part) -> SystemMorphism:
-    m = SystemMorphism(source, target, dict(event_part), dict(state_part))
-    problems = morphism_violations(m)
+def make_morphism(source, target, event_part, state_part) -> StateSpaceMorphism:
+    """The system morphism with these event and state maps (an event to
+    None is erased, a state to star is undefined), checked."""
+    event_part, state_part = dict(event_part), dict(state_part)
+    problems = _map_problems(source, target, event_part, state_part)
+    if not problems:
+        image = tuple(event_part[e] for e in source.monoid.events)
+        m = StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, image), state_part)
+        problems = morphism_violations(m)
     if problems:
         raise NotAMorphism("; ".join(problems))
     return m
 
 
-def event_hom(m: SystemMorphism) -> BasicHom:
-    """The event part as a basic homomorphism (always valid and
-    independence-preserving for a system morphism)."""
-    return BasicHom(
-        m.source.monoid,
-        m.target.monoid,
-        tuple(m.event_part[e] for e in m.source.monoid.events),
-    )
-
-
-def induced_space_morphism(m: SystemMorphism) -> StateSpaceMorphism:
-    """The candidate state-space morphism; equivariance holds iff the system
-    morphism is polygonal."""
-    return StateSpaceMorphism(m.source.space, m.target.space, event_hom(m), dict(m.state_part))
-
-
-def is_polygonal(m: SystemMorphism) -> bool:
-    """A morphism is polygonal when its induced state-space map commutes
+def is_polygonal(m: StateSpaceMorphism) -> bool:
+    """A morphism is polygonal when it is a state-space morphism, commuting
     with the actions: wherever the image state can do the image event (the
     identity included), the source state can do the event."""
     problems = morphism_violations(m)
     if problems:
         raise NotAMorphism("; ".join(problems))
-    return not validate_morphism(induced_space_morphism(m))
-
-
-def compose_system_morphisms(m2: SystemMorphism, m1: SystemMorphism) -> SystemMorphism:
-    event_part = {
-        e: (None if v is None else m2.event_part[v]) for e, v in m1.event_part.items()
-    }
-    state_part = {s: m2.state(m1.state_part[s]) for s in m1.source.states}
-    return SystemMorphism(m1.source, m2.target, event_part, state_part)
+    return not validate_morphism(m)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +164,12 @@ def diagram_problems(d: Diagram) -> list[str]:
     return d.problems("system", morphism_violations, validate_system)
 
 
-def _space_to_system_morphism(m: StateSpaceMorphism, src: WeakAsyncSystem, dst: WeakAsyncSystem) -> SystemMorphism:
-    event_part = dict(zip(m.monoid_part.source.events, m.monoid_part.image))
-    return SystemMorphism(src, dst, event_part, dict(m.state_part))
-
-
-def _checked(d: Diagram) -> Diagram:
-    refuse(diagram_problems(d))
-    return d.map(lambda a: a.space, induced_space_morphism)
+def _pointed(cone: Cone, initial: str, end: str) -> Cone:
+    """A space (co)limit's ``cone`` with its apex pointed at ``initial``
+    (sharing the apex's action) and put at each leg's ``end``."""
+    s = cone.apex
+    apex = WeakAsyncSystem(s.monoid, s.states, s.action, initial)
+    return Cone(apex, {o: replace(m, **{end: apex}) for o, m in cone.legs.items()})
 
 
 def product(systems: Sequence[WeakAsyncSystem]) -> Cone:
@@ -225,31 +182,25 @@ def product(systems: Sequence[WeakAsyncSystem]) -> Cone:
 
 def limit(d: Diagram) -> Cone:
     """State-space limit pointed at the tuple of initial states (star when
-    all of them are star).  The apex space is valid by construction, so only
-    the initial state is checked."""
-    cone = state_space.limit(_checked(d), Category.FPCM_PAR)
-    objs = list(d.shape.objects)
-    combo = tuple(d.on_objects[o].initial for o in objs)
-    apex = _pointed(cone.apex, STAR if all(x == STAR for x in combo) else render_tuple(combo))
-    legs = {o: _space_to_system_morphism(cone.legs[o], apex, d.on_objects[o]) for o in objs}
-    return Cone(apex, legs)
+    all of them are star), a compatible family by condition 1."""
+    refuse(diagram_problems(d))
+    cone = state_space.limit(d, Category.FPCM_PAR)
+    combo = tuple(d.on_objects[o].initial for o in d.shape.objects)
+    return _pointed(cone, STAR if all(x == STAR for x in combo) else render_tuple(combo), "source")
 
 
 def colimit(d: Diagram, bound: int = 8) -> tuple[Cone, SaturationResult]:
     """State-space colimit with all injected initial states glued into one
     class (star if any component initial is star)."""
-    sd = _checked(d)
-    objs = list(d.shape.objects)
-    systems = [d.on_objects[o] for o in objs]
+    refuse(diagram_problems(d))
+    systems = [d.on_objects[o] for o in d.shape.objects]
     initials = [(tag(i, a.initial), ()) for i, a in enumerate(systems) if a.initial != STAR]
-    no_star = len(initials) == len(objs)
+    no_star = len(initials) == len(systems)
     glue = tuple(zip(initials, initials[1:])) if no_star else tuple((t, STAR) for t in initials)
-    res = state_space.colimit(sd, Category.FPCM_PAR, bound, glue)
+    res = state_space.colimit(d, Category.FPCM_PAR, bound, glue)
     sat = res.saturation
     initial = sat.class_map[initials[0][0]] if initials and no_star else STAR
-    apex = WeakAsyncSystem(sat.space.states, initial, sat.space.monoid, dict(sat.space.action))
-    legs = {o: _space_to_system_morphism(res.cocone.legs[o], a, apex) for o, a in zip(objs, systems)}
-    return Cone(apex, legs), sat
+    return _pointed(res.cocone, initial, "target"), sat
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +223,9 @@ def reachable(a: WeakAsyncSystem) -> WeakAsyncSystem:
             frontier = nxt
     states = tuple(s for s in a.states if s in keep)
     transitions = {
-        (s, e): s2 for (s, e), s2 in a.transitions.items() if s in keep and s2 in keep
+        (s, e): s2 for (s, e), s2 in a.action.items() if s in keep and s2 in keep
     }
-    return WeakAsyncSystem(states, a.initial if a.initial in keep else STAR, a.monoid, transitions)
+    return WeakAsyncSystem(a.monoid, states, transitions, a.initial if a.initial in keep else STAR)
 
 
 def unfold(a: WeakAsyncSystem, depth: int) -> list[tuple[tuple[str, ...], str]]:

@@ -133,7 +133,7 @@ def _parse_system(doc, bundle, where) -> asys.WeakAsyncSystem:
     return asys.make_system(states, STAR if initial is None else initial, monoid, transitions)
 
 
-def _parse_system_morphism(doc, bundle, where) -> asys.SystemMorphism:
+def _parse_system_morphism(doc, bundle, where) -> ss.StateSpaceMorphism:
     src = bundle.get(_require(doc, "source", str, where), "system")
     tgt = bundle.get(_require(doc, "target", str, where), "system")
     events = _name_map(doc, "events", where)
@@ -290,16 +290,16 @@ def system_doc(a: asys.WeakAsyncSystem) -> dict:
         "events": a.monoid.events,
         "independence": a.monoid.pairs(),
         # flat (state, event, target) rows: tuples with a str first sort on CPython's fast path
-        "transitions": sorted(map(tuple.__add__, a.transitions, zip(a.transitions.values()))),
+        "transitions": sorted(map(tuple.__add__, a.action, zip(a.action.values()))),
     }
 
 
-def system_morphism_doc(m: asys.SystemMorphism, source: str, target: str) -> dict:
+def system_morphism_doc(m: ss.StateSpaceMorphism, source: str, target: str) -> dict:
     return {
         "kind": "system_morphism",
         "source": source,
         "target": target,
-        "events": dict(m.event_part),
+        "events": dict(zip(m.source.monoid.events, m.monoid_part.image)),
         "states": _state_map(m),
     }
 

@@ -150,11 +150,11 @@ def validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> 
     if bad is not None:
         return [f"monoid part: {bad}"]
     problems = []
-    tgt_states = set(m.target.states)
+    targets = {*m.target.states, STAR}
     for x in m.source.states:
         if x not in m.state_part:
             problems.append(f"state map missing for {x!r}")
-        elif m.state_part[x] != STAR and m.state_part[x] not in tgt_states:
+        elif not isinstance(m.state_part[x], str) or m.state_part[x] not in targets:
             problems.append(f"state map sends {x!r} outside the target")
     if problems:
         return problems

@@ -99,7 +99,7 @@ class TraceMonoid:
     def index(self, e: str) -> int:
         try:
             return self._position[e]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownEvent(f"unknown event {e!r}") from None
 
     def independent(self, a: str, b: str) -> bool:
@@ -163,8 +163,15 @@ def check_word(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     position = m._position
     for x in letters:
         if not isinstance(x, str) or x not in position:
-            raise UnknownEvent(f"letter {x!r} not in alphabet {list(m.events)}")
+            raise _unknown_letter(letters, m)
     return letters
+
+
+def _unknown_letter(letters: Sequence[str], m: TraceMonoid) -> UnknownEvent:
+    """The error for the first letter of ``letters`` that is not an event of
+    ``m``, an unhashable one included; the caller has found that there is one."""
+    x = next(x for x in letters if not isinstance(x, str) or x not in m._position)
+    return UnknownEvent(f"letter {x!r} not in alphabet {list(m.events)}")
 
 
 def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
@@ -186,8 +193,8 @@ def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     dependents = m._dependents
     try:
         word = [position[x] for x in letters]
-    except KeyError as exc:
-        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(events)}") from None
+    except (KeyError, TypeError):
+        raise _unknown_letter(letters, m) from None
     n = len(word)
     last = [-1] * len(events)  # letter code -> its last position read so far
     at = [0] * len(events)  # letter code -> its available position
@@ -240,7 +247,7 @@ def extend_normal_form(u: tuple[str, ...], e: str, m: TraceMonoid) -> tuple[str,
     position = m._position
     try:
         code = position[e]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownEvent(f"letter {e!r} not in alphabet {list(m.events)}") from None
     dependent = m._dependent_events[e]
     k = len(u)
@@ -283,8 +290,8 @@ def _encode(letters: Sequence[str], m: TraceMonoid) -> str:
     codes = m._cones[0]
     try:
         return "".join([codes[x] for x in letters])
-    except KeyError as exc:
-        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(m.events)}") from None
+    except (KeyError, TypeError):
+        raise _unknown_letter(letters, m) from None
 
 
 def equivalent(w1: Sequence[str], w2: Sequence[str], m: TraceMonoid) -> bool:
@@ -352,7 +359,7 @@ class BasicHom:
     def __call__(self, e: str) -> Optional[str]:
         try:
             return self.image[self.source._position[e]]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownEvent(f"unknown event {e!r}") from None
         except IndexError:
             raise InvalidHom(f"no image for event {e!r}: image has {len(self.image)} entries") from None
@@ -438,8 +445,8 @@ def apply_word(h: BasicHom, letters: Sequence[str]) -> Trace:
     image = h.image
     try:
         images = [image[position[x]] for x in letters]
-    except KeyError as exc:
-        raise UnknownEvent(f"letter {exc.args[0]!r} not in alphabet {list(h.source.events)}") from None
+    except (KeyError, TypeError):
+        raise _unknown_letter(letters, h.source) from None
     except IndexError:
         raise InvalidHom(malformed_image(h)) from None
     return Trace(h.target, normal_form([x for x in images if x is not None], h.target))

@@ -15,7 +15,8 @@ equalizer limit driver, for the compatible families of the object product).
 ``reference_dumps`` is the standard library's indented encoder, the judge of
 the container-level JSON writer.  ``check_monoid_order`` recomputes the pair
 caches that the package's monoid constructions preset.  ``enumerate_homs``
-and ``enumerate_system_morphisms`` list every morphism by exhaustive search.
+and ``enumerate_system_morphisms`` list every morphism by exhaustive search,
+and ``system_morphism`` builds one from an event dict without checking it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from asyntrace.state_space import (
     Term,
     compose_morphisms,
 )
-from asyntrace.async_system import SystemMorphism, WeakAsyncSystem
+from asyntrace.async_system import WeakAsyncSystem
 from asyntrace.trace_core import STAR, BasicHom, TraceMonoid, compose, make_hom, make_monoid, normal_form
 
 
@@ -525,6 +526,14 @@ def enumerate_homs(src: TraceMonoid, tgt: TraceMonoid, flag: Category = Category
     return out
 
 
+def system_morphism(a: WeakAsyncSystem, b: WeakAsyncSystem, events: dict, states: dict) -> StateSpaceMorphism:
+    """The system morphism with these event and state maps, unchecked: its
+    monoid part's image lists ``events`` in the order of ``a``'s events, so
+    an event left out shortens it."""
+    image = tuple(events[e] for e in a.monoid.events if e in events)
+    return StateSpaceMorphism(a, b, BasicHom(a.monoid, b.monoid, image), dict(states))
+
+
 def enumerate_system_morphisms(a: WeakAsyncSystem, b: WeakAsyncSystem, polygonal: bool = False):
     """Every system morphism from a to b: each event to an event of b or the
     identity, each state to a state of b or the star, kept when it meets the
@@ -561,7 +570,7 @@ def enumerate_system_morphisms(a: WeakAsyncSystem, b: WeakAsyncSystem, polygonal
                     break
             if ok:
                 del smap[STAR]
-                yield SystemMorphism(a, b, emap, smap)
+                yield system_morphism(a, b, emap, smap)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +625,7 @@ def random_system(rng, max_states=6, max_events=4) -> WeakAsyncSystem:
             break
         del transitions[v]
     initial = rng.choice(states)
-    return WeakAsyncSystem(tuple(states), initial, m, transitions)
+    return WeakAsyncSystem(m, tuple(states), transitions, initial)
 
 
 def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x", n=None) -> StateSpace:

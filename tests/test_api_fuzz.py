@@ -1,12 +1,15 @@
-"""Malformed arguments to the checked constructors and the bounded
-explorations end in a ``TraceError``.
+"""Malformed arguments to the checked constructors, the word functions and
+the bounded explorations end in a ``TraceError``.
 
 Hypothesis draws names that are not strings (numbers, None, bools, bytes,
 tuples, lists), letters outside the alphabet, and bounds or depths that are
 not ints >= 0, mixed with valid ones.  It calls ``make_monoid``,
-``make_hom``, ``make_space``, ``make_system``, ``act_trace``, ``saturate``
-or ``unfold`` on them.  Each call returns or raises a ``TraceError``
-subclass, and a constructor that returns holds only names that are strings.
+``make_hom``, ``make_space``, ``make_space_morphism``, ``make_system``,
+``async_system.make_morphism``, ``normalize``, ``equivalent``,
+``extend_normal_form``, ``act_trace``, ``saturate`` or ``unfold`` on them;
+the morphisms get them as event images and state-map values.  Each call
+returns or raises a ``TraceError`` subclass, and a constructor that returns
+holds only names that are strings.
 """
 
 from __future__ import annotations
@@ -15,10 +18,22 @@ import contextlib
 
 from hypothesis import given, settings, strategies as st
 
-from asyntrace.async_system import make_system, unfold
+from asyntrace.async_system import make_morphism, make_system, unfold
 from asyntrace.errors import TraceError
-from asyntrace.state_space import PresentedAction, act_trace, make_space, saturate
-from asyntrace.trace_core import STAR, free_commutative_monoid, free_monoid, make_hom, make_monoid
+from asyntrace.fpcm_cat import Category
+from asyntrace.state_space import PresentedAction, act_trace, make_space, make_space_morphism, saturate
+from asyntrace.trace_core import (
+    STAR,
+    BasicHom,
+    equivalent,
+    extend_normal_form,
+    free_commutative_monoid,
+    free_monoid,
+    make_hom,
+    make_monoid,
+    normal_form,
+    normalize,
+)
 
 HASHABLE_JUNK = st.one_of(
     st.integers(-2, 2), st.none(), st.booleans(), st.floats(allow_nan=False), st.binary(max_size=1), st.tuples(st.just("a"))
@@ -33,6 +48,14 @@ MONOIDS = st.sampled_from([free_monoid("ab"), free_commutative_monoid("ab"), mak
 TERMS = st.one_of(st.just(STAR), st.tuples(NAMES, st.lists(NAMES, max_size=2)), NAMES)
 IND = make_monoid("ab", [("a", "b")])
 DIAMOND = {("x", "a"): "y", ("x", "b"): "z", ("y", "b"): "w", ("z", "a"): "w"}
+IMAGES = st.one_of(NAMES, st.none())  # event images, None erasing
+TABLES = (  # (monoid, states, initial, action) of valid spaces and systems
+    (IND, "xyzw", "x", DIAMOND),
+    (free_monoid("ab"), "xy", "x", {("x", "a"): "y"}),
+    (free_commutative_monoid("ab"), "x", STAR, {}),
+)
+SPACES = st.sampled_from([make_space(m, states, action) for m, states, _, action in TABLES])
+SYSTEMS = st.sampled_from([make_system(states, initial, m, action) for m, states, initial, action in TABLES])
 
 
 def _names_are_strings(names) -> bool:
@@ -95,3 +118,47 @@ def test_saturate(monoid, generators, rules, identifications, bound):
 def test_unfold(depth):
     with contextlib.suppress(TraceError):
         unfold(make_system("xyzw", "x", IND, DIAMOND), depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), SPACES, SPACES, st.sampled_from(Category))
+def test_make_space_morphism(data, source, target, flag):
+    n = len(source.monoid.events)
+    image = data.draw(st.one_of(st.lists(IMAGES, min_size=n, max_size=n), st.lists(IMAGES, max_size=3)))
+    state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in source.states}))
+    state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
+    with contextlib.suppress(TraceError):
+        make_space_morphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part, flag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), SYSTEMS, SYSTEMS)
+def test_make_morphism(data, source, target):
+    event_part = data.draw(st.fixed_dictionaries({e: IMAGES for e in source.monoid.events}))
+    event_part.update(data.draw(st.dictionaries(KEYS, IMAGES, max_size=2)))
+    state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in source.states}))
+    state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
+    with contextlib.suppress(TraceError):
+        make_morphism(source, target, event_part, state_part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MONOIDS, st.lists(NAMES, max_size=4))
+def test_normalize(monoid, letters):
+    with contextlib.suppress(TraceError):
+        assert _names_are_strings(normalize(letters, monoid).letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MONOIDS, st.lists(NAMES, max_size=4), st.lists(NAMES, max_size=4))
+def test_equivalent(monoid, w1, w2):
+    with contextlib.suppress(TraceError):
+        equivalent(w1, w2, monoid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MONOIDS, st.lists(st.sampled_from("abc"), max_size=4), NAMES)
+def test_extend_normal_form(monoid, word, letter):
+    u = normal_form([x for x in word if x in monoid.events], monoid)
+    with contextlib.suppress(TraceError):
+        assert _names_are_strings(extend_normal_form(u, letter, monoid))

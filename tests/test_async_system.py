@@ -9,14 +9,10 @@ from asyntrace.async_system import (
     ATS,
     BEDNARCZYK,
     WEAK,
-    SystemMorphism,
     WeakAsyncSystem,
     classify,
     colimit,
-    compose_system_morphisms,
-    event_hom,
     from_state_space,
-    induced_space_morphism,
     is_morphism,
     is_polygonal,
     limit,
@@ -27,10 +23,11 @@ from asyntrace.async_system import (
     reachable,
     unfold,
 )
-from asyntrace.diagrams import Diagram, DiagramShape, discrete
+from asyntrace import state_space
+from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete
 from asyntrace.errors import InvalidBound, InvalidSystem, MalformedDiagram, NotAMorphism, TraceError
-from asyntrace.fpcm_cat import Category
-from asyntrace.state_space import EXACT, TRUNCATED, validate_morphism
+from asyntrace.fpcm_cat import Category, tag
+from asyntrace.state_space import EXACT, TRUNCATED, StateSpace, compose_morphisms, validate_morphism
 from asyntrace.trace_core import (
     STAR,
     free_monoid,
@@ -119,14 +116,14 @@ class TestClassify:
 class TestRoundTrip:
     def test_identity_on_diamond(self):
         a = diamond_system()
-        s, init = a.space, a.initial
+        s, init = StateSpace(a.monoid, a.states, a.action), a.initial
         assert from_state_space(s, init) == a
 
     def test_identity_on_random_systems(self):
         rng = random.Random(3)
         for _ in range(50):
             a = oracles.random_system(rng)
-            s, init = a.space, a.initial
+            s, init = StateSpace(a.monoid, a.states, a.action), a.initial
             assert from_state_space(s, init) == a
 
 
@@ -141,30 +138,24 @@ class TestMorphisms:
             {"x00": "t0", "x01": "t0", "x10": "t1", "x11": "t1"},
         )
         assert is_morphism(m)
-        assert is_independence_preserving(event_hom(m))
+        assert is_independence_preserving(m.monoid_part)
 
     def test_initial_condition_violated(self):
-        from asyntrace.async_system import SystemMorphism
-
         a = chain("a", "s")
         b = chain("a", "t")
-        m = SystemMorphism(a, b, {"a": "a"}, {"s0": "t1", "s1": STAR})
+        m = oracles.system_morphism(a, b, {"a": "a"}, {"s0": "t1", "s1": STAR})
         assert any("condition 1" in v for v in morphism_violations(m))
 
     def test_transition_condition_violated(self):
         a = chain("a", "s")
         b = chain("a", "t")
-        from asyntrace.async_system import SystemMorphism
-
-        m = SystemMorphism(a, b, {"a": "a"}, {"s0": "t0", "s1": "t0"})
+        m = oracles.system_morphism(a, b, {"a": "a"}, {"s0": "t0", "s1": "t0"})
         assert any("condition 2" in v for v in morphism_violations(m))
 
     def test_independence_condition_violated(self):
         a = diamond_system()
         b = chain("ab", "t")  # a, b dependent in the target
-        from asyntrace.async_system import SystemMorphism
-
-        m = SystemMorphism(
+        m = oracles.system_morphism(
             a,
             b,
             {"a": "a", "b": "b"},
@@ -184,7 +175,7 @@ class TestMorphisms:
         c = chain("a", "u")
         m1 = make_morphism(a, b, {"a": "a"}, {"s0": "t0", "s1": "t1"})
         m2 = make_morphism(b, c, {"a": "a"}, {"t0": "u0", "t1": "u1"})
-        m = compose_system_morphisms(m2, m1)
+        m = compose_morphisms(m2, m1)
         assert is_morphism(m)
         assert m.state("s1") == "u1"
 
@@ -215,8 +206,7 @@ class TestPolygonal:
             b = oracles.random_system(rng, max_states=5, max_events=3)
             a, m = subsystem_inclusion(rng, b)
             assert is_morphism(m)
-            cand = induced_space_morphism(m)
-            assert is_polygonal(m) == (validate_morphism(cand) == [])
+            assert is_polygonal(m) == (validate_morphism(m) == [])
             checked += 1
         assert checked == 200
 
@@ -226,7 +216,7 @@ class TestPolygonal:
         src = make_system(["x0"], "x0", make_monoid("xy", []), {})
         tgt = make_system(["p0"], "p0", make_monoid("a", []), {})
         m = make_morphism(src, tgt, {"x": "a", "y": None}, {"x0": "p0"})
-        problems = validate_morphism(induced_space_morphism(m))
+        problems = validate_morphism(m)
         assert any("('x0', 'y')" in p for p in problems)
         assert not is_polygonal(m)
 
@@ -238,8 +228,7 @@ class TestPolygonal:
         a = oracles.random_system(rng, max_states=2, max_events=2)
         b = oracles.random_system(rng, max_states=2, max_events=2)
         for m in oracles.enumerate_system_morphisms(a, b):
-            cand = induced_space_morphism(m)
-            assert is_polygonal(m) == (validate_morphism(cand) == [])
+            assert is_polygonal(m) == (validate_morphism(m) == [])
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -255,7 +244,7 @@ class TestPolygonal:
             itertools.product((*b.states, STAR), repeat=len(a.states)),
         )
         assert len(every) == sum(
-            is_morphism(SystemMorphism(a, b, dict(zip(a.monoid.events, e)), dict(zip(a.states, s))))
+            is_morphism(oracles.system_morphism(a, b, dict(zip(a.monoid.events, e)), dict(zip(a.states, s))))
             for e, s in maps
         )
         poly = [m for m in every if is_polygonal(m)]
@@ -263,19 +252,17 @@ class TestPolygonal:
 
 
 def _keys(morphisms):
-    return [(tuple(m.event_part.items()), tuple(m.state_part.items())) for m in morphisms]
+    return [(tuple(m.monoid_part.mapping.items()), tuple(m.state_part.items())) for m in morphisms]
 
 
 def subsystem_inclusion(rng, b):
     """A random subsystem of b (closed under nothing, with transitions
     dropped to restore the diamond) together with its inclusion."""
-    from asyntrace.async_system import SystemMorphism
-
     states = [s for s in b.states if rng.random() < 0.7] or [rng.choice(b.states)]
     kept = set(states)
     trans = {
         (s, e): t
-        for (s, e), t in b.transitions.items()
+        for (s, e), t in b.action.items()
         if s in kept and t in kept and rng.random() < 0.8
     }
 
@@ -300,10 +287,10 @@ def subsystem_inclusion(rng, b):
             break
         del trans[v]
     initial = b.initial if b.initial in kept else rng.choice(states)
-    a = WeakAsyncSystem(tuple(states), initial, b.monoid, trans)
+    a = WeakAsyncSystem(b.monoid, tuple(states), trans, initial)
     # point the source initial at its own image to satisfy condition 1
-    bb = WeakAsyncSystem(b.states, initial, b.monoid, dict(b.transitions))
-    m = SystemMorphism(
+    bb = WeakAsyncSystem(b.monoid, b.states, dict(b.action), initial)
+    m = oracles.system_morphism(
         a, bb, {e: e for e in b.monoid.events}, {s: s for s in states}
     )
     return a, m
@@ -376,17 +363,79 @@ class TestColimit:
         assert sat.class_map["1:q0"] == STAR
 
     def test_self_coequalizer_is_exact(self):
-        from asyntrace.async_system import SystemMorphism
-
         a = make_system(
             ["u", "v"], "u", free_monoid("a"), {("u", "a"): "v", ("v", "a"): "v"}
         )
-        ident = SystemMorphism(a, a, {"a": "a"}, {"u": "u", "v": "v"})
+        ident = oracles.system_morphism(a, a, {"a": "a"}, {"u": "u", "v": "v"})
         shape = DiagramShape(("x", "y"), (("f", "x", "y"), ("g", "x", "y")))
         d = Diagram(shape, {"x": a, "y": a}, {"f": ident, "g": ident})
         cocone, sat = colimit(d, bound=4)
         assert sat.status == EXACT
         assert len(cocone.apex.states) == 2
+
+
+class TestSystemDiagramIsASpaceDiagram:
+    """The system (co)limit is the space (co)limit under FPCM_PAR of the
+    diagram as it is, pointed: the same legs, with the input systems at
+    their ends, and the space apex's action shared, not copied."""
+
+    SHAPES = [pytest.param(cospan(), id="cospan"), pytest.param(discrete(2), id="discrete")]
+
+    @staticmethod
+    def diagram(shape):
+        """Small seeded systems with polygonal morphisms on the arrows."""
+        rng = random.Random(2113)
+        while True:
+            objs = {o: oracles.random_system(rng, max_states=3, max_events=2) for o in shape.objects}
+            arrows = {}
+            for name, src, dst in shape.arrows:
+                pool = list(oracles.enumerate_system_morphisms(objs[src], objs[dst], polygonal=True))
+                if not pool:
+                    break
+                arrows[name] = rng.choice(pool)
+            else:
+                return Diagram(shape, objs, arrows)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The results of ``state_space.<name>`` from here on, in a list."""
+        seen, real = [], getattr(state_space, name)
+
+        def record(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(state_space, name, record)
+        return seen
+
+    @staticmethod
+    def assert_same_legs(got, want, d, legs_out):
+        for o, leg in got.legs.items():
+            assert (leg.monoid_part, leg.state_part) == (want.legs[o].monoid_part, want.legs[o].state_part)
+            apex_end, object_end = (leg.source, leg.target) if legs_out else (leg.target, leg.source)
+            assert apex_end is got.apex and object_end is d.on_objects[o]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_limit(self, shape, monkeypatch):
+        d = self.diagram(shape)
+        want = state_space.limit(d, Category.FPCM_PAR)
+        seen = self.spy(monkeypatch, "limit")
+        got = limit(d)
+        assert (got.apex.states, got.apex.action) == (want.apex.states, want.apex.action)
+        assert got.apex.action is seen[0].apex.action
+        self.assert_same_legs(got, want, d, legs_out=True)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_colimit(self, shape, monkeypatch):
+        d = self.diagram(shape)
+        initials = [(tag(i, d.on_objects[o].initial), ()) for i, o in enumerate(d.shape.objects)]
+        want = state_space.colimit(d, Category.FPCM_PAR, 4, tuple(zip(initials, initials[1:]))).cocone
+        seen = self.spy(monkeypatch, "colimit")
+        got, sat = colimit(d, bound=4)
+        assert (got.apex.states, got.apex.action) == (want.apex.states, want.apex.action)
+        assert got.apex.action is seen[0].cocone.apex.action
+        assert got.apex.initial == sat.class_map[initials[0][0]]
+        self.assert_same_legs(got, want, d, legs_out=False)
 
 
 class TestExploration:

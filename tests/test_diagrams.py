@@ -80,7 +80,7 @@ class TestMonoidDiagram:
 class TestOneDiagramType:
     def test_system_messages_keep_their_order(self):
         # object checks, then missing objects, then the arrow lines
-        broken = WeakAsyncSystem(("s",), "t", free_monoid("a"), {})
+        broken = WeakAsyncSystem(free_monoid("a"), ("s",), {}, "t")
         d = Diagram(parallel_pair(), {"src": broken}, {"f": None})
         assert system_problems(d) == [
             "object 'src': initial state 't' unknown",

@@ -234,9 +234,9 @@ class TestDocuments:
         m = make_monoid("abcd", [("a", "b"), ("c", "d")])
         for _ in range(20):
             s = oracles.random_space(rng, m, max_states=12)
-            a = async_system.WeakAsyncSystem(s.states, s.states[0], m, s.action)
+            a = async_system.WeakAsyncSystem(m, s.states, s.action, s.states[0])
             rows = ix.system_doc(a)["transitions"]
-            assert rows == [(x, e, y) for (x, e), y in sorted(a.transitions.items())]
+            assert rows == [(x, e, y) for (x, e), y in sorted(a.action.items())]
 
 
 class Name(str):

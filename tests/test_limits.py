@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, fpcm_cat, state_space
-from asyntrace.async_system import SystemMorphism
 from asyntrace.diagrams import Cone, Diagram, DiagramShape, cospan, discrete, parallel_pair, span
 from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram, TraceError
 from asyntrace.fpcm_cat import Category
@@ -71,14 +70,14 @@ def random_system_diagram(rng, shape):
         a,
         states=tuple(rename.values()),
         initial=rename[a.initial],
-        transitions={(rename[x], e): rename[y] for (x, e), y in a.transitions.items()},
+        action={(rename[x], e): rename[y] for (x, e), y in a.action.items()},
     )
     on_objects = {o: rng.choice((a, b)) for o in shape.objects}
     on_arrows = {}
     for name, src, dst in shape.arrows:
         s, t = on_objects[src], on_objects[dst]
         states = dict(zip(s.states, t.states))
-        on_arrows[name] = SystemMorphism(s, t, {e: e for e in s.monoid.events}, states)
+        on_arrows[name] = oracles.system_morphism(s, t, {e: e for e in s.monoid.events}, states)
     return Diagram(shape, on_objects, on_arrows)
 
 
@@ -290,7 +289,7 @@ def malform_arrow(rng, base, arrow, how):
     sends its first state outside the target; a monoid arrow, which has no
     state map, gets an unchecked random image instead."""
     if base == "system":
-        events, states = dict(arrow.event_part), dict(arrow.state_part)
+        events, states = arrow.monoid_part.mapping, dict(arrow.state_part)
         first_event = next(iter(events))
         if how == "short image":
             del events[first_event]
@@ -298,7 +297,7 @@ def malform_arrow(rng, base, arrow, how):
             events[first_event] = "zz"
         else:
             states[next(iter(states))] = "zz"
-        return dataclasses.replace(arrow, event_part=events, state_part=states)
+        return oracles.system_morphism(arrow.source, arrow.target, events, states)
     if base == "space" and how == "unchecked state map":
         states = dict(arrow.state_part)
         states[next(iter(states))] = "zz"

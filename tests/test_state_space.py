@@ -167,6 +167,11 @@ class TestSpaceMorphisms:
         with pytest.raises(NotAMorphism, match="equivariance violation"):
             make_space_morphism(s, t, identity_hom(IND), {x: "u" for x in s.states})
 
+    def test_state_map_value_that_is_not_a_name_is_not_a_morphism(self):
+        s = make_space(IND, ["x"], {})
+        with pytest.raises(NotAMorphism, match="^state map sends 'x' outside the target$"):
+            make_space_morphism(s, s, identity_hom(IND), {"x": ["x"]})
+
     def test_fpcm_par_requires_ip_monoid_part(self):
         src_m = make_monoid("ab", [("a", "b")])
         tgt_m = free_monoid("c")
@@ -503,7 +508,7 @@ class TestSaturationReference:
         for o, letters, prefix in (("o0", "abc", "p"), ("o1", "def", "q")):
             m = make_monoid(letters, [rng.choice(list(itertools.combinations(letters, 2)))])
             s = oracles.random_space(rng, m, prefix=prefix, n=5)
-            objects[o] = async_system.WeakAsyncSystem(s.states, s.states[0], m, dict(s.action))
+            objects[o] = async_system.WeakAsyncSystem(m, s.states, dict(s.action), s.states[0])
         seen = []
         real = state_space.saturate
 
@@ -528,7 +533,7 @@ class TestSaturationReference:
         for o, letters, prefix in (("o0", "abc", "p"), ("o1", "def", "q")):
             m = make_monoid(letters, [rng.choice(list(itertools.combinations(letters, 2)))])
             s = oracles.random_space(rng, m, prefix=prefix, n=5)
-            objects[o] = async_system.WeakAsyncSystem(s.states, s.states[0], m, dict(s.action))
+            objects[o] = async_system.WeakAsyncSystem(m, s.states, dict(s.action), s.states[0])
         calls = []
         real = state_space.extend_normal_form
 
@@ -591,7 +596,7 @@ class TestSaturationReference:
             }
             results.append(colimit(Diagram(shape, spaces, arrows), bound=2).saturation)
             systems = {
-                o: async_system.WeakAsyncSystem(s.states, initial, m, dict(s.action))
+                o: async_system.WeakAsyncSystem(m, s.states, dict(s.action), initial)
                 for o, s in spaces.items()
             }
             sys_arrows = {

@@ -408,6 +408,22 @@ class TestUnknownLetter:
         with pytest.raises(UnknownEvent, match=self.MESSAGE):
             apply_word(h, ("a", "z", "y"))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda m: normalize([["a"]], m), id="normalize"),
+            pytest.param(lambda m: equivalent([["a"]], ["a"], m), id="equivalent-left"),
+            pytest.param(lambda m: equivalent(["a"], ["a", ["a"]], m), id="equivalent-right"),
+            pytest.param(lambda m: extend_normal_form((), ["a"], m), id="extend_normal_form"),
+            pytest.param(lambda m: identity_hom(m)(["a"]), id="hom"),
+            pytest.param(lambda m: apply_word(identity_hom(m), ["b", ["a"]]), id="apply_word"),
+            pytest.param(lambda m: m.index(["a"]), id="index"),
+        ],
+    )
+    def test_unhashable_letter_is_named(self, call):
+        with pytest.raises(UnknownEvent, match=r"\['a'\]"):
+            call(MUTEX)
+
 
 class TestTraceOps:
     def test_concat_normalizes(self):

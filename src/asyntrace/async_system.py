@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import state_space
 from .diagrams import Cone, Diagram, discrete, refuse
-from .errors import InvalidBound, InvalidSpace, InvalidSystem, NotAMorphism
+from .errors import InvalidBound, InvalidSystem, NotAMorphism
 from .fpcm_cat import Category, render_tuple, tag
 from .state_space import (
     StateSpace,
@@ -72,15 +72,6 @@ def classify(a: WeakAsyncSystem) -> str:
     return BEDNARCZYK
 
 
-def from_state_space(s: StateSpace, initial: str) -> WeakAsyncSystem:
-    problems = validate_space(s)
-    if problems:
-        raise InvalidSpace("; ".join(problems))
-    if initial != STAR and initial not in s.states:
-        raise InvalidSpace(f"initial state {initial!r} unknown")
-    return WeakAsyncSystem(s.monoid, s.states, dict(s.action), initial)
-
-
 def _map_problems(a: WeakAsyncSystem, b: WeakAsyncSystem, event_part: dict, state_part: dict) -> list[str]:
     """The events and states that the maps leave out or send outside ``b``."""
     problems = []
@@ -124,10 +115,6 @@ def morphism_violations(m: StateSpaceMorphism) -> list[str]:
         if fx is not None and fy is not None and not b.monoid.independent(fx, fy):
             problems.append(f"condition 3: independent pair ({x!r}, {y!r}) maps to dependent pair")
     return problems
-
-
-def is_morphism(m: StateSpaceMorphism) -> bool:
-    return not morphism_violations(m)
 
 
 def make_morphism(source, target, event_part, state_part) -> StateSpaceMorphism:

@@ -80,11 +80,16 @@ class Diagram:
     def problems(self, noun: str, check_arrow: Callable, check_object: Optional[Callable] = None) -> list[str]:
         """The shape's problems, ``check_object``'s, each missing object, and
         per shape arrow: its absence, endpoints other than its objects', and
-        ``check_arrow``'s.  ``noun`` names the objects; monoids have homs."""
+        ``check_arrow``'s, which may read its ends as valid objects, so it
+        runs only between assigned objects without problems.  ``noun`` names
+        the objects; monoids have homs."""
         out = validate_shape(self.shape)
-        if check_object is not None:
-            for o, x in self.on_objects.items():
-                out.extend(f"object {o!r}: {p}" for p in check_object(x))
+        sound = set()
+        for o, x in self.on_objects.items():
+            found = [] if check_object is None else check_object(x)
+            out.extend(f"object {o!r}: {p}" for p in found)
+            if not found:
+                sound.add(o)
         for o in self.shape.objects:
             if o not in self.on_objects:
                 out.append(f"object {o!r} has no {noun} assigned")
@@ -93,11 +98,14 @@ class Diagram:
             if a is None:
                 out.append(f"arrow {name!r} has no {'hom' if noun == 'monoid' else 'morphism'} assigned")
                 continue
+            fits = src in sound and dst in sound
             for end, o, x in (("source", src, a.source), ("target", dst, a.target)):
                 y = self.on_objects.get(o, x)
                 if x is not y and x != y:
                     out.append(f"arrow {name!r}: {end} {noun} mismatch")
-            out.extend(f"arrow {name!r}: {p}" for p in check_arrow(a))
+                    fits = False
+            if fits:
+                out.extend(f"arrow {name!r}: {p}" for p in check_arrow(a))
         return out
 
     def map(self, on_object: Callable, on_arrow: Callable) -> Diagram:

@@ -1,13 +1,13 @@
 """Finite limits and colimits of trace monoids, in two flavours.
 
 ``Category.FPCM`` works with all basic homomorphisms; ``Category.FPCM_PAR``
-restricts to independence-preserving ones.  Products are computed through the
-pointed-relation views (commutativity relation for FPCM, partial independence
-relation for FPCM_PAR), equalizers by generator agreement, coproducts by
-tagged disjoint union, and coequalizers by congruence closure on target
-generators.  Limits are the compatible families of the product's generators;
-colimits are the objects' coproduct modulo the congruence that the arrows
-generate, by the same closure as coequalizers.
+restricts to independence-preserving ones.  Products compare components by
+``pointed_relation`` (the commutativity relation T for FPCM, the partial
+independence relation R for FPCM_PAR), equalizers by generator agreement,
+coproducts by tagged disjoint union, and coequalizers by congruence closure
+on target generators.  Limits are the compatible families of the product's
+generators; colimits are the objects' coproduct modulo the congruence that
+the arrows generate, by the same closure as coequalizers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .diagrams import Cone, Diagram, discrete, refuse
 from .errors import (
     DuplicateEvent,
     MalformedDiagram,
-    MalformedRelation,
     NotAMonoid,
     NotIndependencePreserving,
     NotParallel,
@@ -50,78 +49,6 @@ class Category(Enum):
 
 
 TRIVIAL = make_monoid(())
-
-
-# ---------------------------------------------------------------------------
-# Relation views
-
-
-@dataclass(frozen=True)
-class ComRelView:
-    """Pointed event set with its full commutativity relation T."""
-
-    events: tuple[str, ...]
-    commutativity: frozenset[tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class IndRelView:
-    """Pointed event set with its partial independence relation R."""
-
-    events: tuple[str, ...]
-    partial_independence: frozenset[tuple[str, str]]
-
-
-def to_com_rel(m: TraceMonoid) -> ComRelView:
-    t = {(STAR, STAR)}
-    for e in m.events:
-        t.update([(e, STAR), (STAR, e), (e, e)])
-    for a, b in m.independence:
-        t.update([(a, b), (b, a)])
-    return ComRelView(m.events, frozenset(t))
-
-
-def from_com_rel(v: ComRelView) -> TraceMonoid:
-    t = v.commutativity
-    pointed = set(v.events) | {STAR}
-    for a, b in t:
-        if a not in pointed or b not in pointed:
-            raise MalformedRelation(f"pair ({a!r}, {b!r}) outside the pointed event set")
-        if (b, a) not in t:
-            raise MalformedRelation(f"relation not symmetric at ({a!r}, {b!r})")
-    for a in pointed:
-        if (a, STAR) not in t or (STAR, a) not in t:
-            raise MalformedRelation(f"missing star pair for {a!r}")
-        if (a, a) not in t:
-            raise MalformedRelation(f"missing diagonal pair for {a!r}")
-    pairs = [(a, b) for a, b in t if a != b and a != STAR and b != STAR]
-    return make_monoid(v.events, pairs)
-
-
-def to_ind_rel(m: TraceMonoid) -> IndRelView:
-    r = {(STAR, STAR)}
-    for e in m.events:
-        r.update([(e, STAR), (STAR, e)])
-    for a, b in m.independence:
-        r.update([(a, b), (b, a)])
-    return IndRelView(m.events, frozenset(r))
-
-
-def from_ind_rel(v: IndRelView) -> TraceMonoid:
-    r = v.partial_independence
-    pointed = set(v.events) | {STAR}
-    for a, b in r:
-        if a not in pointed or b not in pointed:
-            raise MalformedRelation(f"pair ({a!r}, {b!r}) outside the pointed event set")
-        if (b, a) not in r:
-            raise MalformedRelation(f"relation not symmetric at ({a!r}, {b!r})")
-        if a == b and a != STAR:
-            raise MalformedRelation(f"reflexive pair on non-star element {a!r}")
-    for a in pointed:
-        if (a, STAR) not in r or (STAR, a) not in r:
-            raise MalformedRelation(f"missing star pair for {a!r}")
-    pairs = [(a, b) for a, b in r if a != STAR and b != STAR]
-    return make_monoid(v.events, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +123,18 @@ class ProductResult:
 
 
 def pointed_relation(m: TraceMonoid, flag: Category) -> frozenset[tuple[str, str]]:
-    """The relation a product compares components by: R under FPCM_PAR, T under FPCM."""
-    if flag is Category.FPCM_PAR:
-        return to_ind_rel(m).partial_independence
-    return to_com_rel(m).commutativity
+    """The relation a product compares components by, on the events and
+    star: star is related to everything and each independent pair both
+    ways.  That is the partial independence relation R under FPCM_PAR; the
+    commutativity relation T under FPCM holds the diagonal too."""
+    rel = {(STAR, STAR)}
+    for e in m.events:
+        rel.update([(e, STAR), (STAR, e)])
+    for a, b in m.independence:
+        rel.update([(a, b), (b, a)])
+    if flag is Category.FPCM:
+        rel.update((e, e) for e in m.events)
+    return frozenset(rel)
 
 
 def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:

@@ -312,14 +312,6 @@ def shape_doc(s: DiagramShape) -> dict:
     }
 
 
-def table_doc(t: MonoidTable) -> dict:
-    return {
-        "kind": "monoid_table",
-        "elements": t.elements,
-        "table": t.table,
-    }
-
-
 def dumps(payload: dict) -> str:
     """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)`` writes
     it, plus a newline, byte for byte.  ``indent`` forces ``json``'s

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -37,7 +37,6 @@ from .trace_core import (
     Trace,
     TraceMonoid,
     check_word,
-    compose,
     extend_normal_form,
     is_independence_preserving,
     malformed_image,
@@ -180,19 +179,6 @@ def make_space_morphism(source, target, monoid_part, state_part, flag=Category.F
     return m
 
 
-def identity_morphism(s: StateSpace) -> StateSpaceMorphism:
-    from .trace_core import identity_hom
-
-    return StateSpaceMorphism(s, s, identity_hom(s.monoid), {x: x for x in s.states})
-
-
-def compose_morphisms(m2: StateSpaceMorphism, m1: StateSpaceMorphism) -> StateSpaceMorphism:
-    if m1.target is not m2.source and m1.target != m2.source:
-        raise MonoidMismatch("composition endpoints do not match")
-    state_part = {x: m2.state(m1.state(x)) for x in m1.source.states}
-    return StateSpaceMorphism(m1.source, m2.target, compose(m2.monoid_part, m1.monoid_part), state_part)
-
-
 # ---------------------------------------------------------------------------
 # Products, equalizers, limits
 
@@ -258,9 +244,9 @@ def equalizer(
 
 
 def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
-    """A space diagram's problems: per arrow, a collapsed independent pair
-    under FPCM_PAR when the monoid part can be read, then
-    ``validate_morphism``'s problems."""
+    """A space diagram's problems: each space's ``validate_space`` problems,
+    then per arrow, a collapsed independent pair under FPCM_PAR when the
+    monoid part can be read, and ``validate_morphism``'s problems."""
 
     def check(m: StateSpaceMorphism) -> list[str]:
         h, out = m.monoid_part, validate_morphism(m)
@@ -268,7 +254,7 @@ def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
             out.insert(0, "not independence-preserving")
         return out
 
-    return d.problems("space", check)
+    return d.problems("space", check, validate_space)
 
 
 def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
@@ -335,29 +321,24 @@ class PresentedAction:
     identifications: tuple[tuple[Union[Term, str], Union[Term, str]], ...] = ()
 
 
+@dataclass
 class SaturationResult:
     """A materialized quotient: ``status`` is EXACT or TRUNCATED, ``space``
     holds the settled classes and their action, and ``class_map`` sends each
     input generator to its state or star.
 
-    ``frontier`` is the tuple of unexplored terms ``(generator, trace)`` in
-    tuple order, and ``frontier_names()`` renders them as ``term_name``
-    does.  Built with a tuple of terms, the result keeps it.  ``saturate``
-    gives buckets instead: the distinct frontier traces, sorted, and per
-    generator with frontier terms, in order, the positions of its traces
-    among them.  Then ``frontier`` decodes the buckets on first access, and
-    ``frontier_names()`` reads them without building any term, with one
-    ``".".join`` per distinct trace.
+    The unexplored terms ``(generator, trace)`` are kept as buckets: the
+    distinct frontier traces, sorted, and per generator with frontier terms,
+    in order, the positions of its traces among them.  ``frontier`` decodes
+    them, on first access, into the tuple of terms in tuple order;
+    ``frontier_names()`` renders them as ``term_name`` does without building
+    any term, with one ``".".join`` per distinct trace.
     """
 
-    def __init__(self, status: str, space: StateSpace, class_map: dict[str, str],
-                 frontier: tuple[Term, ...] = (), *, buckets=None):
-        self.status = status
-        self.space = space
-        self.class_map = class_map
-        self._buckets = buckets
-        if buckets is None:
-            self.frontier = tuple(frontier)
+    status: str
+    space: StateSpace
+    class_map: dict[str, str]
+    _buckets: tuple
 
     @cached_property
     def frontier(self) -> tuple[Term, ...]:
@@ -366,8 +347,6 @@ class SaturationResult:
 
     def frontier_names(self) -> list[str]:
         """The frontier's state names, ``term_name`` of each term, in order."""
-        if self._buckets is None:
-            return [term_name(t) for t in self.frontier]
         traces, buckets = self._buckets
         tails = ["@" + ".".join(t) if t else "" for t in traces]
         return [g + tails[j] for g, positions in buckets for j in positions]
@@ -604,7 +583,7 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     space = StateSpace(m, tuple(names.values()), action)
     class_map = {g: names.get(find(code((g, ()))), STAR) for g in p.generators}
     bucketed = [(g, b) for g, b in zip(gens, buckets) if b]
-    return SaturationResult(status, space, class_map, buckets=(frontier_traces, bucketed))
+    return SaturationResult(status, space, class_map, (frontier_traces, bucketed))
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +592,6 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
 
 @dataclass
 class SpaceColimitResult:
-    monoid_cocone: Cone
-    presentation: PresentedAction
     saturation: SaturationResult
     cocone: Cone
 
@@ -670,15 +647,14 @@ def colimit(
     states of systems."""
     refuse(diagram_problems(d, flag))
     monoid_cocone = fpcm_cat.colimit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
-    presentation = build_presentation(d, monoid_cocone, identifications)
-    sat = saturate(presentation, bound)
+    sat = saturate(build_presentation(d, monoid_cocone, identifications), bound)
     objs = list(d.shape.objects)
     legs = {}
     for i, o in enumerate(objs):
         space = d.on_objects[o]
         state_part = {x: sat.class_map[tag(i, x)] for x in space.states}
         legs[o] = StateSpaceMorphism(space, sat.space, monoid_cocone.legs[o], state_part)
-    return SpaceColimitResult(monoid_cocone, presentation, sat, Cone(sat.space, legs))
+    return SpaceColimitResult(sat, Cone(sat.space, legs))
 
 
 # ---------------------------------------------------------------------------

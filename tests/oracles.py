@@ -16,7 +16,10 @@ equalizer limit driver, for the compatible families of the object product).
 the container-level JSON writer.  ``check_monoid_order`` recomputes the pair
 caches that the package's monoid constructions preset.  ``enumerate_homs``
 and ``enumerate_system_morphisms`` list every morphism by exhaustive search,
-and ``system_morphism`` builds one from an event dict without checking it.
+and ``system_morphism`` builds one from an event dict without checking it;
+``identity_morphism`` and ``compose_morphisms`` build space morphisms for
+the category laws and the universal properties, unchecked.
+``commuting_pairs`` reads the paper's relations T and R off ``equivalent``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import itertools
 import json
 import string
 from collections import deque
+from dataclasses import dataclass
 
 from asyntrace import fpcm_cat
 from asyntrace.diagrams import Cone, refuse
@@ -34,15 +38,24 @@ from asyntrace.state_space import (
     EXACT,
     TRUNCATED,
     PresentedAction,
-    SaturationResult,
     SpaceProductResult,
     StateSpace,
     StateSpaceMorphism,
     Term,
-    compose_morphisms,
 )
 from asyntrace.async_system import WeakAsyncSystem
-from asyntrace.trace_core import STAR, BasicHom, TraceMonoid, compose, make_hom, make_monoid, normal_form
+from asyntrace.errors import InvalidBound, MonoidMismatch
+from asyntrace.trace_core import (
+    STAR,
+    BasicHom,
+    TraceMonoid,
+    compose,
+    equivalent,
+    identity_hom,
+    make_hom,
+    make_monoid,
+    normal_form,
+)
 
 
 def transposition_class(word, m: TraceMonoid) -> frozenset:
@@ -64,6 +77,18 @@ def transposition_class(word, m: TraceMonoid) -> frozenset:
 
 def words_equivalent_bfs(w1, w2, m: TraceMonoid) -> bool:
     return tuple(w2) in transposition_class(w1, m)
+
+
+def commuting_pairs(m: TraceMonoid, flag: Category) -> frozenset:
+    """The pairs of events and star that commute: those with star in them,
+    and those whose two products, ``xy`` and ``yx``, are one trace.  That is
+    T under FPCM; under FPCM_PAR it is R, which leaves out the diagonal of
+    the events."""
+    pointed = (*m.events, STAR)
+    return frozenset(
+        (x, y) for x in pointed for y in pointed
+        if STAR in (x, y) or (equivalent((x, y), (y, x), m) and (flag is Category.FPCM or x != y))
+    )
 
 
 def greedy_normal_form(letters, m: TraceMonoid) -> tuple:
@@ -176,7 +201,18 @@ def _term_key(t) -> tuple:
     return (len(t[1]), t[0], t[1])
 
 
-def reference_saturate(p: PresentedAction, bound: int) -> SaturationResult:
+@dataclass
+class ReferenceSaturation:
+    """``reference_saturate``'s result: the fields of ``SaturationResult``,
+    with the frontier as a tuple of terms."""
+
+    status: str
+    space: StateSpace
+    class_map: dict
+    frontier: tuple
+
+
+def reference_saturate(p: PresentedAction, bound: int) -> ReferenceSaturation:
     """``state_space.saturate`` as it was before its successor table: every
     pass computes ``succ(t, e)`` afresh with a full ``normal_form``, and each
     class's least member is found by a scan.  It is a regression reference
@@ -192,7 +228,7 @@ def reference_saturate(p: PresentedAction, bound: int) -> SaturationResult:
     are closed under every event.
     """
     if bound < 0:
-        raise MalformedDiagram("saturation bound must be >= 0")
+        raise InvalidBound("saturation bound must be >= 0")
     m = p.monoid
     parent: dict = {}
 
@@ -325,7 +361,7 @@ def reference_saturate(p: PresentedAction, bound: int) -> SaturationResult:
     for g in p.generators:
         r = find((g, ()))
         class_map[g] = STAR if r == star_root or r not in names else names[r]
-    return SaturationResult(status, space, class_map, tuple(frontier))
+    return ReferenceSaturation(status, space, class_map, tuple(frontier))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +448,21 @@ def reference_space_product(spaces, flag=Category.FPCM) -> SpaceProductResult:
         state_part = {name: state_components[name][i] for name in states}
         projections.append(StateSpaceMorphism(space, s, mp.projections[i], state_part))
     return SpaceProductResult(space, tuple(projections), mp, state_components)
+
+
+# ---------------------------------------------------------------------------
+# Space morphisms: identities and composites, unchecked
+
+
+def identity_morphism(s: StateSpace) -> StateSpaceMorphism:
+    return StateSpaceMorphism(s, s, identity_hom(s.monoid), {x: x for x in s.states})
+
+
+def compose_morphisms(m2: StateSpaceMorphism, m1: StateSpaceMorphism) -> StateSpaceMorphism:
+    if m1.target is not m2.source and m1.target != m2.source:
+        raise MonoidMismatch("composition endpoints do not match")
+    state_part = {x: m2.state(m1.state(x)) for x in m1.source.states}
+    return StateSpaceMorphism(m1.source, m2.target, compose(m2.monoid_part, m1.monoid_part), state_part)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Malformed arguments to the checked constructors, the word functions and
-the bounded explorations end in a ``TraceError``.
+"""Malformed arguments to the checked constructors, the word functions, the
+bounded explorations and the diagram (co)limits end in a ``TraceError``.
 
 Hypothesis draws names that are not strings (numbers, None, bools, bytes,
 tuples, lists), letters outside the alphabet, and bounds or depths that are
@@ -10,18 +10,37 @@ not ints >= 0, mixed with valid ones.  It calls ``make_monoid``,
 the morphisms get them as event images and state-map values.  Each call
 returns or raises a ``TraceError`` subclass, and a constructor that returns
 holds only names that are strings.
+
+The limits and colimits of spaces and of systems get discrete and one-arrow
+diagrams of spaces and systems built without a check: drawn states and
+action entries on unknown states or events, or with values outside the
+states, are mixed into valid tables.  A diagram with an object that its
+validator faults raises ``MalformedDiagram``; any other returns or raises a
+``TraceError`` subclass.
 """
 
 from __future__ import annotations
 
 import contextlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyntrace.async_system import make_morphism, make_system, unfold
-from asyntrace.errors import TraceError
+from asyntrace import async_system, state_space
+from asyntrace.async_system import WeakAsyncSystem, make_morphism, make_system, unfold, validate_system
+from asyntrace.diagrams import Diagram, DiagramShape, discrete
+from asyntrace.errors import MalformedDiagram, TraceError
 from asyntrace.fpcm_cat import Category
-from asyntrace.state_space import PresentedAction, act_trace, make_space, make_space_morphism, saturate
+from asyntrace.state_space import (
+    PresentedAction,
+    StateSpace,
+    StateSpaceMorphism,
+    act_trace,
+    make_space,
+    make_space_morphism,
+    saturate,
+    validate_space,
+)
 from asyntrace.trace_core import (
     STAR,
     BasicHom,
@@ -162,3 +181,55 @@ def test_extend_normal_form(monoid, word, letter):
     u = normal_form([x for x in word if x in monoid.events], monoid)
     with contextlib.suppress(TraceError):
         assert _names_are_strings(extend_normal_form(u, letter, monoid))
+
+
+DIAGRAM_BASES = {  # base -> the object check and the constructions, each taking (diagram, flag)
+    "space": (validate_space, (state_space.limit, lambda d, flag: state_space.colimit(d, flag, bound=2))),
+    "system": (validate_system, (lambda d, _: async_system.limit(d), lambda d, _: async_system.colimit(d, bound=2))),
+}
+ONE_ARROW = DiagramShape(("o0", "o1"), (("f", "o0", "o1"),))
+
+
+@st.composite
+def unchecked_objects(draw, base):
+    """A valid table with drawn states, action entries and, for a system, an
+    initial state mixed in, built without a check."""
+    m, states, initial, action = draw(st.sampled_from(TABLES))
+    states = (*states, *draw(st.lists(NAMES, max_size=1)))
+    action = {**action, **draw(st.dictionaries(PAIR_KEYS, NAMES, max_size=2))}
+    if base == "space":
+        return StateSpace(m, states, action)
+    return WeakAsyncSystem(m, states, action, draw(st.one_of(st.just(initial), NAMES)))
+
+
+def _unchecked_arrow(data, source, target):
+    """The identity when the ends are one object, half the time; else drawn
+    event images and state-map values."""
+    names = [x for x in source.states if not isinstance(x, list)]  # the ones that can key a state map
+    if source is target and data.draw(st.booleans()):
+        image, state_part = source.monoid.events, {x: x for x in names}
+    else:
+        n = len(source.monoid.events)
+        image = data.draw(st.lists(IMAGES, min_size=n, max_size=n))
+        state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in names}))
+    return StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(DIAGRAM_BASES)), st.sampled_from([discrete(1), discrete(2), ONE_ARROW]),
+       st.sampled_from(Category), st.booleans())
+def test_diagram_limit_and_colimit(data, base, shape, flag, loop):
+    check, constructions = DIAGRAM_BASES[base]
+    objects = {o: data.draw(unchecked_objects(base)) for o in shape.objects}
+    if shape.arrows and loop:
+        objects["o1"] = objects["o0"]
+    arrows = {name: _unchecked_arrow(data, objects[src], objects[dst]) for name, src, dst in shape.arrows}
+    d = Diagram(shape, objects, arrows)
+    faulted = any(check(x) for x in objects.values())
+    for construction in constructions:
+        if faulted:
+            with pytest.raises(MalformedDiagram):
+                construction(d, flag)
+        else:
+            with contextlib.suppress(TraceError):
+                construction(d, flag)

@@ -13,7 +13,7 @@ from asyntrace.diagrams import (
     span,
 )
 from asyntrace import fpcm_cat
-from asyntrace.errors import DuplicateEvent, InvalidHom, MalformedRelation, NotAMonoid, SizeLimit, UnknownEvent
+from asyntrace.errors import DuplicateEvent, InvalidHom, NotAMonoid, SizeLimit, UnknownEvent
 from asyntrace.fpcm_cat import (
     Category,
     TRIVIAL,
@@ -22,14 +22,11 @@ from asyntrace.fpcm_cat import (
     coproduct,
     cotupling,
     equalizer,
-    from_com_rel,
-    from_ind_rel,
     limit,
     monoids_isomorphic,
+    pointed_relation,
     product,
     right_adjoint_R,
-    to_com_rel,
-    to_ind_rel,
     tupling,
 )
 from asyntrace.trace_core import (
@@ -57,36 +54,23 @@ def coeq_example():
 
 
 class TestRelationViews:
-    def test_com_rel_round_trip(self):
-        m = make_monoid("abc", [("a", "b")])
-        assert from_com_rel(to_com_rel(m)) == m
+    """The paper's relations T and R, each a view of a monoid's independence."""
 
-    def test_ind_rel_round_trip(self):
-        m = make_monoid("abc", [("a", "c"), ("b", "c")])
-        assert from_ind_rel(to_ind_rel(m)) == m
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(BOTH))
+    def test_pointed_relation_is_the_commuting_pairs(self, seed, flag):
+        m = oracles.random_monoid(random.Random(seed), max_events=4, density=0.5)
+        assert pointed_relation(m, flag) == oracles.commuting_pairs(m, flag)
 
     def test_independence_recovered_from_commutativity(self):
         # I = T minus the diagonal and the star rows
         m = make_monoid("ab", [("a", "b")])
-        v = to_com_rel(m)
         recovered = {
             (a, b)
-            for a, b in v.commutativity
+            for a, b in pointed_relation(m, Category.FPCM)
             if a != b and "*" not in (a, b)
         }
         assert recovered == {("a", "b"), ("b", "a")}
-
-    def test_asymmetric_relation_rejected(self):
-        v = to_com_rel(make_monoid("ab"))
-        bad = type(v)(v.events, v.commutativity | {("a", "b")})
-        with pytest.raises(MalformedRelation):
-            from_com_rel(bad)
-
-    def test_missing_star_pair_rejected(self):
-        v = to_ind_rel(make_monoid("ab"))
-        bad = type(v)(v.events, v.partial_independence - {("a", "*"), ("*", "a")})
-        with pytest.raises(MalformedRelation):
-            from_ind_rel(bad)
 
 
 class TestProduct:
@@ -317,7 +301,7 @@ class TestNoRecheck:
         sub, _ = equalizer(prod.projections[0], BasicHom(p, ms[0], (None,) * 143), flag)
         assert len(sub.events) == 35
         assert calls == []
-        fpcm_cat.from_com_rel(fpcm_cat.to_com_rel(ms[0]))  # the counter is live
+        right_adjoint_R(["1"], [["1"]])  # the counter is live
         assert calls == ["make_monoid"]
 
 

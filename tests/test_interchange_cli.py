@@ -216,7 +216,7 @@ class TestRoundTrip:
         b = ix.parse(json.dumps(FULL_BUNDLE))
         docs = {
             "shape": ix.shape_doc(b.get("shape")),
-            "tbl": ix.table_doc(b.get("tbl")),
+            "tbl": {"kind": "monoid_table", "elements": b.get("tbl").elements, "table": b.get("tbl").table},
         }
         b2 = ix.parse(json.dumps({"version": 1, "documents": docs}))
         assert b2.get("shape") == b.get("shape")

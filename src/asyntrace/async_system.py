@@ -73,7 +73,9 @@ def classify(a: WeakAsyncSystem) -> str:
 
 
 def _map_problems(a: WeakAsyncSystem, b: WeakAsyncSystem, event_part: dict, state_part: dict) -> list[str]:
-    """The events and states that the maps leave out or send outside ``b``."""
+    """The events and states that the maps leave out or send outside ``b``,
+    then the source's initial state and transitions that are not on its own
+    states and events, which the morphism conditions could not read."""
     problems = []
     for e in a.monoid.events:
         if e not in event_part:
@@ -81,10 +83,20 @@ def _map_problems(a: WeakAsyncSystem, b: WeakAsyncSystem, event_part: dict, stat
         elif event_part[e] is not None and event_part[e] not in b.monoid.events:
             problems.append(f"event map sends {e!r} outside the target")
     for s in a.states:
-        if s not in state_part:
+        if not isinstance(s, str):
+            problems.append(f"source state {s!r} is not a name")
+        elif s not in state_part:
             problems.append(f"state map missing for {s!r}")
         elif state_part[s] != STAR and state_part[s] not in b.states:
             problems.append(f"state map sends {s!r} outside the target")
+    states = {s for s in a.states if isinstance(s, str)}
+    if not (a.initial == STAR or isinstance(a.initial, str) and a.initial in states):
+        problems.append(f"source initial state {a.initial!r} unknown")
+    events = set(a.monoid.events)
+    for key, y in a.action.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in states and key[1] in events
+                and isinstance(y, str) and (y == STAR or y in states)):
+            problems.append(f"source transition {key!r} -> {y!r} is not on the source's states and events")
     return problems
 
 

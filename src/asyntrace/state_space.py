@@ -11,7 +11,7 @@ an infinite free extension is never silently cut off.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -331,8 +331,8 @@ class SaturationResult:
     distinct frontier traces, sorted, and per generator with frontier terms,
     in order, the positions of its traces among them.  ``frontier`` decodes
     them, on first access, into the tuple of terms in tuple order;
-    ``frontier_names()`` renders them as ``term_name`` does without building
-    any term, with one ``".".join`` per distinct trace.
+    ``frontier_names()`` renders them without building any term, with one
+    ``".".join`` per distinct trace.
     """
 
     status: str
@@ -346,17 +346,22 @@ class SaturationResult:
         return tuple([(g, traces[j]) for g, positions in buckets for j in positions])
 
     def frontier_names(self) -> list[str]:
-        """The frontier's state names, ``term_name`` of each term, in order."""
+        """The frontier's state names, ``g@a.b`` for ``(g, ("a", "b"))``, in order."""
         traces, buckets = self._buckets
-        tails = ["@" + ".".join(t) if t else "" for t in traces]
+        tails = _tails(traces)
         return [g + tails[j] for g, positions in buckets for j in positions]
 
 
-def term_name(t: Term) -> str:
-    """The state name of a term: ``g`` for ``(g, ())``, ``g@a.b`` for
-    ``(g, ("a", "b"))``."""
-    g, trace = t
-    return g + "@" + ".".join(trace) if trace else g
+def _tails(traces) -> list[str]:
+    """The state-name suffix of each trace: ``""`` for the empty trace,
+    ``"@a.b"`` for ``("a", "b")``; a term's name is its generator plus it."""
+    return ["@" + ".".join(t) if t else "" for t in traces]
+
+
+def _exactly(items, kind, size=None) -> bool:
+    """Whether every item is of type ``kind`` itself (a subclass fails) and,
+    when ``size`` is given, of that length: the plain case, in bulk."""
+    return set(map(type, items)) <= {kind} and (size is None or set(map(len, items)) <= {size})
 
 
 def _is_term(t) -> bool:
@@ -365,6 +370,22 @@ def _is_term(t) -> bool:
         isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str)
         and isinstance(t[1], (tuple, list)) and all(isinstance(x, str) for x in t[1])
     )
+
+
+def _plain_terms(pairs) -> Optional[list]:
+    """The terms other than star of identifications that are all tuples of
+    two terms, each star or a tuple of a str and a tuple of str; None when
+    one is not, so that the per-item scan names it."""
+    if not _exactly(pairs, tuple, 2):
+        return None
+    terms = [t for t in itertools.chain.from_iterable(pairs) if t != STAR]
+    if not _exactly(terms, tuple, 2):
+        return None
+    flat = list(itertools.chain.from_iterable(terms))
+    words = flat[1::2]
+    if _exactly(flat[::2], str) and _exactly(words, tuple) and _exactly(itertools.chain.from_iterable(words), str):
+        return terms
+    return None
 
 
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
@@ -376,54 +397,68 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     their explored successors, star absorbs.  EXACT when the settled classes
     are closed under every event.
 
+    The checks run in bulk: the generators, the rules and the
+    identifications each pass when the types of their items, taken as sets,
+    are exactly ``str`` and tuples of the right length.  Only when that fails
+    (a defect, or a ``str`` subclass or a list, which are accepted) does a
+    scan run, item by item, to name the first defect.
+
     The call keeps a trace table: each canonical trace gets an integer id,
-    and the first time a term on it is extended, a row of its successors by
-    every event, shared by every generator, since the successor of a trace
-    does not depend on its generator.  The row is filled by one-letter
-    ``extend_normal_form``, so it runs once per (trace, event);
-    identifications, whose words are arbitrary, go through ``normal_form``.
-    There is no term table: a term is the integer code ``trace id * width +
-    generator index``, where the generator index is the position among the
-    sorted generators that the presentation names anywhere, and star is the
-    code -1.  A row holds its successor trace ids times ``width``, so the
-    successor codes of a term are its trace's row plus its generator index.
-    ``parent`` and the sort key ``(len(trace), generator, trace)`` are dicts
-    over the present terms (those that belong to the closure), in the order
-    they joined, and ``fpcm_cat.union_find`` works on them.  This is the
-    memoized successor table of congruence closure (Downey, Sethi and
+    the empty trace first, and the first time a term on it is extended, a
+    row of its successors by every event, shared by every generator, since
+    the successor of a trace does not depend on its generator.  The row is
+    filled by one-letter ``extend_normal_form``, so it runs once per (trace,
+    event).  There is no term table: a term is the integer code ``trace id *
+    width + generator index``, where the generator index is the position
+    among the sorted generators that the presentation names anywhere, and
+    star is the code -1; a generator's code is its index.  A row holds its
+    successor trace ids times ``width``, so the successor codes of a term
+    are its trace's row plus its generator index.  The seeds are coded
+    directly; an identification's word goes through ``normal_form`` only
+    when it has at least two letters, since a shorter one is its own normal
+    form.  ``parent`` and the sort key ``(len(trace), generator, trace)`` are
+    dicts over the present terms (those that belong to the closure), in the
+    order they joined, and ``fpcm_cat.union_find`` works on them.  This is
+    the memoized successor table of congruence closure (Downey, Sethi and
     Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2), 1980).
 
-    Each fixpoint pass groups the present terms by class and visits the
-    classes in key order.  ``union`` keeps the term with the smaller key as
-    root, so the root of a class without star is its least member: it names
-    the class and is the term extended at the bound, the root the class had
-    when the pass started.  A class with one member only extends its root,
-    since unions among its successors would be no-ops.
+    Each fixpoint pass visits, in key order, the classes that it can
+    change: the classes of several members, star's class, and the
+    single-member classes below the bound that joined since the previous
+    pass began.  Any other single-member class was visited before, when all
+    its successors joined, or lies at the bound, which it never extends.
+    ``union`` keeps the term with the smaller key as root, so the root of a
+    class without star is its least member: it names the class and is the
+    term extended at the bound, the root the class had when the pass
+    started.  A single-member class only extends its root, since unions
+    among its successors would be no-ops; a run of them between two other
+    visits is extended at once, its new successors joining in order, so the
+    terms join in the order of one visit at a time.
 
-    The last pass changed nothing, so its classes and sorted roots are the
-    final ones, and at that fixpoint the present successors of a class's
-    members by one event all lie in one class.  The classification reads
-    them: a class below the bound takes the class of its root's successor,
-    which the last pass found present.  A class at the bound scans its
-    members for a present successor, unless no present term is deeper than
-    the bound (a deeper one can only come from a rule or an
-    identification): then every successor of the class is unexplored, so
-    each of its events goes to the frontier.  The scan would find no
-    present successor there either; skipping it cuts the colimits
-    benchmark's p90 latency by about a fifth.  The successors of such a
-    trace are read once for all the generators on it, from its row if the
-    closure made one and by ``extend_normal_form`` otherwise, and are not
-    interned: past the bound they would only be named on the frontier.  A
-    name that two classes render raises ``InvalidSpace``.
+    The last pass changed nothing, so its classes are the final ones, and at
+    that fixpoint the present successors of a class's members by one event
+    all lie in one class.  The roots are sorted once, and a state is named
+    by its root's generator and trace, with one ``".".join`` per trace.  The
+    classification reads the classes in the order they joined: a class
+    below the bound takes the class of its root's successor, which the last
+    pass found present.  A class at the bound scans its members for a
+    present successor, unless no present term is deeper than the bound (a
+    deeper one can only come from a rule or an identification): then every
+    successor of the class is unexplored, so each of its events goes to the
+    frontier, and the classes at the bound, a slice of the sorted roots,
+    are not scanned: each hands its trace's row, made once per trace, to
+    the frontier.  A name that two classes render raises ``InvalidSpace``.
 
-    The frontier is collected as a map from each frontier trace to the
-    indices of its generators.  Its distinct traces are sorted once; one
-    pass over them in that order fills, per generator index, a bucket of
-    the positions of its traces, so the buckets, read in generator order,
-    list the frontier in the tuple order of ``(generator, trace)``.  The
-    result keeps the buckets: ``SaturationResult.frontier`` decodes them on
-    first access and ``frontier_names()`` renders them, one ``".".join``
-    per distinct trace.
+    The frontier is collected per generator index, as rows (successor trace
+    ids times ``width``) and single trace ids.  Its distinct traces are
+    sorted once, and each generator's bucket is the sorted set of the
+    positions of its traces among them, so the buckets, read in generator
+    order, list the frontier in the tuple order of ``(generator, trace)``.
+    Generators whose frontier comes from the same rows, as the generators
+    of one system in a free extension often do, share one bucket.  The result
+    keeps the buckets: ``SaturationResult.frontier`` decodes them on first
+    access and ``frontier_names()`` renders them, one ``".".join`` per
+    distinct trace.
     """
     if isinstance(bound, bool) or not isinstance(bound, int):
         raise InvalidBound(f"saturation bound must be an int, got {bound!r}")
@@ -431,31 +466,39 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
     m = p.monoid
     events = m.events
-    bad = [g for g in p.generators if not isinstance(g, str)]
-    if bad:
-        raise MalformedRelation(f"generator {bad[0]!r} is not a name")
-    bad = [rule for rule in p.transitions
-           if not (isinstance(rule, (tuple, list)) and len(rule) == 3 and all(isinstance(x, str) for x in rule))]
-    if bad:
-        raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
-    bad = next((pair for pair in p.identifications
-                if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_term, pair)))), None)
-    if bad is not None:
-        raise MalformedRelation(f"identification {bad!r} is not a pair of terms")
-    named = set(p.generators).union(g for g, _, _ in p.transitions)
-    named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
-    named.update(t[0] for pair in p.identifications for t in pair if t != STAR)
-    if STAR in named:
+    rules, pairs = p.transitions, p.identifications
+    if not _exactly(p.generators, str):
+        bad = [g for g in p.generators if not isinstance(g, str)]
+        if bad:
+            raise MalformedRelation(f"generator {bad[0]!r} is not a name")
+    if not (_exactly(rules, tuple, 3) and _exactly(itertools.chain.from_iterable(rules), str)):
+        bad = [rule for rule in rules
+               if not (isinstance(rule, (tuple, list)) and len(rule) == 3 and all(isinstance(x, str) for x in rule))]
+        if bad:
+            raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
+    terms = _plain_terms(pairs)
+    if terms is None:
+        bad = next((pair for pair in pairs
+                    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_term, pair)))), None)
+        if bad is not None:
+            raise MalformedRelation(f"identification {bad!r} is not a pair of terms")
+        terms = [t for pair in pairs for t in pair if t != STAR]
+    flat = list(itertools.chain.from_iterable(rules))
+    lhs, letters, rhs = flat[::3], flat[1::3], flat[2::3]
+    term_gens = [t[0] for t in terms]
+    if STAR in p.generators or STAR in lhs or STAR in term_gens:
         raise InvalidSpace(f"{STAR!r} is reserved and cannot be a generator name")
-    unknown = sorted({e for _, e, _ in p.transitions}.difference(events))
+    unknown = sorted(set(letters).difference(events))
     if unknown:
         raise UnknownEvent(f"rule event {unknown[0]!r} not in alphabet {list(events)}")
+    named = {*p.generators, *lhs, *rhs, *term_gens}
+    named.discard(STAR)
     gens = sorted(named)
     gen_index = {g: k for k, g in enumerate(gens)}
     width = len(gens)
-    traces: list[tuple[str, ...]] = []  # trace id -> canonical trace
-    trace_ids: dict = {}
-    rows: list = []  # trace id -> successor trace ids times width, by event; None until asked
+    traces: list[tuple[str, ...]] = [()]  # trace id -> canonical trace; a generator's code is its index
+    trace_ids: dict = {(): 0}
+    rows: list = [None]  # trace id -> successor trace ids times width, by event; None until asked
     star = -1
     parent = {star: star}  # present code -> parent code, in the order the terms joined
     keys: dict = {star: (-1, "", ())}  # star sorts first, so it is always its own root
@@ -469,121 +512,142 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
             rows.append(None)
         return i
 
+    def row(i: int) -> list[int]:
+        r = rows[i]
+        if r is None:
+            t = traces[i]
+            r = rows[i] = [trace_id(extend_normal_form(t, e, m)) * width for e in events]
+        return r
+
     def successors(c: int) -> list[int]:
         i, k = divmod(c, width)
-        row = rows[i]
-        if row is None:
-            t = traces[i]
-            row = rows[i] = [trace_id(extend_normal_form(t, e, m)) * width for e in events]
-        return [b + k for b in row]
+        return [b + k for b in row(i)]
+
+    def join(codes) -> bool:
+        """Add the codes that are not present, in order; whether any was."""
+        new = [c for c in dict.fromkeys(codes) if c not in parent]
+        parent.update(zip(new, new))
+        keys.update([(c, (len(t), gens[c % width], t)) for c in new for t in [traces[c // width]]])
+        return bool(new)
 
     def code(t: Union[Term, str]) -> int:
-        return star if t == STAR else trace_id(t[1]) * width + gen_index[t[0]]
+        if t == STAR:
+            return star
+        g, word = t
+        return trace_id(normal_form(word, m) if len(word) > 1 else check_word(word, m)) * width + gen_index[g]
 
-    def add(c: int) -> int:
-        if c not in parent:
-            i, k = divmod(c, width)
-            parent[c] = c
-            keys[c] = (len(traces[i]), gens[k], traces[i])
-        return c
-
-    def groups() -> dict[int, list[int]]:
-        out: dict = {}
-        for t, r in parent.items():
-            out.setdefault(t if r == t else find(t), []).append(t)
-        return out
-
-    for g in p.generators:
-        add(code((g, ())))
-    for g, e, rhs in p.transitions:
-        union(add(code((g, (e,)))), add(code(rhs if rhs == STAR else (rhs, ()))))
-    for pair in p.identifications:
-        union(*[add(code(t if t == STAR else (t[0], normal_form(t[1], m)))) for t in pair])
+    rule_pairs = [(trace_id((e,)) * width + gen_index[g], star if target == STAR else gen_index[target])
+                  for g, e, target in zip(lhs, letters, rhs)]
+    glued = [(code(a), code(b)) for a, b in pairs]
+    join([*map(gen_index.__getitem__, p.generators), *itertools.chain.from_iterable(rule_pairs),
+          *itertools.chain.from_iterable(glued)])
+    for a, b in rule_pairs:
+        union(a, b)
+    for a, b in glued:
+        union(a, b)
     # the closure adds only terms up to the bound, so this holds to the end
-    shallow = max(key[0] for key in keys.values()) <= bound
+    shallow = max(map(len, traces)) <= bound
 
+    seen = 1  # the terms that joined before the previous pass began; star joined first
     changed = True
     while changed:
         changed = False
-        classes = groups()
-        roots = sorted(classes, key=keys.__getitem__)
-        for root in roots:
-            members = classes[root]
+        joined = len(parent)
+        classes: dict = {}  # root of a class of several members -> its other members
+        for t in [t for t, r in parent.items() if r != t]:
+            classes.setdefault(find(t), []).append(t)
+        fresh = [c for c in itertools.islice(parent, seen, joined)
+                 if parent[c] == c and c not in classes and keys[c][0] < bound]
+        seen = joined
+        run: list = []
+        for root in sorted([*classes, *fresh], key=keys.__getitem__):
+            others = classes.get(root)
+            if others is None:
+                run.append(root)
+                continue
+            if run:
+                changed |= join([b + r % width for r in run for b in row(r // width)])
+                run = []
             if root == star:
-                for t in members[1:]:  # star joined first
+                for t in others:
                     for s in successors(t):
                         if s in parent:
                             changed |= union(s, star)
                 continue
-            extend = keys[root][0] < bound
-            if len(members) == 1:
-                if extend:
-                    for s in successors(root):
-                        if s not in parent:
-                            add(s)
-                            changed = True
-                continue
-            columns = zip(*[successors(t) for t in members])
-            for column, s0 in zip(columns, successors(root)):
+            extend_root = keys[root][0] < bound
+            for column in zip(*[[b + t % width for b in row(t // width)] for t in (root, *others)]):
+                if extend_root and column[0] not in parent:  # the root's successor
+                    join(column[:1])
+                    changed = True
                 collected = [s for s in column if s in parent]
-                if extend:
-                    if s0 not in parent:
-                        add(s0)
-                        changed = True
-                    collected.append(s0)
-                for a, b in zip(collected, collected[1:]):
-                    changed |= union(a, b)
+                if len(collected) > 1 and len(set(map(find, collected))) > 1:
+                    for a, b in zip(collected, collected[1:]):
+                        union(a, b)
+                    changed = True
+        if run:
+            changed |= join([b + r % width for r in run for b in row(r // width)])
 
     # name and classify the last pass's classes, then read off the action
-    names = {root: term_name(keys[root][1:]) for root in roots[1:] if keys[root][0] <= bound}  # star sorts first
+    order = list(dict.fromkeys([t if r == t else find(t) for t, r in parent.items()]))  # roots, as classes joined
+    roots = sorted(order, key=keys.__getitem__)  # star first, then by depth
+    at = bisect_left(roots, bound, key=lambda r: keys[r][0])
+    past = bisect_right(roots, bound, lo=at, key=lambda r: keys[r][0])
+    tails = _tails(traces)
+    names = {root: gens[root % width] + tails[root // width] for root in roots[1:past]}
     if len(set(names.values())) < len(names):
-        seen: dict = {}
+        seen_names: dict = {}
         for root, name in names.items():
-            if name in seen:
+            if name in seen_names:
                 raise InvalidSpace(
-                    f"colimit state name {name!r} renders both {keys[seen[name]][1:]!r} and {keys[root][1:]!r}"
+                    f"colimit state name {name!r} renders both {keys[seen_names[name]][1:]!r} and {keys[root][1:]!r}"
                 )
-            seen[name] = root
-    front = defaultdict(set)  # frontier trace -> generator indices
-    at_bound = defaultdict(list)  # trace id -> generator indices of its classes at the bound
+            seen_names[name] = root
+    reach: list = [[] for _ in gens]  # generator index -> rows of its frontier traces
+    for root in roots[past:]:
+        k = root % width
+        reach[k].append((root - k,))
+    if shallow:  # no term past the bound is present: the classes at the bound reach only the frontier
+        at_bound = roots[at:past]
+        for i in {root // width for root in at_bound}:
+            row(i)
+        for root in at_bound:
+            reach[root % width].append(rows[root // width])
+        read = set(roots[1:at])
+    else:
+        read = set(roots[1:past])
     action = {}
-    for root, members in classes.items():
-        if root not in names:
-            if root != star:
-                front[traces[root // width]].add(root % width)
+    for root in order:
+        if root not in read:
             continue
+        succ0 = successors(root)
         if keys[root][0] < bound:
-            succ0 = successors(root)
-            reached = [find(s) for s in succ0]  # the last pass extended the root
-        elif shallow:
-            at_bound[root // width].append(root % width)  # no term past the bound is present
-            continue
+            reached = [s if parent[s] == s else find(s) for s in succ0]  # the last pass extended the root
         else:
-            succ0 = successors(root)
-            columns = zip(*[successors(t) for t in members])
+            columns = zip(*[successors(t) for t in (root, *classes.get(root, ()))])
             reached = [next((find(s) for s in column if s in parent), None) for column in columns]
         name = names[root]
         for e, s0, r in zip(events, succ0, reached):
-            if r in names:
-                action[(name, e)] = names[r]
+            target = names.get(r)
+            if target is not None:
+                action[(name, e)] = target
             elif r != star:
-                front[traces[s0 // width]].add(s0 % width)
-    for i, ks in at_bound.items():
-        row = rows[i]
-        t = traces[i]
-        succ = [extend_normal_form(t, e, m) for e in events] if row is None else [traces[b // width] for b in row]
-        for u in succ:
-            front[u].update(ks)
-    frontier_traces = sorted(front)
-    buckets: list = [[] for _ in gens]  # generator index -> positions of its frontier traces
-    for j, u in enumerate(frontier_traces):
-        for k in front[u]:
-            buckets[k].append(j)
-    status = EXACT if not front else TRUNCATED
+                k = s0 % width
+                reach[k].append((s0 - k,))
+    # generators whose frontier comes from the same rows (one list per trace) share a bucket
+    origins = [tuple(map(id, rs)) for rs in reach]
+    shared: dict = {}  # rows by identity -> their distinct frontier traces (ids times width), then positions
+    for origin, rs in zip(origins, reach):
+        if origin not in shared:
+            shared[origin] = dict.fromkeys(itertools.chain.from_iterable(rs))
+    ranked = sorted(dict.fromkeys(itertools.chain.from_iterable(shared.values())), key=lambda b: traces[b // width])
+    position = {b: j for j, b in enumerate(ranked)}
+    for origin, bs in shared.items():
+        shared[origin] = sorted(map(position.__getitem__, bs))
+    status = EXACT if not ranked else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
-    class_map = {g: names.get(find(code((g, ()))), STAR) for g in p.generators}
-    bucketed = [(g, b) for g, b in zip(gens, buckets) if b]
-    return SaturationResult(status, space, class_map, (frontier_traces, bucketed))
+    class_map = {g: names.get(find(gen_index[g]), STAR) for g in p.generators}
+    bucketed = [(g, shared[origin]) for g, origin in zip(gens, origins) if origin]
+    return SaturationResult(status, space, class_map, ([traces[b // width] for b in ranked], bucketed))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ and ``enumerate_system_morphisms`` list every morphism by exhaustive search,
 and ``system_morphism`` builds one from an event dict without checking it;
 ``identity_morphism`` and ``compose_morphisms`` build space morphisms for
 the category laws and the universal properties, unchecked.
-``commuting_pairs`` reads the paper's relations T and R off ``equivalent``.
+``commuting_pairs`` reads the paper's relations T and R off ``equivalent``,
+``term_name`` names a term as ``saturate`` names its states, and
+``presentation_error`` is the error that ``saturate``'s per-item checks
+raise for a malformed presentation.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from asyntrace.state_space import (
     Term,
 )
 from asyntrace.async_system import WeakAsyncSystem
-from asyntrace.errors import InvalidBound, MonoidMismatch
+from asyntrace.errors import InvalidBound, InvalidSpace, MalformedRelation, MonoidMismatch, UnknownEvent
 from asyntrace.trace_core import (
     STAR,
     BasicHom,
@@ -193,6 +196,58 @@ def pointed_quotient(spaces, maps):
 
 # ---------------------------------------------------------------------------
 # Saturation of a presented action, without the successor table
+
+
+def presentation_error(p: PresentedAction):
+    """The class and message of the error that ``saturate`` raises for
+    ``p`` before it saturates, or None: its per-item checks, in their
+    order, as they ran before ``saturate`` checked in bulk.  Generators
+    that are not names, then rules that are not triples of names, then
+    identifications that are not pairs of terms are each named by the first
+    one; then a generator named star; then the least rule event outside the
+    alphabet; then the first letter outside the alphabet of the first
+    identification word, in order, that has one."""
+    m = p.monoid
+    bad = [g for g in p.generators if not isinstance(g, str)]
+    if bad:
+        return MalformedRelation, f"generator {bad[0]!r} is not a name"
+    bad = [rule for rule in p.transitions
+           if not (isinstance(rule, (tuple, list)) and len(rule) == 3 and all(isinstance(x, str) for x in rule))]
+    if bad:
+        return MalformedRelation, f"rule {bad[0]!r} is not a (generator, event, target) triple of names"
+
+    def is_term(t) -> bool:
+        return t == STAR or (
+            isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str)
+            and isinstance(t[1], (tuple, list)) and all(isinstance(x, str) for x in t[1])
+        )
+
+    bad = next((pair for pair in p.identifications
+                if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_term, pair)))), None)
+    if bad is not None:
+        return MalformedRelation, f"identification {bad!r} is not a pair of terms"
+    named = set(p.generators).union(g for g, _, _ in p.transitions)
+    named.update(rhs for _, _, rhs in p.transitions if rhs != STAR)
+    named.update(t[0] for pair in p.identifications for t in pair if t != STAR)
+    if STAR in named:
+        return InvalidSpace, f"{STAR!r} is reserved and cannot be a generator name"
+    unknown = sorted({e for _, e, _ in p.transitions}.difference(m.events))
+    if unknown:
+        return UnknownEvent, f"rule event {unknown[0]!r} not in alphabet {list(m.events)}"
+    for pair in p.identifications:
+        for t in pair:
+            x = next((x for x in ([] if t == STAR else t[1]) if x not in m.events), None)
+            if x is not None:
+                return UnknownEvent, f"letter {x!r} not in alphabet {list(m.events)}"
+    return None
+
+
+def term_name(t: Term) -> str:
+    """The state name of a term: ``g`` for ``(g, ())``, ``g@a.b`` for
+    ``(g, ("a", "b"))``; the judge of the names that ``saturate`` builds
+    per trace."""
+    g, trace = t
+    return g + "@" + ".".join(trace) if trace else g
 
 
 def _term_key(t) -> tuple:

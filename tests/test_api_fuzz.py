@@ -5,7 +5,8 @@ Hypothesis draws names that are not strings (numbers, None, bools, bytes,
 tuples, lists), letters outside the alphabet, and bounds or depths that are
 not ints >= 0, mixed with valid ones.  It calls ``make_monoid``,
 ``make_hom``, ``make_space``, ``make_space_morphism``, ``make_system``,
-``async_system.make_morphism``, ``normalize``, ``equivalent``,
+``async_system.make_morphism`` (on sources built with and without
+``make_system``), ``normalize``, ``equivalent``,
 ``extend_normal_form``, ``act_trace``, ``saturate`` or ``unfold`` on them;
 the morphisms get them as event images and state-map values.  Each call
 returns or raises a ``TraceError`` subclass, and a constructor that returns
@@ -53,6 +54,9 @@ from asyntrace.trace_core import (
     normal_form,
     normalize,
 )
+
+import oracles
+from test_state_space import assert_same_saturation
 
 HASHABLE_JUNK = st.one_of(
     st.integers(-2, 2), st.none(), st.booleans(), st.floats(allow_nan=False), st.binary(max_size=1), st.tuples(st.just("a"))
@@ -132,6 +136,70 @@ def test_saturate(monoid, generators, rules, identifications, bound):
         saturate(p, bound)
 
 
+class Name(str):
+    """A ``str`` subclass: the bulk checks hand it to the per-item scans,
+    which accept it."""
+
+
+def _names_and_subclasses(names):
+    return st.sampled_from(names).flatmap(lambda x: st.sampled_from([x, Name(x)]))
+
+
+def _tuple_or_list(items):
+    return items.flatmap(lambda t: st.sampled_from([tuple(t), list(t)]))
+
+
+@st.composite
+def checked_presentations(draw):
+    """Presentations over ``MONOIDS`` whose names are plain or ``str``
+    subclasses, with rules and identifications as tuples or lists and
+    identification words of 0, 1 or more letters; then up to two defects
+    go in at drawn places: a generator that is junk or star, a rule that is
+    short, holds junk or has an event outside the alphabet, an
+    identification that is short or holds junk, and a word letter outside
+    the alphabet or unhashable."""
+    m = draw(MONOIDS)
+    gen = _names_and_subclasses(["g", "h", "k"])
+    letter = _names_and_subclasses(m.events)
+    word = _tuple_or_list(st.one_of(st.lists(letter, max_size=1), st.lists(letter, min_size=2, max_size=3)))
+    term = st.one_of(st.just(STAR), _tuple_or_list(st.tuples(gen, word)))
+    generators = draw(st.lists(gen, max_size=3))
+    rules = draw(st.lists(_tuple_or_list(st.tuples(gen, letter, st.one_of(gen, st.just(STAR)))), max_size=4))
+    pairs = draw(st.lists(_tuple_or_list(st.tuples(term, term)), max_size=3))
+    unknown = st.sampled_from(["z", Name("z")])
+    defects = {  # kind -> the list it goes into, and the defect
+        "junk generator": (generators, JUNK),
+        "star generator": (generators, st.sampled_from([STAR, Name(STAR)])),
+        "short rule": (rules, _tuple_or_list(st.tuples(gen, letter))),
+        "junk in a rule": (rules, st.tuples(gen, JUNK, gen)),
+        "rule on an unknown event": (rules, st.tuples(gen, unknown, gen)),
+        "short identification": (pairs, _tuple_or_list(st.tuples(term))),
+        "junk term": (pairs, st.tuples(term, JUNK)),
+        "junk in a term": (pairs, st.tuples(st.tuples(JUNK, word), term)),
+        "bad letter": (pairs, st.tuples(gen, st.lists(st.one_of(letter, unknown, st.sampled_from([["a"], 5])),
+                                                      min_size=1, max_size=3)).map(lambda t: (t, STAR))),
+    }
+    for kind in draw(st.lists(st.sampled_from(sorted(defects)), max_size=2)):
+        items, defect = defects[kind]
+        items.insert(draw(st.integers(0, len(items))), draw(defect))
+    return PresentedAction(m, tuple(generators), tuple(rules), tuple(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(checked_presentations(), st.integers(0, 2))
+def test_saturate_checks_name_the_first_defect(p, bound):
+    # the checks run in bulk and scan item by item only to name a defect:
+    # the error is the one the per-item checks raise, and an accepted
+    # presentation saturates as the reference does
+    want = oracles.presentation_error(p)
+    if want is None:
+        assert_same_saturation(saturate(p, bound), oracles.reference_saturate(p, bound))
+    else:
+        with pytest.raises(TraceError) as exc:
+            saturate(p, bound)
+        assert (type(exc.value), str(exc.value)) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(BOUNDS)
 def test_unfold(depth):
@@ -151,14 +219,20 @@ def test_make_space_morphism(data, source, target, flag):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), SYSTEMS, SYSTEMS)
-def test_make_morphism(data, source, target):
-    event_part = data.draw(st.fixed_dictionaries({e: IMAGES for e in source.monoid.events}))
-    event_part.update(data.draw(st.dictionaries(KEYS, IMAGES, max_size=2)))
-    state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in source.states}))
-    state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
+@given(st.data(), SYSTEMS, st.booleans())
+def test_make_morphism(data, target, checked):
+    # half the sources are built without make_system, as unchecked_objects draws them
+    source = data.draw(SYSTEMS if checked else unchecked_objects("system"))
+    # images and values in the target, half the time, so that the maps often pass
+    images = st.one_of(st.sampled_from((*target.monoid.events, None)), IMAGES)
+    values = st.one_of(st.sampled_from((*target.states, STAR)), NAMES)
+    event_part = data.draw(st.fixed_dictionaries({e: images for e in source.monoid.events}))
+    event_part.update(data.draw(st.dictionaries(KEYS, images, max_size=2)))
+    names = [x for x in source.states if not isinstance(x, list)]  # the ones that can key a state map
+    state_part = data.draw(st.fixed_dictionaries({x: values for x in names}))
+    state_part.update(data.draw(st.dictionaries(KEYS, values, max_size=2)))
     with contextlib.suppress(TraceError):
-        make_morphism(source, target, event_part, state_part)
+        async_system.is_polygonal(make_morphism(source, target, event_part, state_part))
 
 
 @settings(max_examples=300, deadline=None)

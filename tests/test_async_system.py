@@ -167,6 +167,28 @@ class TestMorphisms:
         m = make_morphism(a, b, {"a": None}, {"s0": "u", "s1": "u"})
         assert not morphism_violations(m)
 
+    @pytest.mark.parametrize(
+        "action, initial, problem",
+        [
+            ({("x", "z"): "x"}, "x", "source transition ('x', 'z') -> 'x' is not on the source's states and events"),
+            ({("q", "a"): "x"}, "x", "source transition ('q', 'a') -> 'x' is not on the source's states and events"),
+            ({("x", "a"): "q"}, "x", "source transition ('x', 'a') -> 'q' is not on the source's states and events"),
+            ({("x",): "x"}, "x", "source transition ('x',) -> 'x' is not on the source's states and events"),
+            ({}, "q", "source initial state 'q' unknown"),
+        ],
+        ids=["unknown-event", "unknown-state", "unknown-target", "key-not-a-pair", "unknown-initial"],
+    )
+    def test_unreadable_source_is_not_a_morphism(self, action, initial, problem):
+        # a source built without make_system: both checks name the entry
+        # instead of reading it
+        src = WeakAsyncSystem(free_monoid("a"), ("x",), action, initial)
+        tgt = make_system(["x"], "x", free_monoid("a"), {})
+        with pytest.raises(NotAMorphism, match=re.escape(problem)):
+            make_morphism(src, tgt, {"a": "a"}, {"x": "x"})
+        m = oracles.system_morphism(src, tgt, {"a": "a"}, {"x": "x"})
+        with pytest.raises(NotAMorphism, match=re.escape(problem)):
+            is_polygonal(m)
+
     def test_compose(self):
         a = chain("a", "s")
         b = chain("a", "t")

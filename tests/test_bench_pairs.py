@@ -1,0 +1,63 @@
+"""The statistics of ``scripts/bench_pairs.py`` on hand-made numbers; no
+benchmark runs here."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_are_the_inclusive_method():
+    assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == {"q1": 2, "median": 3, "q3": 4}
+    # 10 runs: positions 3.25, 5.5 and 7.75 of the sorted list, counted from 1
+    assert bench_pairs.quartiles([10, 1, 9, 2, 8, 3, 7, 4, 6, 5]) == {"q1": 3.25, "median": 5.5, "q3": 7.75}
+
+
+PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # q1 102.25, median 104.5, q3 106.75
+
+
+def test_gain_rule_met_on_nine_wins_and_a_gain_past_the_spread():
+    change = [p + 10 for p in PARENT[:9]] + [PARENT[9] - 1]
+    v = bench_pairs.judge(PARENT, change, "higher", 0.2)
+    assert (v["change_wins"], v["change_losses"]) == (9, 1)
+    assert v["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+    assert v["gain_rule_met"] and not v["regression_beyond_bound"] and not v["spread_wider_than_bound"]
+
+
+def test_gain_rule_not_met_on_eight_wins():
+    change = [p + 10 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]]
+    v = bench_pairs.judge(PARENT, change, "higher", 0.2)
+    assert v["change_wins"] == 8 and not v["gain_rule_met"]
+
+
+def test_gain_rule_not_met_when_the_gain_is_inside_the_parents_spread():
+    # every pair won, but the median moves by 4 and the parent's IQR is 4.5
+    v = bench_pairs.judge(PARENT, [p + 4 for p in PARENT], "higher", 0.2)
+    assert v["change_wins"] == 10 and not v["gain_rule_met"]
+
+
+def test_lower_is_better_and_ties_count_for_neither():
+    change = [p - 10 for p in PARENT[:9]] + [PARENT[9]]
+    v = bench_pairs.judge(PARENT, change, "lower", 0.2)
+    assert (v["change_wins"], v["change_losses"]) == (9, 0)
+    assert v["gain_rule_met"]
+    assert v["median_change_pct"] == pytest.approx(100 * (94.5 - 104.5) / 104.5, abs=1e-3)
+
+
+def test_regression_and_spread_against_the_bound():
+    v = bench_pairs.judge(PARENT, [p * 1.06 for p in PARENT], "lower", 0.05)
+    assert v["regression_beyond_bound"] and not v["gain_rule_met"]
+    v = bench_pairs.judge(PARENT, [p * 1.04 for p in PARENT], "lower", 0.05)
+    assert not v["regression_beyond_bound"]
+    wide = [50, 60, 70, 80, 90, 100, 110, 120, 130, 140]
+    assert bench_pairs.judge(PARENT, wide, "higher", 0.05)["spread_wider_than_bound"]
+
+
+def test_judge_needs_paired_runs():
+    with pytest.raises(ValueError):
+        bench_pairs.judge([1, 2], [1], "lower", 0.2)

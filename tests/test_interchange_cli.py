@@ -476,7 +476,7 @@ class TestCli:
         frontier = json.loads(capsys.readouterr().out)["summary"]["frontier"]
         [sat] = results
         assert "frontier" not in vars(sat)
-        assert frontier == [state_space.term_name(t) for t in sat.frontier] and frontier
+        assert frontier == [oracles.term_name(t) for t in sat.frontier] and frontier
 
     @pytest.mark.parametrize(
         "argv",

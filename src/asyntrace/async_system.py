@@ -102,11 +102,14 @@ def _map_problems(a: WeakAsyncSystem, b: WeakAsyncSystem, event_part: dict, stat
 
 def morphism_violations(m: StateSpaceMorphism) -> list[str]:
     """Check the three morphism conditions; empty list means valid."""
+    return _map_problems(m.source, m.target, m.monoid_part.mapping, m.state_part) or _condition_problems(m)
+
+
+def _condition_problems(m: StateSpaceMorphism) -> list[str]:
+    """The three morphism conditions, for maps without ``_map_problems``."""
     a, b = m.source, m.target
     event_part = m.monoid_part.mapping
-    problems = _map_problems(a, b, event_part, m.state_part)
-    if problems:
-        return problems
+    problems = []
     if m.state(a.initial) != b.initial:
         problems.append(
             f"condition 1: initial state maps to {m.state(a.initial)!r}, expected {b.initial!r}"
@@ -137,7 +140,7 @@ def make_morphism(source, target, event_part, state_part) -> StateSpaceMorphism:
     if not problems:
         image = tuple(event_part[e] for e in source.monoid.events)
         m = StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, image), state_part)
-        problems = morphism_violations(m)
+        problems = _condition_problems(m)
     if problems:
         raise NotAMorphism("; ".join(problems))
     return m

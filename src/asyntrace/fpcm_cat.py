@@ -87,7 +87,8 @@ class PointedGrid:
         the factors: ``maps[name]`` sends component ``src`` to component
         ``dst``, and a component it lacks, star among them, to star.  Tuples
         grow one factor at a time, and an arrow is checked once both its ends
-        are placed.
+        are placed.  The first arrow from a placed factor into the new one
+        fixes the new component, which is kept only if it lies on the axis.
 
         ``render_tuple`` is not injective once names hold commas; a name
         rendered from two tuples of the whole grid raises ``clash``.  So with
@@ -98,7 +99,14 @@ class PointedGrid:
         tuples = [()]
         for j, axis in enumerate(self.axes):
             checks = [(s, d, f) for s, d, f in arrows if max(s, d) == j]
-            tuples = [t + (x,) for t in tuples for x in axis]
+            into = next((c for c in checks if c[0] < j), None)
+            if into:  # an arrow from a placed factor fixes component j
+                s, _, f = into
+                checks.remove(into)
+                on_axis = set(axis)
+                tuples = [t + (x,) for t in tuples if (x := f.get(t[s], STAR)) in on_axis]
+            else:
+                tuples = [t + (x,) for t in tuples for x in axis]
             if checks:
                 tuples = [t for t in tuples if all(f.get(t[s], STAR) == t[d] for s, d, f in checks)]
         tuples.pop()  # the all-star basepoint, last in index order, always matches

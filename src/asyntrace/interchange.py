@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -319,11 +319,13 @@ def dumps(payload: dict) -> str:
     joined once: no byte is copied again per nesting level.  Dict keys are
     sorted.  A name is plain when it is printable ASCII without ``"`` or
     ``\\``, which JSON writes as it is.  A list of equal-width rows of plain
-    names, a list of at least ``_BULK`` of them, or a dict of at least
-    ``_BULK`` of them to them or ``None`` is checked by one pass over its
-    joined names and written by one ``str.join`` whose separators carry the
-    quotes; a ``None`` goes through the placeholder ``"\\x00"``, which no
-    plain name holds.  Other strings are quoted by ``json``'s C quoting, each
+    names, a list of at least ``_BULK`` of them, a dict of at least
+    ``_BULK`` of them to them or ``None``, or to non-empty dicts of them to
+    them (a space's action), is checked by one pass over its joined names
+    and written by joins whose separators carry the quotes; a ``None`` goes
+    through the placeholder ``"\\x00"``, which no plain name holds.  A dict
+    is tried as a map of maps only when its first value, in key order, is a
+    dict of str values.  Other strings are quoted by ``json``'s C quoting, each
     distinct name of a row list once.  A key that is not a str, or a value
     that is not a str, int, bool, None, dict, list or tuple, raises
     ``TypeError``."""
@@ -336,7 +338,7 @@ def dumps(payload: dict) -> str:
 # the bytes of plain names: printable ASCII but for the quote and the backslash
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 _HOLE = {None: "\0"}  # a None value of a name map, written as a name until replaced by null
-_BULK = 8  # a shorter list or map is quoted name by name, which costs less than a check and a join
+_BULK = 8  # a shorter list or map is written item by item, which costs less than a check and a join
 
 
 def _plain(names: str, holes: int = 0) -> bool:
@@ -359,7 +361,8 @@ def _write(v, nl: str, out: list) -> None:
     elif isinstance(v, dict):
         inner = nl + "  "
         keys = sorted(v)
-        if len(keys) >= _BULK and ((first := v[keys[0]]) is None or isinstance(first, str)):  # maybe a name map
+        first = v[keys[0]] if len(keys) >= _BULK else ()
+        if first is None or isinstance(first, str):  # maybe a name map
             values = list(map(v.__getitem__, keys))
             try:  # TypeError: a key or value that is not a str, or a value that is unhashable
                 filled = list(map(_HOLE.get, values, values))
@@ -369,6 +372,18 @@ def _write(v, nl: str, out: list) -> None:
             if plain:
                 body = '"' + ('",' + inner + '"').join(map('": "'.join, zip(keys, filled))) + '"'
                 out += "{", inner, body.replace('"\0"', "null"), nl, "}"
+                return
+        elif type(first) is dict and set(map(type, first.values())) == {str}:  # maybe a map of name maps
+            try:  # TypeError: a value that is not a dict, or a key or name that is not a str
+                rows = list(map(sorted, map(dict.items, map(v.__getitem__, keys))))
+                plain = all(rows) and _plain("".join(keys) + "".join(chain.from_iterable(chain.from_iterable(rows))))
+            except TypeError:
+                plain = False
+            if plain:
+                inner2 = inner + "  "
+                bodies = map(('",' + inner2 + '"').join, map(map, repeat('": "'.join), rows))
+                sep = '"' + inner + "}," + inner + '"'
+                out += "{", inner, '"', sep.join(map(('": {' + inner2 + '"').join, zip(keys, bodies))), '"', inner, "}", nl, "}"
                 return
         for i, k in enumerate(keys):
             out.append(("," if i else "{") + inner + _quote(k) + ": ")

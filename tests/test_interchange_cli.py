@@ -290,6 +290,21 @@ NAME_MAPS = st.dictionaries(STRS, STRS | st.none(), max_size=4) | st.builds(
 ).map(dict)
 
 
+# maps of name maps, as a space's action: plain and long enough for the joins,
+# and such maps, or short ones, with one more key (plain or not) whose value
+# is a name map, empty, holds None or is not a dict
+PLAIN_MAPS = st.dictionaries(PLAIN | PLAIN.map(Name), PLAIN | PLAIN.map(Name), min_size=1, max_size=3)
+LONG_MAP_MAPS = st.lists(
+    st.tuples(PLAIN | PLAIN.map(Name), PLAIN_MAPS), min_size=ix._BULK, max_size=ix._BULK + 3, unique_by=lambda kv: kv[0]
+).map(dict)
+MAP_MAPS = LONG_MAP_MAPS | st.builds(
+    lambda maps, k, v: {**maps, k: v},
+    LONG_MAP_MAPS | st.dictionaries(PLAIN, PLAIN_MAPS, max_size=3),
+    PLAIN | ESCAPED,
+    PLAIN_MAPS | NAME_MAPS | st.sampled_from([{}, {"a": None}, "a", ["a"]]),
+)
+
+
 def _nest(rows, wrappers):
     for w in wrappers:
         rows = {"k": rows} if w else [rows]
@@ -299,7 +314,7 @@ def _nest(rows, wrappers):
 # a list of rows at least 6 containers deep
 DEEP_ROWS = st.builds(_nest, ROWS, st.lists(st.booleans(), min_size=6, max_size=8))
 TREES = st.recursive(
-    SCALARS | st.lists(STRS, max_size=4) | ROWS | DEEP_ROWS | MIXED_NAMES | NAME_MAPS,
+    SCALARS | st.lists(STRS, max_size=4) | ROWS | DEEP_ROWS | MIXED_NAMES | NAME_MAPS | MAP_MAPS,
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple) | st.dictionaries(STRS, kids, max_size=4),
     max_leaves=24,
 )
@@ -340,11 +355,13 @@ class TestDumps:
         assert ix.dumps(payload) == oracles.reference_dumps(payload)
 
     def test_plain_names_are_never_quoted_one_by_one(self, monkeypatch):
-        """No name of a plain row list, or of a plain list or name map as
-        long as ``_BULK``, reaches ``_quote``: only the other dicts' keys do."""
+        """No name of a plain row list, or of a plain list, name map or map
+        of name maps as long as ``_BULK``, reaches ``_quote``: only the other
+        dicts' keys do."""
         names = [f"e{i}" for i in range(ix._BULK)]
         payload = {
             "doc": {
+                "action": {x: {names[1]: x, names[0]: names[2]} for x in names},
                 "events": names,
                 "independence": [[names[i], names[(i + 3) % len(names)]] for i in range(len(names))],
                 "image": dict(zip(names, [None, *names[1:]])),
@@ -354,7 +371,7 @@ class TestDumps:
         quote = ix._quote
         monkeypatch.setattr(ix, "_quote", lambda s: calls.append(s) or quote(s))
         assert ix.dumps(payload) == oracles.reference_dumps(payload)
-        assert sorted(calls) == ["doc", "events", "image", "independence"]
+        assert sorted(calls) == ["action", "doc", "events", "image", "independence"]
 
     @pytest.mark.parametrize(
         "payload",

@@ -32,6 +32,8 @@ from asyntrace.trace_core import (
     normalize,
 )
 
+from asyntrace import trace_core
+
 import oracles
 
 MUTEX = make_monoid(
@@ -80,6 +82,18 @@ def monoid_and_canonical_word(draw):
     m = make_monoid(events, chosen)
     word = draw(st.lists(st.sampled_from(events), max_size=30))
     return m, normal_form(word, m)
+
+
+@st.composite
+def monoid_and_word_past_the_tail(draw):
+    """A monoid of at most 8 letters, declared in a random order, and a word
+    of up to 400 letters over it, long enough to settle letters out of
+    ``normal_form``'s tail of fewer than ``2 * _TAIL`` of them."""
+    events = draw(st.permutations("abcdefgh"[: draw(st.integers(1, 8))]))
+    pairs = list(itertools.combinations(events, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    n = draw(st.integers(0, 400))
+    return make_monoid(events, chosen), draw(st.lists(st.sampled_from(events), min_size=n, max_size=n))
 
 
 def has_ak_factor(word, m):
@@ -144,6 +158,7 @@ class TestMonoidIndex:
         m2 = make_monoid("abc", [("c", "b"), ("b", "a")])
         normal_form(tuple("cba"), m1)  # fills m1's caches, not m2's
         m1.pairs()
+        assert "_insertion" in vars(m1) and "_insertion" not in vars(m2)
         assert m1 == m2
         assert hash(m1) == hash(m2)
         assert repr(m1) == repr(m2) == "TraceMonoid(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')])"
@@ -244,6 +259,25 @@ class TestNormalForm:
         assert Counter(nf) == Counter(w)
         assert normal_form(nf, MUTEX) == nf
         assert not has_ak_factor(nf, MUTEX)
+
+    @settings(max_examples=150, deadline=None)
+    @given(monoid_and_word_past_the_tail())
+    def test_insertion_agrees_with_the_heap_sort(self, mw):
+        """Both paths of ``normal_form``: insertion near the end of the word,
+        and the heap sort it falls back to when a letter's run of
+        independent letters reaches past the tail."""
+        m, w = mw
+        assert normal_form(w, m) == trace_core._heap_normal_form(trace_core._encode(w, m), m)
+
+    def test_long_commutative_word_takes_the_heap_sort(self, monkeypatch):
+        m = free_commutative_monoid("hgfedcba")
+        rng = random.Random(2000)
+        w = [rng.choice(m.events) for _ in range(2000)]
+        calls = []
+        heap_sort = trace_core._heap_normal_form
+        monkeypatch.setattr(trace_core, "_heap_normal_form", lambda s, m: calls.append(s) or heap_sort(s, m))
+        assert normal_form(w, m) == tuple(sorted(w, key=m.events.index))
+        assert len(calls) == 1
 
     def test_unknown_letter(self):
         with pytest.raises(UnknownEvent):

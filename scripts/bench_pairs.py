@@ -10,8 +10,9 @@ and loses, and the gain-rule verdict of ROADMAP.md: the change wins at least
 interquartile range.  With ``--out`` it writes the ``end_to_end`` block of a
 ``BENCH_<n>.json``, adding this workload to a file that already has others.
 
-Run from anywhere; the checkouts hold the same ``perfbench/`` and
-``BENCHMARK.json``:
+The two checkouts must hold byte-identical ``BENCHMARK.json`` and
+``perfbench/*.py``; if they do not, the script runs nothing, names the
+first file that differs and exits 2.  Run from anywhere:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload colimits \\
         --first-seed 2301 --pairs 10 --out BENCH_23.json
@@ -70,6 +71,20 @@ def judge(parent, change, better: str, bound: float) -> dict:
     }
 
 
+def first_difference(parent: Path, change: Path):
+    """The first of ``BENCHMARK.json`` and ``perfbench/*.py`` (in either
+    checkout) whose bytes differ between the two checkouts, or is missing
+    from one of them; ``None`` when they are all identical."""
+    names = {"BENCHMARK.json"}
+    for root in (parent, change):
+        names.update(p.relative_to(root).as_posix() for p in (root / "perfbench").glob("*.py"))
+    for name in sorted(names):
+        sides = [root / name for root in (parent, change)]
+        if not all(p.is_file() for p in sides) or sides[0].read_bytes() != sides[1].read_bytes():
+            return name
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``; its result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -113,6 +128,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        print(f"bench_pairs: the checkouts' benchmarks differ: {differs}", file=sys.stderr)
+        return 2
     config = json.loads((args.parent / "BENCHMARK.json").read_text())
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     checkouts = dict(zip(SIDES, (args.parent, args.change)))

@@ -10,9 +10,13 @@ diamond violation, size limit, ...), 2 on usage, parse, or schema errors.
 
 Every command is one row of ``COMMANDS``: its words, its handler and its
 options.  One loop over the table builds the argparse tree, and ``main``
-builds it once per process.  The shared code fetches the documents that a
-row's option style names, writes the output bundle and emits it, so a
-handler holds only its construction, its summary and its text lines.
+builds it once per process, together with each row's own parser by the
+row's words.  A command line whose first words name a row is parsed once,
+by that row's parser; the tree parses every other one (no command, ``-h``,
+an unknown command, a group word alone).  The shared code fetches the
+documents that a row's option style names, writes the output bundle and
+emits it, so a handler holds only its construction, its summary and its
+text lines.
 """
 
 from __future__ import annotations
@@ -427,7 +431,7 @@ KINDS = {
 }
 
 
-def _add_command(sub, cmd: Command) -> None:
+def _add_command(sub, cmd: Command) -> argparse.ArgumentParser:
     p = sub.add_parser(cmd.words[-1], **({"help": cmd.help} if cmd.help else {}))
     p.add_argument("bundle", help="path to a JSON bundle")
     p.add_argument("--output", help="write output to this file instead of stdout")
@@ -436,13 +440,16 @@ def _add_command(sub, cmd: Command) -> None:
     for name in names:
         p.add_argument(name, **OPTIONS.get(name, {"required": True}))
     p.set_defaults(cmd=cmd)
+    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser with one subcommand per row of ``COMMANDS``."""
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """A fresh parser with one subcommand per row of ``COMMANDS``, and the
+    leaf parser of each row by its words."""
     top = argparse.ArgumentParser(prog="asyntrace")
     sub = top.add_subparsers(dest="command", required=True)
     groups: dict = {}
+    leaves: dict = {}
     for cmd in COMMANDS:
         parent = sub
         if len(cmd.words) == 2:
@@ -451,14 +458,45 @@ def build_parser() -> argparse.ArgumentParser:
                 grp = sub.add_parser(group, help=GROUPS[group])
                 groups[group] = grp.add_subparsers(dest="subcommand", required=True)
             parent = groups[group]
-        _add_command(parent, cmd)
-    return top
+        leaves[cmd.words] = _add_command(parent, cmd)
+    return top, leaves
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser with one subcommand per row of ``COMMANDS``."""
+    return _build()[0]
 
 
 @functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser ``main`` uses and its leaves: built on the first call,
+    reused after."""
+    return _build()
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on the first call, reused after."""
-    return build_parser()
+    """The tree of ``_parsers()``, which ``_parse`` matches."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, scanning the command line once: when
+    its first one or two words name a row, that row's leaf parser parses the
+    rest, into the namespace the tree would fill; every other command line
+    goes to the tree."""
+    top, leaves = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for n in (1, 2):
+        leaf = leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            break
+    else:
+        return top.parse_args(argv)
+    words = argparse.Namespace(**dict(zip(("command", "subcommand"), argv[:n])))
+    args, extras = leaf.parse_known_args(argv[n:], words)
+    if extras:
+        top.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _inputs(cmd: Command, args, bundle) -> tuple:
@@ -490,7 +528,7 @@ def _write(cmd: Command, args, inputs, out: Output) -> _Writer:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     cmd, writer = args.cmd, None
     try:
         bundle = ix.parse_file(args.bundle)

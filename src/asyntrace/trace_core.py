@@ -186,6 +186,7 @@ def _unknown_letter(letters: Sequence[str], m: TraceMonoid) -> UnknownEvent:
 
 
 _TAIL = 64  # normal_form inserts letters into a tail of fewer than 2 * _TAIL of them
+_PULLS = 2  # settled chunks that normal_form takes back into the tail for one letter
 
 
 def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
@@ -201,13 +202,16 @@ def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     later letter with a greater code, which the letter goes before.
 
     Insertions happen only in a tail of fewer than ``2 * _TAIL`` letters;
-    the letters that leave it are settled, so no insertion copies more than
-    O(``_TAIL``) characters.  A letter that is independent of the whole tail
-    may belong further left, so the whole word is then sorted again by
-    :func:`_heap_normal_form`, as introsort falls back to heap sort (Musser,
-    Software: Practice and Experience 27(8), 1997).  A word of n letters
-    costs O(n * ``_TAIL``) in C and n Python steps when the fallback does not
-    run, and at most O(n * |alphabet| + n * log |alphabet|) more when it does.
+    the letters that leave it are settled in chunks of ``_TAIL``.  A letter
+    that is independent of the whole tail may belong further left, so the
+    last settled chunk is pulled back into the tail and the letter tried
+    again, at most ``_PULLS`` times; no insertion copies more than
+    O(``_TAIL``) characters.  A letter independent of all that too sends
+    the whole word to :func:`_heap_normal_form`, as introsort falls back to
+    heap sort (Musser, Software: Practice and Experience 27(8), 1997).  A
+    word of n letters costs O(n * ``_TAIL``) in C and O(n) Python steps when
+    the fallback does not run, and at most O(n * |alphabet| + n * log
+    |alphabet|) more when it does.
     """
     s = _encode(letters, m)
     table = m._insertion
@@ -218,8 +222,14 @@ def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
         independent, lower = table[ch]
         t = tail.rstrip(independent)
         if t is not tail:  # a letter at the end of the tail is independent of ch
-            if not t and head:
-                return _heap_normal_form(s, m)
+            if not t and head:  # so is the whole tail: take settled chunks back
+                for _ in range(_PULLS):
+                    tail = head.pop() + tail
+                    t = tail.rstrip(independent)
+                    if t or not head:
+                        break
+                else:
+                    return _heap_normal_form(s, m)
             r = tail[len(t) :].lstrip(lower)
             if r:
                 tail = tail[: -len(r)] + ch + r
@@ -227,7 +237,7 @@ def normal_form(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
                 tail += ch
         else:
             tail += ch
-        if len(tail) == limit:
+        while len(tail) >= limit:
             head.append(tail[:_TAIL])
             tail = tail[_TAIL:]
     head.append(tail)

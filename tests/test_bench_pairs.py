@@ -1,5 +1,6 @@
-"""The statistics of ``scripts/bench_pairs.py`` on hand-made numbers; no
-benchmark runs here."""
+"""The statistics of ``scripts/bench_pairs.py`` on hand-made numbers, and
+its refusal to compare checkouts whose benchmarks differ; no benchmark runs
+here."""
 
 import importlib.util
 import pathlib
@@ -61,3 +62,40 @@ def test_regression_and_spread_against_the_bound():
 def test_judge_needs_paired_runs():
     with pytest.raises(ValueError):
         bench_pairs.judge([1, 2], [1], "lower", 0.2)
+
+
+def _checkout(root: pathlib.Path, files: dict) -> pathlib.Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+BENCH = {"BENCHMARK.json": "{}", "perfbench/run.py": "run", "perfbench/tracer.py": "trace", "perfbench/README.md": "a"}
+
+
+@pytest.mark.parametrize(
+    "change, differs",
+    [
+        ({}, None),
+        ({"perfbench/README.md": "b", "src/x.py": "y"}, None),
+        ({"perfbench/tracer.py": "trace2", "perfbench/run.py": "run2"}, "perfbench/run.py"),
+        ({"BENCHMARK.json": "{ }"}, "BENCHMARK.json"),
+        ({"perfbench/extra.py": ""}, "perfbench/extra.py"),
+    ],
+    ids=["identical", "other files differ", "first of two", "config", "one side only"],
+)
+def test_first_difference_names_the_first_benchmark_file_that_differs(tmp_path, change, differs):
+    parent = _checkout(tmp_path / "parent", BENCH)
+    changed = _checkout(tmp_path / "change", {**BENCH, **change})
+    assert bench_pairs.first_difference(parent, changed) == differs
+    assert bench_pairs.first_difference(changed, parent) == differs
+
+
+def test_differing_benchmarks_exit_two_before_any_run(tmp_path, monkeypatch, capsys):
+    parent = _checkout(tmp_path / "parent", BENCH)
+    changed = _checkout(tmp_path / "change", {**BENCH, "perfbench/tracer.py": "trace2"})
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a benchmark ran"))
+    argv = [str(parent), str(changed), "--workload", "words", "--first-seed", "1"]
+    assert bench_pairs.main(argv) == 2
+    assert "perfbench/tracer.py" in capsys.readouterr().err

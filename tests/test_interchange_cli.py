@@ -720,6 +720,53 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "isomorphic"
 
+    # a commuting square over two independent events, a relabelled copy of
+    # it, two a-steps on the same four states, and a 9-event space
+    ISO_DOCS = {
+        "m": {"kind": "monoid", "events": ["a", "b"], "independence": [["a", "b"]]},
+        "n": {"kind": "monoid", "events": ["d", "c"], "independence": [["c", "d"]]},
+        "big": {"kind": "monoid", "events": list("abcdefghi"), "independence": []},
+        "S": {"kind": "space", "monoid": "m", "states": ["x0", "x1", "x2", "x3"],
+              "action": {"x0": {"a": "x1", "b": "x2"}, "x1": {"b": "x3"}, "x2": {"a": "x3"}}},
+        "T": {"kind": "space", "monoid": "n", "states": ["y3", "y1", "y0", "y2"],
+              "action": {"y0": {"c": "y2", "d": "y1"}, "y2": {"d": "y3"}, "y1": {"c": "y3"}}},
+        "U": {"kind": "space", "monoid": "m", "states": ["x0", "x1", "x2", "x3"],
+              "action": {"x0": {"a": "x1"}, "x2": {"a": "x3"}}},
+        "B": {"kind": "space", "monoid": "big", "states": ["z"], "action": {}},
+    }
+
+    def _iso_check(self, tmp_path, capsys, left, right, *more):
+        bundle = tmp_path / "iso.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": self.ISO_DOCS}))
+        rc = main(["iso-check", str(bundle), "--left", left, "--right", right, *more])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return rc, out, err
+
+    def test_iso_check_finds_a_relabelled_space(self, tmp_path, capsys):
+        rc, out, err = self._iso_check(tmp_path, capsys, "S", "T")
+        assert (rc, out, err) == (0, "isomorphic\n", "")
+        rc, out, _ = self._iso_check(tmp_path, capsys, "S", "T", "--format", "json")
+        summary = json.loads(out)["summary"]
+        assert rc == 0 and summary["isomorphic"]
+        emap, smap = summary["events"], summary["states"]
+        left, right = self.ISO_DOCS["S"], self.ISO_DOCS["T"]
+        assert sorted(emap.values()) == ["c", "d"] and sorted(smap) == sorted(left["states"])
+        assert sorted(smap.values()) == sorted(right["states"])
+        moved = {(smap[x], emap[e]): smap[y] for x, row in left["action"].items() for e, y in row.items()}
+        assert moved == {(x, e): y for x, row in right["action"].items() for e, y in row.items()}
+
+    def test_iso_check_tells_spaces_of_one_size_apart(self, tmp_path, capsys):
+        assert self._iso_check(tmp_path, capsys, "S", "U") == (0, "not isomorphic\n", "")
+
+    def test_iso_check_of_a_monoid_and_a_space_exits_two(self, tmp_path, capsys):
+        rc, out, err = self._iso_check(tmp_path, capsys, "m", "S")
+        assert (rc, out) == (2, "") and "[SchemaError]" in err
+
+    def test_iso_check_of_a_space_over_nine_events_exits_one(self, tmp_path, capsys):
+        rc, out, err = self._iso_check(tmp_path, capsys, "B", "B")
+        assert (rc, out) == (1, "") and "[SizeLimit]" in err
+
 
 class TestEntryPoint:
     """The installed ``asyntrace`` script runs ``asyntrace.cli:main`` in a

@@ -88,12 +88,22 @@ def monoid_and_canonical_word(draw):
 def monoid_and_word_past_the_tail(draw):
     """A monoid of at most 8 letters, declared in a random order, and a word
     of up to 400 letters over it, long enough to settle letters out of
-    ``normal_form``'s tail of fewer than ``2 * _TAIL`` of them."""
+    ``normal_form``'s tail of fewer than ``2 * _TAIL`` of them.  Half the
+    words end in a run of up to 320 letters independent of a letter ``x``,
+    then ``x``: the run reaches past the tail, so ``x`` takes settled chunks
+    back into it, 1 or 2 of them, or more, which is the fallback."""
     events = draw(st.permutations("abcdefgh"[: draw(st.integers(1, 8))]))
     pairs = list(itertools.combinations(events, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    m = make_monoid(events, chosen)
     n = draw(st.integers(0, 400))
-    return make_monoid(events, chosen), draw(st.lists(st.sampled_from(events), min_size=n, max_size=n))
+    word = draw(st.lists(st.sampled_from(events), min_size=n, max_size=n))
+    x = draw(st.sampled_from(events))
+    free = [e for e in events if m.independent(e, x)]
+    if free and draw(st.booleans()):
+        k = draw(st.integers(64, 320))
+        word += draw(st.lists(st.sampled_from(free), min_size=k, max_size=k)) + [x]
+    return m, word
 
 
 def has_ak_factor(word, m):
@@ -278,6 +288,18 @@ class TestNormalForm:
         monkeypatch.setattr(trace_core, "_heap_normal_form", lambda s, m: calls.append(s) or heap_sort(s, m))
         assert normal_form(w, m) == tuple(sorted(w, key=m.events.index))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("run, fallbacks", [(150, 0), (200, 0), (300, 1)], ids=["1 pull", "2 pulls", "3 pulls"])
+    def test_a_letter_takes_settled_chunks_back_before_the_heap_sort(self, monkeypatch, run, fallbacks):
+        # the last a is independent of every b: it must pass them all and
+        # reach the first a, settled in the first of (run + 1) // _TAIL - 1
+        # chunks of _TAIL letters
+        m = free_commutative_monoid("ab")
+        calls = []
+        heap_sort = trace_core._heap_normal_form
+        monkeypatch.setattr(trace_core, "_heap_normal_form", lambda s, m: calls.append(s) or heap_sort(s, m))
+        assert normal_form(["a"] + ["b"] * run + ["a"], m) == ("a", "a") + ("b",) * run
+        assert len(calls) == fallbacks
 
     def test_unknown_letter(self):
         with pytest.raises(UnknownEvent):

@@ -57,9 +57,7 @@ def validate_system(a: WeakAsyncSystem) -> list[str]:
 
 def make_system(states, initial, monoid, transitions) -> WeakAsyncSystem:
     a = WeakAsyncSystem(monoid, tuple(states), dict(transitions), initial)
-    problems = validate_system(a)
-    if problems:
-        raise InvalidSystem("; ".join(problems))
+    refuse(validate_system(a), InvalidSystem)
     return a
 
 
@@ -136,13 +134,10 @@ def make_morphism(source, target, event_part, state_part) -> StateSpaceMorphism:
     """The system morphism with these event and state maps (an event to
     None is erased, a state to star is undefined), checked."""
     event_part, state_part = dict(event_part), dict(state_part)
-    problems = _map_problems(source, target, event_part, state_part)
-    if not problems:
-        image = tuple(event_part[e] for e in source.monoid.events)
-        m = StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, image), state_part)
-        problems = _condition_problems(m)
-    if problems:
-        raise NotAMorphism("; ".join(problems))
+    refuse(_map_problems(source, target, event_part, state_part), NotAMorphism)
+    image = tuple(event_part[e] for e in source.monoid.events)
+    m = StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, image), state_part)
+    refuse(_condition_problems(m), NotAMorphism)
     return m
 
 
@@ -150,9 +145,7 @@ def is_polygonal(m: StateSpaceMorphism) -> bool:
     """A morphism is polygonal when it is a state-space morphism, commuting
     with the actions: wherever the image state can do the image event (the
     identity included), the source state can do the event."""
-    problems = morphism_violations(m)
-    if problems:
-        raise NotAMorphism("; ".join(problems))
+    refuse(morphism_violations(m), NotAMorphism)
     return not validate_morphism(m)
 
 

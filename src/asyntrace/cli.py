@@ -210,26 +210,17 @@ def cmd_radjoint(args, bundle):
 
 
 def cmd_iso_check(args, bundle):
-    left = bundle.get(args.left)
-    right = bundle.get(args.right)
+    left, right = bundle.get(args.left), bundle.get(args.right)
     lk, rk = bundle.kinds[args.left], bundle.kinds[args.right]
     if lk != rk or lk not in ("monoid", "space"):
         raise SchemaError("iso-check needs two monoids or two state spaces")
     if lk == "monoid":
         emap = fpcm_cat.monoids_isomorphic(left, right)
-        found = emap is not None
-        summary = {"isomorphic": found}
-        if found:
-            summary["events"] = emap
+        maps = None if emap is None else (emap,)
     else:
-        res = ss.is_isomorphic(left, right)
-        found = res is not None
-        summary = {"isomorphic": found}
-        if found:
-            emap, smap = res
-            summary["events"] = emap
-            summary["states"] = smap
-    return Output(summary, ["isomorphic" if found else "not isomorphic"])
+        maps = ss.is_isomorphic(left, right)
+    summary = {"isomorphic": maps is not None, **dict(zip(("events", "states"), maps or ()))}
+    return Output(summary, ["isomorphic" if maps is not None else "not isomorphic"])
 
 
 def _monoid_output(what, m, args, morphisms, **more) -> Output:

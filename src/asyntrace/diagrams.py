@@ -36,10 +36,10 @@ def validate_shape(s: DiagramShape) -> list[str]:
     return problems
 
 
-def refuse(problems: list[str]) -> None:
-    """Raise ``MalformedDiagram`` naming the ``problems``, if there are any."""
+def refuse(problems: list[str], error: type = MalformedDiagram) -> None:
+    """Raise ``error`` naming the ``problems``, if there are any."""
     if problems:
-        raise MalformedDiagram("; ".join(problems))
+        raise error("; ".join(problems))
 
 
 def discrete(n: int) -> DiagramShape:

@@ -192,6 +192,7 @@ def tupling(
         if source is None:
             raise MalformedDiagram("tupling of an empty family needs an explicit source")
         return make_hom(source, prod.monoid, {e: None for e in source.events})
+    _readable(*homs)
     src = homs[0].source
     image = {}
     for e in src.events:
@@ -459,21 +460,47 @@ def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism (finite search)
+# Isomorphism (one search, shared with state spaces)
+
+
+SEARCH_NODES = 500_000  # event prefixes, and states read along one mapped event, per search
+
+
+def search_isomorphism(m1: TraceMonoid, m2: TraceMonoid, fits=None) -> Optional[tuple[dict[str, str], object]]:
+    """The first event bijection ``f`` in ``itertools.permutations(m2.events)``
+    order that preserves independence both ways and that ``fits`` accepts, as
+    ``(f, fits(f, tick))``; else None.  Images are chosen one event at a time,
+    and a prefix is cut when it breaks independence or ``fits`` answers None
+    for it, which ``fits`` must do only when no answer extends it.  ``tick(n)``
+    spends ``n`` of the ``SEARCH_NODES`` that the prefixes and ``fits`` share;
+    without ``fits``, 8 events make at most 109 601 prefixes, well within."""
+    def degrees(m):
+        return sorted(sum(1 for p in m.independence if e in p) for e in m.events)
+    if len(m1.events) != len(m2.events) or len(m1.independence) != len(m2.independence) or degrees(m1) != degrees(m2):
+        return None
+    left = [SEARCH_NODES]
+
+    def tick(nodes: int = 1) -> None:
+        left[0] -= nodes
+        if left[0] < 0:
+            raise SizeLimit(f"isomorphism search gave up after {SEARCH_NODES} nodes")
+
+    def extend(f: dict[str, str]):
+        tick()
+        found = fits(f, tick) if fits else f
+        if found is None or len(f) == len(m1.events):
+            return None if found is None else (f, found)
+        a = m1.events[len(f)]
+        grown = ({**f, a: b} for b in m2.events
+                 if b not in f.values() and all(m1.independent(a, x) == m2.independent(b, y) for x, y in f.items()))
+        return next(filter(None, map(extend, grown)), None)
+
+    return extend({})
 
 
 def monoids_isomorphic(m1: TraceMonoid, m2: TraceMonoid) -> Optional[dict[str, str]]:
     """Event bijection preserving independence both ways, or None."""
-    if len(m1.events) != len(m2.events) or len(m1.independence) != len(m2.independence):
-        return None
-    if len(m1.events) > 8:
+    if len(m1.events) > 8 and (len(m1.events), len(m1.independence)) == (len(m2.events), len(m2.independence)):
         raise SizeLimit("isomorphism search is limited to 8 events")
-    def degrees(m):
-        return sorted(sum(1 for p in m.independence if e in p) for e in m.events)
-    if degrees(m1) != degrees(m2):
-        return None
-    for perm in itertools.permutations(m2.events):
-        bij = dict(zip(m1.events, perm))
-        if all(m2.independent(bij[a], bij[b]) for a, b in m1.pairs()):
-            return bij
-    return None
+    found = search_isomorphism(m1, m2)
+    return found and found[0]

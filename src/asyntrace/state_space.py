@@ -64,9 +64,7 @@ class StateSpace:
 
 def make_space(monoid: TraceMonoid, states: Sequence[str], action) -> StateSpace:
     s = StateSpace(monoid, tuple(states), dict(action))
-    problems = validate_space(s)
-    if problems:
-        raise InvalidSpace("; ".join(problems))
+    refuse(validate_space(s), InvalidSpace)
     return s
 
 
@@ -148,13 +146,7 @@ def validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> 
     bad = malformed_image(m.monoid_part)
     if bad is not None:
         return [f"monoid part: {bad}"]
-    problems = []
-    targets = {*m.target.states, STAR}
-    for x in m.source.states:
-        if x not in m.state_part:
-            problems.append(f"state map missing for {x!r}")
-        elif not isinstance(m.state_part[x], str) or m.state_part[x] not in targets:
-            problems.append(f"state map sends {x!r} outside the target")
+    problems = _state_map_problems(m.source.states, m)
     if problems:
         return problems
     if flag is Category.FPCM_PAR and not is_independence_preserving(m.monoid_part):
@@ -171,11 +163,22 @@ def validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> 
     return problems
 
 
+def _state_map_problems(states, *morphisms: StateSpaceMorphism) -> list[str]:
+    """Per morphism, each of ``states`` that its state map misses or sends outside its target."""
+    problems = []
+    for m in morphisms:
+        targets = {*m.target.states, STAR}
+        for x in states:
+            if x not in m.state_part:
+                problems.append(f"state map missing for {x!r}")
+            elif not isinstance(m.state_part[x], str) or m.state_part[x] not in targets:
+                problems.append(f"state map sends {x!r} outside the target")
+    return problems
+
+
 def make_space_morphism(source, target, monoid_part, state_part, flag=Category.FPCM) -> StateSpaceMorphism:
     m = StateSpaceMorphism(source, target, monoid_part, dict(state_part))
-    problems = validate_morphism(m, flag)
-    if problems:
-        raise NotAMorphism("; ".join(problems))
+    refuse(validate_morphism(m, flag), NotAMorphism)
     return m
 
 
@@ -217,6 +220,7 @@ def space_tupling(
         monoid_part = fpcm_cat.tupling([], prod.monoid_product, source.monoid)
         return StateSpaceMorphism(source, prod.space, monoid_part, {x: STAR for x in source.states})
     src = morphisms[0].source
+    refuse(_state_map_problems(src.states, *morphisms), NotAMorphism)
     monoid_part = fpcm_cat.tupling([m.monoid_part for m in morphisms], prod.monoid_product)
     state_part = {}
     for x in src.states:
@@ -230,6 +234,7 @@ def equalizer(
 ) -> tuple[StateSpace, StateSpaceMorphism]:
     if m1.source != m2.source or m1.target != m2.target:
         raise NotParallel("equalizer needs a parallel pair of space morphisms")
+    refuse(_state_map_problems(m1.source.states, m1, m2), NotAMorphism)
     sub_monoid, inclusion = fpcm_cat.equalizer(m1.monoid_part, m2.monoid_part, flag)
     states = tuple(x for x in m1.source.states if m1.state(x) == m2.state(x))
     keep = set(states)
@@ -722,62 +727,46 @@ def colimit(
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing (brute force with pruning; the CLI's iso-check)
+# Isomorphism testing (the CLI's iso-check)
 
 
 def is_isomorphic(s1: StateSpace, s2: StateSpace) -> Optional[tuple[dict[str, str], dict[str, str]]]:
     """Event bijection preserving independence plus jointly equivariant state
-    bijection; returns (event_map, state_map) or None."""
+    bijection, as (event_map, state_map), or None; two spaces of one size are
+    validated first.  ``fits`` gives ``fpcm_cat.search_isomorphism`` the first
+    state bijection equivariant for the mapped events: once the sorted
+    signatures (per state, the mapped events defined there) agree, ``assign``
+    propagates pending images one-to-one and star to star, then seeds the
+    first unmapped state of ``s1`` with each free state of ``s2`` in turn."""
     if len(s1.monoid.events) > 8 or len(s1.states) > 12:
         raise SizeLimit("isomorphism search limited to 8 events and 12 states")
     if len(s1.states) != len(s2.states) or len(s1.monoid.events) != len(s2.monoid.events):
         return None
-    for perm in itertools.permutations(s2.monoid.events):
-        emap = dict(zip(s1.monoid.events, perm))
-        if not all(s2.monoid.independent(emap[a], emap[b]) for a, b in s1.monoid.pairs()):
-            continue
-        if len(s1.monoid.independence) != len(s2.monoid.independence):
-            return None
-        smap = _match_states(s1, s2, emap)
-        if smap is not None:
-            return emap, smap
-    return None
+    refuse(validate_space(s1) + validate_space(s2), InvalidSpace)
+    rows1, rows2 = ({x: {e: s.step(x, e) for e in s.monoid.events} for x in s.states} for s in (s1, s2))
 
+    def fits(f: dict[str, str], tick) -> Optional[dict[str, str]]:
+        def assign(phi: dict, inv: dict, todo: list) -> Optional[dict[str, str]]:
+            while todo:
+                x = todo.pop()
+                tick(len(f))
+                row1, row2 = rows1[x], rows2[phi[x]]
+                for a, b in f.items():
+                    x2, y2 = row1[a], row2[b]
+                    if x2 not in phi and y2 not in inv:
+                        phi[x2], inv[y2] = y2, x2
+                        todo.append(x2)
+                    elif phi.get(x2) != y2:
+                        return None
+            x = next((x for x in s1.states if x not in phi), None)
+            if x is None:
+                return {x: phi[x] for x in s1.states}
+            tries = (assign({**phi, x: y}, {**inv, y: x}, [x]) for y in s2.states if y not in inv)
+            return next((found for found in tries if found is not None), None)
 
-def _match_states(s1: StateSpace, s2: StateSpace, emap) -> Optional[dict[str, str]]:
-    order = list(s1.states)
+        tick(len(rows1) * len(f))
+        signatures = [sorted(tuple(r[e] != STAR for e in events) for r in rows.values())
+                      for rows, events in ((rows1, f), (rows2, f.values()))]
+        return assign({STAR: STAR}, {STAR: STAR}, []) if signatures[0] == signatures[1] else None
 
-    def extend(assignment, used):
-        if len(assignment) == len(order):
-            return dict(assignment)
-        x = order[len(assignment)]
-        for y in s2.states:
-            if y in used:
-                continue
-            trial = dict(assignment)
-            trial[x] = y
-            if _consistent(s1, s2, emap, trial):
-                res = extend(trial, used | {y})
-                if res is not None:
-                    return res
-        return None
-
-    return extend({}, set())
-
-
-def _consistent(s1, s2, emap, partial) -> bool:
-    get = partial.get
-    for x, y in partial.items():
-        for e in s1.monoid.events:
-            x2 = s1.step(x, e)
-            y2 = s2.step(y, emap[e])
-            if x2 == STAR:
-                if y2 != STAR:
-                    return False
-            else:
-                if y2 == STAR:
-                    return False
-                mapped = get(x2)
-                if mapped is not None and mapped != y2:
-                    return False
-    return True
+    return fpcm_cat.search_isomorphism(s1.monoid, s2.monoid, fits)

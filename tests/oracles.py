@@ -11,7 +11,9 @@ versions of the package, kept as regression references: ``reference_saturate``
 products, for the monoid product's index arithmetic over per-factor tables
 and the space product's discrete limit), and
 ``reference_limit`` and ``reference_space_limit`` (the product, tupling and
-equalizer limit driver, for the compatible families of the object product).
+equalizer limit driver, for the compatible families of the object product),
+and ``reference_monoids_isomorphic`` and ``reference_is_isomorphic`` (every
+event permutation in turn, for the one propagating isomorphism search).
 ``reference_dumps`` is the standard library's indented encoder, the judge of
 the container-level JSON writer.  ``check_monoid_order`` recomputes the pair
 caches that the package's monoid constructions preset.  ``enumerate_homs``
@@ -22,7 +24,8 @@ the category laws and the universal properties, unchecked.
 ``commuting_pairs`` reads the paper's relations T and R off ``equivalent``,
 ``term_name`` names a term as ``saturate`` names its states, and
 ``presentation_error`` is the error that ``saturate``'s per-item checks
-raise for a malformed presentation.
+raise for a malformed presentation.  ``relabelled_monoid`` and
+``relabelled_space`` make isomorphic copies under shuffled names and orders.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from asyntrace.state_space import (
     Term,
 )
 from asyntrace.async_system import WeakAsyncSystem
-from asyntrace.errors import InvalidBound, InvalidSpace, MalformedRelation, MonoidMismatch, UnknownEvent
+from asyntrace.errors import InvalidBound, InvalidSpace, MalformedRelation, MonoidMismatch, SizeLimit, UnknownEvent
 from asyntrace.trace_core import (
     STAR,
     BasicHom,
@@ -604,7 +607,7 @@ def reference_dumps(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Homs and system morphisms by exhaustive search
+# Homs, isomorphisms and system morphisms by exhaustive search
 
 
 def enumerate_homs(src: TraceMonoid, tgt: TraceMonoid, flag: Category = Category.FPCM) -> list[BasicHom]:
@@ -630,6 +633,85 @@ def enumerate_homs(src: TraceMonoid, tgt: TraceMonoid, flag: Category = Category
         if ok:
             out.append(h)
     return out
+
+
+def reference_monoids_isomorphic(m1: TraceMonoid, m2: TraceMonoid):
+    """``fpcm_cat.monoids_isomorphic`` as it was before the shared search:
+    the first event permutation, in ``itertools.permutations`` order, that
+    preserves independence both ways, or None."""
+    if len(m1.events) != len(m2.events) or len(m1.independence) != len(m2.independence):
+        return None
+    if len(m1.events) > 8:
+        raise SizeLimit("isomorphism search is limited to 8 events")
+    def degrees(m):
+        return sorted(sum(1 for p in m.independence if e in p) for e in m.events)
+    if degrees(m1) != degrees(m2):
+        return None
+    for perm in itertools.permutations(m2.events):
+        bij = dict(zip(m1.events, perm))
+        if all(m2.independent(bij[a], bij[b]) for a, b in m1.pairs()):
+            return bij
+    return None
+
+
+def reference_is_isomorphic(s1: StateSpace, s2: StateSpace):
+    """``state_space.is_isomorphic`` as it was before the shared search:
+    every event permutation in turn, and for each, states assigned in
+    ``s1.states`` order with the whole partial map re-checked at each step;
+    ``(event_map, state_map)`` or None."""
+    if len(s1.monoid.events) > 8 or len(s1.states) > 12:
+        raise SizeLimit("isomorphism search limited to 8 events and 12 states")
+    if len(s1.states) != len(s2.states) or len(s1.monoid.events) != len(s2.monoid.events):
+        return None
+    for perm in itertools.permutations(s2.monoid.events):
+        emap = dict(zip(s1.monoid.events, perm))
+        if not all(s2.monoid.independent(emap[a], emap[b]) for a, b in s1.monoid.pairs()):
+            continue
+        if len(s1.monoid.independence) != len(s2.monoid.independence):
+            return None
+        smap = _match_states(s1, s2, emap)
+        if smap is not None:
+            return emap, smap
+    return None
+
+
+def _match_states(s1: StateSpace, s2: StateSpace, emap):
+    order = list(s1.states)
+
+    def extend(assignment, used):
+        if len(assignment) == len(order):
+            return dict(assignment)
+        x = order[len(assignment)]
+        for y in s2.states:
+            if y in used:
+                continue
+            trial = dict(assignment)
+            trial[x] = y
+            if _consistent(s1, s2, emap, trial):
+                res = extend(trial, used | {y})
+                if res is not None:
+                    return res
+        return None
+
+    return extend({}, set())
+
+
+def _consistent(s1, s2, emap, partial) -> bool:
+    get = partial.get
+    for x, y in partial.items():
+        for e in s1.monoid.events:
+            x2 = s1.step(x, e)
+            y2 = s2.step(y, emap[e])
+            if x2 == STAR:
+                if y2 != STAR:
+                    return False
+            else:
+                if y2 == STAR:
+                    return False
+                mapped = get(x2)
+                if mapped is not None and mapped != y2:
+                    return False
+    return True
 
 
 def system_morphism(a: WeakAsyncSystem, b: WeakAsyncSystem, events: dict, states: dict) -> StateSpaceMorphism:
@@ -744,6 +826,23 @@ def random_space(rng, monoid: TraceMonoid, max_states=5, prefix="x", n=None) -> 
             if rng.random() < 0.6:
                 action[(s, e)] = rng.choice(states)
     return StateSpace(monoid, tuple(states), repair_diamond(monoid, states, action))
+
+
+def relabelled_monoid(rng, m: TraceMonoid):
+    """A copy of ``m`` with its events renamed and listed in a shuffled
+    order, and the renaming."""
+    names = {e: f"r{i}" for i, e in enumerate(rng.sample(m.events, len(m.events)))}
+    events = rng.sample(list(names.values()), len(names))
+    return make_monoid(events, [(names[a], names[b]) for a, b in m.pairs()]), names
+
+
+def relabelled_space(rng, s: StateSpace) -> StateSpace:
+    """A copy of ``s`` with its events and states renamed and listed in
+    shuffled orders."""
+    m, names = relabelled_monoid(rng, s.monoid)
+    states = {x: f"q{i}" for i, x in enumerate(rng.sample(s.states, len(s.states)))}
+    order = rng.sample(list(states.values()), len(states))
+    return StateSpace(m, tuple(order), {(states[x], names[e]): states[y] for (x, e), y in s.action.items()})
 
 
 def repair_diamond(monoid: TraceMonoid, states, action: dict) -> dict:

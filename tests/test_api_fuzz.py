@@ -17,7 +17,9 @@ diagrams of spaces and systems built without a check: drawn states and
 action entries on unknown states or events, or with values outside the
 states, are mixed into valid tables.  A diagram with an object that its
 validator faults raises ``MalformedDiagram``; any other returns or raises a
-``TraceError`` subclass.
+``TraceError`` subclass.  So do the space ``equalizer`` and ``space_tupling``
+of morphisms built without a check, whose state maps may miss a source state
+or hold junk.
 """
 
 from __future__ import annotations
@@ -216,6 +218,28 @@ def test_make_space_morphism(data, source, target, flag):
     state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
     with contextlib.suppress(TraceError):
         make_space_morphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part, flag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), SPACES, SPACES, st.sampled_from(Category))
+def test_space_equalizer_and_tupling(data, source, target, flag):
+    # unchecked morphisms whose state maps may miss a source state or hold
+    # junk, with images and values in the target half the time
+    n = len(source.monoid.events)
+    images = st.one_of(st.sampled_from((*target.monoid.events, None)), IMAGES)
+    values = st.one_of(st.sampled_from((*target.states, STAR)), NAMES)
+
+    def morphism():
+        image = data.draw(st.one_of(st.lists(images, min_size=n, max_size=n), st.lists(IMAGES, max_size=3)))
+        state_part = data.draw(st.dictionaries(st.sampled_from(source.states), values, max_size=len(source.states)))
+        state_part.update(data.draw(st.dictionaries(KEYS, values, max_size=2)))
+        return StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part)
+
+    f, g = morphism(), morphism()
+    with contextlib.suppress(TraceError):
+        state_space.equalizer(f, g, flag)
+    with contextlib.suppress(TraceError):
+        state_space.space_tupling([f, g], state_space.product([target, target], flag))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -415,6 +416,25 @@ class TestHomEnumeration:
             monoids_isomorphic(make_monoid("ab", [("a", "b")]), free_monoid("ab"))
             is None
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_isomorphic_matches_the_brute_force(self, seed, copy):
+        # the same answer as trying every permutation, the map and its order included
+        rng = random.Random(seed)
+        m1 = oracles.random_monoid(rng, 6, density=rng.random())
+        if copy:
+            m2, _ = oracles.relabelled_monoid(rng, m1)
+        else:
+            m2 = oracles.random_monoid(rng, 6, density=rng.random(), prefix="z")
+        got, want = monoids_isomorphic(m1, m2), oracles.reference_monoids_isomorphic(m1, m2)
+        assert got == want
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+
+    def test_the_budget_holds_every_monoid_search(self):
+        # a monoid search over 8 events tries at most sum(8!/(8-j)!) prefixes
+        assert sum(math.perm(8, j) for j in range(9)) == 109_601 < fpcm_cat.SEARCH_NODES
 
     def test_isomorphism_size_limit(self):
         big = free_monoid([f"e{i}" for i in range(9)])

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from asyntrace.errors import (
 from asyntrace.trace_core import STAR, BasicHom, free_monoid, make_monoid
 
 import oracles
+from test_state_space import cycle_space
 
 
 FULL_BUNDLE = {
@@ -766,6 +768,25 @@ class TestCli:
     def test_iso_check_of_a_space_over_nine_events_exits_one(self, tmp_path, capsys):
         rc, out, err = self._iso_check(tmp_path, capsys, "B", "B")
         assert (rc, out) == (1, "") and "[SizeLimit]" in err
+
+    def _cycle_check(self, tmp_path, capsys, left, right):
+        spaces = {"C12": cycle_space(8, [12]), "C66": cycle_space(8, [6, 6]), "C12x5": cycle_space(8, [12], last=5)}
+        docs = {"e8": ix.monoid_doc(spaces["C12"].monoid), **{n: ix.space_doc(x, "e8") for n, x in spaces.items()}}
+        bundle = tmp_path / "cycles.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": docs}))
+        start = time.perf_counter()
+        rc = main(["iso-check", str(bundle), "--left", left, "--right", right])
+        seconds = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and seconds < 1
+        return rc, out, err
+
+    def test_iso_check_tells_a_cycle_from_two_halves(self, tmp_path, capsys):
+        assert self._cycle_check(tmp_path, capsys, "C12", "C66") == (0, "not isomorphic\n", "")
+
+    def test_iso_check_of_interchangeable_events_ends(self, tmp_path, capsys):
+        rc, out, err = self._cycle_check(tmp_path, capsys, "C12", "C12x5")
+        assert (rc, out, err) == (0, "not isomorphic\n", "") or ((rc, out) == (1, "") and "[SizeLimit]" in err)
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from asyntrace.state_space import (
     TRUNCATED,
     PresentedAction,
     StateSpace,
+    StateSpaceMorphism,
     act_trace,
     colimit,
     equalizer,
@@ -62,6 +64,16 @@ def diamond_space():
             ("x01", "a"): "x11",
         },
     )
+
+
+def cycle_space(k, sizes, last=1):
+    """``k`` free events over disjoint cycles of the given sizes: each event
+    steps one state along its cycle, the last event ``last`` states."""
+    m = free_monoid([f"e{i}" for i in range(k)])
+    steps = [1] * (k - 1) + [last]
+    states = [(c, i) for c, n in enumerate(sizes) for i in range(n)]
+    action = {(f"c{c}_{i}", e): f"c{c}_{(i + d) % sizes[c]}" for c, i in states for e, d in zip(m.events, steps)}
+    return make_space(m, [f"c{c}_{i}" for c, i in states], action)
 
 
 class TestSpaceBasics:
@@ -294,6 +306,16 @@ class TestSpaceEqualizerAndLimit:
         for leg in cone.legs.values():
             assert validate_morphism(leg) == []
         assert validate_space(cone.apex) == []
+
+    def test_a_state_map_that_misses_a_state_is_not_a_morphism(self):
+        m = free_monoid("a")
+        s = make_space(m, ["p", "q"], {("p", "a"): "q"})
+        good = make_space_morphism(s, s, identity_hom(m), {"p": "p", "q": "q"})
+        bad = StateSpaceMorphism(s, s, identity_hom(m), {})
+        with pytest.raises(NotAMorphism, match="state map missing for 'p'"):
+            equalizer(bad, good)
+        with pytest.raises(NotAMorphism, match="state map missing for 'p'"):
+            space_tupling([good, bad], product([s, s]))
 
 
 class TestSaturation:
@@ -738,3 +760,60 @@ class TestIsomorphism:
         s = make_space(m, [f"x{i}" for i in range(13)], {})
         with pytest.raises(SizeLimit):
             is_isomorphic(s, s)
+
+    def test_refuses_an_invalid_space(self):
+        m = free_monoid("a")
+        good = StateSpace(m, ("p",), {("p", "a"): "p"})
+        bad = StateSpace(m, ("p",), {("p", "a"): "zz"})
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(InvalidSpace, match="action value 'zz' is not a state"):
+                is_isomorphic(*pair)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["copy", "same monoid", "other"]))
+    def test_matches_the_brute_force(self, seed, kind):
+        # the same answer as trying every permutation, maps and their order included
+        rng = random.Random(seed)
+        s1 = oracles.random_space(rng, oracles.random_monoid(rng, 4), 5)
+        if kind == "copy":
+            s2 = oracles.relabelled_space(rng, s1)
+        else:
+            m = s1.monoid if kind == "same monoid" else oracles.random_monoid(rng, 4, prefix="z")
+            s2 = oracles.random_space(rng, m, prefix="y", n=len(s1.states))
+        got, want = is_isomorphic(s1, s2), oracles.reference_is_isomorphic(s1, s2)
+        assert got == want
+        if want is not None:
+            assert [list(x.items()) for x in got] == [list(x.items()) for x in want]
+
+    def _timed(self, s1, s2):
+        start = time.perf_counter()
+        try:
+            res = is_isomorphic(s1, s2)
+        except SizeLimit:
+            res = SizeLimit
+        return res, time.perf_counter() - start
+
+    def test_a_cycle_against_two_halves_is_told_apart_at_once(self):
+        # every event steps +1: a 12-cycle is not two 6-cycles, and the first
+        # event's propagation shows it for each image
+        for k in (4, 8):
+            res, seconds = self._timed(cycle_space(k, [12]), cycle_space(k, [6, 6]))
+            assert res is None and seconds < 0.1
+
+    def test_spaces_told_apart_by_their_signatures(self):
+        # n-1 a-loops and one a+b loop, against n-1 a-loops and a bare state
+        m = free_monoid("ab")
+        states = [f"x{i}" for i in range(12)]
+        loops = {(x, "a"): x for x in states}
+        s1 = make_space(m, states, {**loops, ("x11", "b"): "x11"})
+        s2 = make_space(m, states, {k: v for k, v in loops.items() if k[0] != "x11"})
+        res, seconds = self._timed(s1, s2)
+        assert res is None and seconds < 1
+
+    def test_interchangeable_events_end_within_the_budget(self):
+        # every event steps +1, against the same with the last event +5: no
+        # prefix can be cut, so the search is decided or gives up
+        for k in (6, 7, 8):
+            res, seconds = self._timed(cycle_space(k, [12]), cycle_space(k, [12], last=5))
+            assert res in (None, SizeLimit) and seconds < 1
+        assert res is SizeLimit  # k = 8 takes more than the budget

@@ -59,6 +59,9 @@ def render_tuple(parts: Sequence[str]) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+PRODUCT_SIZE = 10_000  # elements of one product: 6 factors of 3 (4 095) pass, 7 (16 383) do not
+
+
 class PointedGrid:
     """The tuples of a product of pointed sets, indexed in mixed radix.
 
@@ -93,9 +96,12 @@ class PointedGrid:
         ``render_tuple`` is not injective once names hold commas; a name
         rendered from two tuples of the whole grid raises ``clash``.  So with
         arrows and a comma, the names are checked by the walk of the
-        discrete shape."""
+        discrete shape.  That walk, a product, raises ``SizeLimit`` before
+        it starts when the grid has more than ``PRODUCT_SIZE`` elements."""
         index = {o: j for j, o in enumerate(shape.objects)}
         arrows = [(index[src], index[dst], maps[name]) for name, src, dst in shape.arrows]
+        if not arrows and self.size > PRODUCT_SIZE:
+            raise SizeLimit(f"a product of {self.size} {what}s is over the limit of {PRODUCT_SIZE}")
         tuples = [()]
         for j, axis in enumerate(self.axes):
             checks = [(s, d, f) for s, d, f in arrows if max(s, d) == j]
@@ -146,7 +152,8 @@ def pointed_relation(m: TraceMonoid, flag: Category) -> frozenset[tuple[str, str
 
 
 def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:
-    """Product of a finite family; the empty product is the trivial monoid.
+    """Product of a finite family; the empty product is the trivial monoid,
+    and one of more than ``PRODUCT_SIZE`` generators raises ``SizeLimit``.
 
     Two generators are independent when they are distinct and every pair of
     components lies in the factor's pointed relation: the commutativity

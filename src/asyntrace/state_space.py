@@ -37,7 +37,6 @@ from .trace_core import (
     Trace,
     TraceMonoid,
     check_word,
-    extend_normal_form,
     is_independence_preserving,
     malformed_image,
     normal_form,
@@ -196,7 +195,8 @@ class SpaceProductResult:
 
 def product(spaces: Sequence[StateSpace], flag: Category = Category.FPCM) -> SpaceProductResult:
     """Monoid product acting componentwise on the product of pointed state
-    sets; only the all-star tuple plays the basepoint.  It is the limit of
+    sets; only the all-star tuple plays the basepoint, and more than
+    ``fpcm_cat.PRODUCT_SIZE`` states raise ``SizeLimit``.  It is the limit of
     the discrete diagram: ``_componentwise`` over ``fpcm_cat.product``,
     whose result it keeps for ``space_tupling``."""
     spaces = list(spaces)
@@ -333,11 +333,10 @@ class SaturationResult:
     input generator to its state or star.
 
     The unexplored terms ``(generator, trace)`` are kept as buckets: the
-    distinct frontier traces, sorted, and per generator with frontier terms,
-    in order, the positions of its traces among them.  ``frontier`` decodes
-    them, on first access, into the tuple of terms in tuple order;
-    ``frontier_names()`` renders them without building any term, with one
-    ``".".join`` per distinct trace.
+    distinct frontier traces, as sorted code strings (``_coding``), and per
+    generator with frontier terms, in order, the positions of its traces
+    among them.  ``frontier`` decodes them, on first access, into the tuple
+    of terms in tuple order; ``frontier_names()`` renders them (``_suffixes``).
     """
 
     status: str
@@ -348,19 +347,58 @@ class SaturationResult:
     @cached_property
     def frontier(self) -> tuple[Term, ...]:
         traces, buckets = self._buckets
-        return tuple([(g, traces[j]) for g, positions in buckets for j in positions])
+        names = sorted(self.space.monoid.events)
+        words = [tuple([names[ord(c)] for c in t]) for t in traces]
+        return tuple([(g, words[j]) for g, positions in buckets for j in positions])
 
     def frontier_names(self) -> list[str]:
         """The frontier's state names, ``g@a.b`` for ``(g, ("a", "b"))``, in order."""
         traces, buckets = self._buckets
-        tails = _tails(traces)
+        tails = _suffixes(traces, self.space.monoid.events)
         return [g + tails[j] for g, positions in buckets for j in positions]
 
 
-def _tails(traces) -> list[str]:
-    """The state-name suffix of each trace: ``""`` for the empty trace,
-    ``"@a.b"`` for ``("a", "b")``; a term's name is its generator plus it."""
-    return ["@" + ".".join(t) if t else "" for t in traces]
+def _coding(m: TraceMonoid) -> tuple[dict[str, str], list[tuple[str, str, str]]]:
+    """``saturate``'s trace code: per event, the character ``chr(r)`` of its
+    rank ``r`` among the sorted event names, so that code strings sort as
+    the tuples of names do; and, per event in declared order, its code and
+    its two strings of ``TraceMonoid._insertion``, re-coded."""
+    code = {e: chr(r) for r, e in enumerate(sorted(m.events))}
+    recode = {i: code[e] for i, e in enumerate(m.events)}
+    return code, [(code[e], *(s.translate(recode) for s in m._insertion[chr(i)])) for i, e in enumerate(m.events)]
+
+
+def _successors(t: str, insertion: list[tuple[str, str, str]]) -> list[str]:
+    """The code strings of the normal form ``t`` followed by each event of
+    ``insertion`` (``_coding``): ``normal_form``'s insertion rule, one
+    ``rstrip`` of the codes independent of the event, then one ``lstrip``
+    of the lower codes."""
+    out = []
+    for ch, independent, lower in insertion:
+        u = t.rstrip(independent)
+        if u is t:
+            out.append(t + ch)
+        else:
+            r = t[len(u) :].lstrip(lower)
+            out.append(t[: len(t) - len(r)] + ch + r)
+    return out
+
+
+def _suffixes(traces: Sequence[str], events: Sequence[str]) -> list[str]:
+    """The state-name suffix of each code string of ``traces`` (``_coding``):
+    ``""`` for the empty trace, ``"@a.b"`` for ``("a", "b")``.  A trace
+    extends the suffix of its one-shorter prefix, translated once for each
+    run of traces with that prefix, such as sorted siblings."""
+    names = sorted(events)
+    last = {chr(r): e for r, e in enumerate(names)}
+    dotted = str.maketrans({chr(r): e + "." for r, e in enumerate(names)})
+    tails, head, prefix = [], None, ""
+    for t in traces:
+        if t[:-1] != head:
+            head = t[:-1]
+            prefix = "@" + head.translate(dotted)
+        tails.append(prefix + last[t[-1]] if t else "")
+    return tails
 
 
 def _exactly(items, kind, size=None) -> bool:
@@ -408,24 +446,21 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     (a defect, or a ``str`` subclass or a list, which are accepted) does a
     scan run, item by item, to name the first defect.
 
-    The call keeps a trace table: each canonical trace gets an integer id,
-    the empty trace first, and the first time a term on it is extended, a
-    row of its successors by every event, shared by every generator, since
-    the successor of a trace does not depend on its generator.  The row is
-    filled by one-letter ``extend_normal_form``, so it runs once per (trace,
-    event).  There is no term table: a term is the integer code ``trace id *
-    width + generator index``, where the generator index is the position
-    among the sorted generators that the presentation names anywhere, and
-    star is the code -1; a generator's code is its index.  A row holds its
-    successor trace ids times ``width``, so the successor codes of a term
-    are its trace's row plus its generator index.  The seeds are coded
-    directly; an identification's word goes through ``normal_form`` only
-    when it has at least two letters, since a shorter one is its own normal
-    form.  ``parent`` and the sort key ``(len(trace), generator, trace)`` are
-    dicts over the present terms (those that belong to the closure), in the
-    order they joined, and ``fpcm_cat.union_find`` works on them.  This is
-    the memoized successor table of congruence closure (Downey, Sethi and
-    Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2), 1980).
+    The call keeps a trace table.  A canonical trace is a code string
+    (``_coding``), interned with an integer id, the empty trace first.  A
+    term is the integer code ``trace id * width + generator index``, the
+    index among the sorted generators that the presentation names, and star
+    is -1; a generator, or a term on the empty word, is its index.  The
+    first time a term is extended, its trace gets a row: its successors'
+    ids times ``width``, by every event, made once by ``_successors`` and
+    shared by every generator, so a term's successors are its trace's row
+    plus its generator index.  An identification's word goes through
+    ``normal_form`` only when it has two letters or more.  ``parent`` and
+    the key ``(len(trace), generator index, code string)``, which sorts as
+    ``(len(trace), generator, trace)`` does on names, are dicts over the
+    present terms, in the order they joined, for ``fpcm_cat.union_find``.
+    This is the memoized successor table of congruence closure (Downey,
+    Sethi and Tarjan, JACM 27(4), 1980; Nelson and Oppen, JACM 27(2), 1980).
 
     Each fixpoint pass visits, in key order, the classes that it can
     change: the classes of several members, star's class, and the
@@ -443,27 +478,24 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     The last pass changed nothing, so its classes are the final ones, and at
     that fixpoint the present successors of a class's members by one event
     all lie in one class.  The roots are sorted once, and a state is named
-    by its root's generator and trace, with one ``".".join`` per trace.  The
-    classification reads the classes in the order they joined: a class
-    below the bound takes the class of its root's successor, which the last
-    pass found present.  A class at the bound scans its members for a
-    present successor, unless no present term is deeper than the bound (a
-    deeper one can only come from a rule or an identification): then every
+    by its root's generator and trace (``_suffixes``).  The classification
+    reads the classes in the order they joined: a class below the bound
+    takes the class of its root's successor, which the last pass found
+    present.  A class at the bound scans its members for a present
+    successor, unless no present term is deeper than the bound (a deeper
+    one can only come from a rule or an identification): then every
     successor of the class is unexplored, so each of its events goes to the
     frontier, and the classes at the bound, a slice of the sorted roots,
-    are not scanned: each hands its trace's row, made once per trace, to
-    the frontier.  A name that two classes render raises ``InvalidSpace``.
+    are not scanned: each hands its trace's successors to the frontier, as
+    code strings made once per trace and never interned.  A name that two
+    classes render raises ``InvalidSpace``.
 
-    The frontier is collected per generator index, as rows (successor trace
-    ids times ``width``) and single trace ids.  Its distinct traces are
-    sorted once, and each generator's bucket is the sorted set of the
-    positions of its traces among them, so the buckets, read in generator
-    order, list the frontier in the tuple order of ``(generator, trace)``.
-    Generators whose frontier comes from the same rows, as the generators
-    of one system in a free extension often do, share one bucket.  The result
-    keeps the buckets: ``SaturationResult.frontier`` decodes them on first
-    access and ``frontier_names()`` renders them, one ``".".join`` per
-    distinct trace.
+    The frontier is collected per generator index, as lists of code
+    strings.  Its distinct traces are sorted once, and each generator's
+    bucket is the sorted positions of its traces among them, so the buckets
+    list the frontier in the tuple order of ``(generator, trace)``.
+    Generators whose frontier comes from the same lists, as the generators
+    of one system in a free extension often do, share one bucket.
     """
     if isinstance(bound, bool) or not isinstance(bound, int):
         raise InvalidBound(f"saturation bound must be an int, got {bound!r}")
@@ -501,27 +533,26 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     gens = sorted(named)
     gen_index = {g: k for k, g in enumerate(gens)}
     width = len(gens)
-    traces: list[tuple[str, ...]] = [()]  # trace id -> canonical trace; a generator's code is its index
-    trace_ids: dict = {(): 0}
-    rows: list = [None]  # trace id -> successor trace ids times width, by event; None until asked
+    code_of, insertion = _coding(m)
+    traces: list[str] = [""]  # trace id -> code string; a generator's code is its index
+    trace_ids: dict = {"": 0}
+    rows: dict = {}  # trace id -> successor trace ids times width, by event, once asked
     star = -1
     parent = {star: star}  # present code -> parent code, in the order the terms joined
-    keys: dict = {star: (-1, "", ())}  # star sorts first, so it is always its own root
+    keys: dict = {star: (-1, -1, "")}  # star sorts first, so it is always its own root
     find, union = union_find(parent, keys)
 
-    def trace_id(t: tuple[str, ...]) -> int:
+    def trace_id(t: str) -> int:
         i = trace_ids.get(t)
         if i is None:
             i = trace_ids[t] = len(traces)
             traces.append(t)
-            rows.append(None)
         return i
 
     def row(i: int) -> list[int]:
-        r = rows[i]
+        r = rows.get(i)
         if r is None:
-            t = traces[i]
-            r = rows[i] = [trace_id(extend_normal_form(t, e, m)) * width for e in events]
+            r = rows[i] = [trace_id(t) * width for t in _successors(traces[i], insertion)]
         return r
 
     def successors(c: int) -> list[int]:
@@ -532,16 +563,19 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
         """Add the codes that are not present, in order; whether any was."""
         new = [c for c in dict.fromkeys(codes) if c not in parent]
         parent.update(zip(new, new))
-        keys.update([(c, (len(t), gens[c % width], t)) for c in new for t in [traces[c // width]]])
+        keys.update([(c, (len(t), c % width, t)) for c in new for t in [traces[c // width]]])
         return bool(new)
 
     def code(t: Union[Term, str]) -> int:
         if t == STAR:
             return star
         g, word = t
-        return trace_id(normal_form(word, m) if len(word) > 1 else check_word(word, m)) * width + gen_index[g]
+        if not word:
+            return gen_index[g]
+        word = normal_form(word, m) if len(word) > 1 else check_word(word, m)
+        return trace_id("".join(map(code_of.__getitem__, word))) * width + gen_index[g]
 
-    rule_pairs = [(trace_id((e,)) * width + gen_index[g], star if target == STAR else gen_index[target])
+    rule_pairs = [(trace_id(code_of[e]) * width + gen_index[g], star if target == STAR else gen_index[target])
                   for g, e, target in zip(lhs, letters, rhs)]
     glued = [(code(a), code(b)) for a, b in pairs]
     join([*map(gen_index.__getitem__, p.generators), *itertools.chain.from_iterable(rule_pairs),
@@ -597,26 +631,26 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     roots = sorted(order, key=keys.__getitem__)  # star first, then by depth
     at = bisect_left(roots, bound, key=lambda r: keys[r][0])
     past = bisect_right(roots, bound, lo=at, key=lambda r: keys[r][0])
-    tails = _tails(traces)
+    tails = _suffixes(traces, events)
     names = {root: gens[root % width] + tails[root // width] for root in roots[1:past]}
     if len(set(names.values())) < len(names):
         seen_names: dict = {}
         for root, name in names.items():
             if name in seen_names:
-                raise InvalidSpace(
-                    f"colimit state name {name!r} renders both {keys[seen_names[name]][1:]!r} and {keys[root][1:]!r}"
-                )
+                a, b = ((gens[r % width], tuple(map(sorted(events).__getitem__, map(ord, traces[r // width]))))
+                        for r in (seen_names[name], root))
+                raise InvalidSpace(f"colimit state name {name!r} renders both {a!r} and {b!r}")
             seen_names[name] = root
-    reach: list = [[] for _ in gens]  # generator index -> rows of its frontier traces
+    reach: list = [[] for _ in gens]  # generator index -> lists of its frontier traces
     for root in roots[past:]:
-        k = root % width
-        reach[k].append((root - k,))
+        reach[root % width].append((traces[root // width],))
     if shallow:  # no term past the bound is present: the classes at the bound reach only the frontier
-        at_bound = roots[at:past]
-        for i in {root // width for root in at_bound}:
-            row(i)
-        for root in at_bound:
-            reach[root % width].append(rows[root // width])
+        made: dict = {}  # trace id -> the code strings of its successors, made once
+        for root in roots[at:past]:
+            i = root // width
+            if i not in made:
+                made[i] = [traces[b // width] for b in rows[i]] if i in rows else _successors(traces[i], insertion)
+            reach[root % width].append(made[i])
         read = set(roots[1:at])
     else:
         read = set(roots[1:past])
@@ -636,23 +670,22 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
             if target is not None:
                 action[(name, e)] = target
             elif r != star:
-                k = s0 % width
-                reach[k].append((s0 - k,))
-    # generators whose frontier comes from the same rows (one list per trace) share a bucket
+                reach[s0 % width].append((traces[s0 // width],))
+    # generators whose frontier comes from the same lists share a bucket
     origins = [tuple(map(id, rs)) for rs in reach]
-    shared: dict = {}  # rows by identity -> their distinct frontier traces (ids times width), then positions
+    shared: dict = {}  # lists by identity -> their distinct frontier traces, then positions
     for origin, rs in zip(origins, reach):
         if origin not in shared:
             shared[origin] = dict.fromkeys(itertools.chain.from_iterable(rs))
-    ranked = sorted(dict.fromkeys(itertools.chain.from_iterable(shared.values())), key=lambda b: traces[b // width])
-    position = {b: j for j, b in enumerate(ranked)}
-    for origin, bs in shared.items():
-        shared[origin] = sorted(map(position.__getitem__, bs))
+    ranked = sorted(dict.fromkeys(itertools.chain.from_iterable(shared.values())))
+    position = {t: j for j, t in enumerate(ranked)}
+    for origin, ts in shared.items():
+        shared[origin] = sorted(map(position.__getitem__, ts))
     status = EXACT if not ranked else TRUNCATED
     space = StateSpace(m, tuple(names.values()), action)
     class_map = {g: names.get(find(gen_index[g]), STAR) for g in p.generators}
     bucketed = [(g, shared[origin]) for g, origin in zip(gens, origins) if origin]
-    return SaturationResult(status, space, class_map, ([traces[b // width] for b in ranked], bucketed))
+    return SaturationResult(status, space, class_map, (ranked, bucketed))
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +765,16 @@ def colimit(
 
 def is_isomorphic(s1: StateSpace, s2: StateSpace) -> Optional[tuple[dict[str, str], dict[str, str]]]:
     """Event bijection preserving independence plus jointly equivariant state
-    bijection, as (event_map, state_map), or None; two spaces of one size are
-    validated first.  ``fits`` gives ``fpcm_cat.search_isomorphism`` the first
-    state bijection equivariant for the mapped events: once the sorted
-    signatures (per state, the mapped events defined there) agree, ``assign``
-    propagates pending images one-to-one and star to star, then seeds the
-    first unmapped state of ``s1`` with each free state of ``s2`` in turn."""
-    if len(s1.monoid.events) > 8 or len(s1.states) > 12:
-        raise SizeLimit("isomorphism search limited to 8 events and 12 states")
+    bijection, as (event_map, state_map), or None, at once for spaces of other
+    sizes; two of one size are validated first.  ``fits`` gives
+    ``fpcm_cat.search_isomorphism`` the first state bijection equivariant for the
+    mapped events: once the sorted signatures (per state, the mapped events defined
+    there) agree, ``assign`` propagates pending images one-to-one and star to star,
+    then seeds the first unmapped state of ``s1`` with each free state of ``s2`` in turn."""
     if len(s1.states) != len(s2.states) or len(s1.monoid.events) != len(s2.monoid.events):
         return None
+    if len(s1.monoid.events) > 8 or len(s1.states) > 12:
+        raise SizeLimit("isomorphism search limited to 8 events and 12 states")
     refuse(validate_space(s1) + validate_space(s2), InvalidSpace)
     rows1, rows2 = ({x: {e: s.step(x, e) for e in s.monoid.events} for x in s.states} for s in (s1, s2))
 

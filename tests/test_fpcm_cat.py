@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,16 @@ class TestProduct:
         res = product([free_commutative_monoid("ab"), free_monoid("c")], Category.FPCM)
         for p in res.projections:
             assert p.source == res.monoid
+
+    def test_seven_factors_are_refused_at_once(self):
+        # 4^7 - 1 = 16 383 generators; six factors, 4 095, pass
+        ms = [make_monoid([f"{c}{i}" for c in "abc"], [(f"a{i}", f"b{i}")]) for i in range(7)]
+        six = fpcm_cat.PointedGrid([m.events for m in ms[:6]]).matching(discrete(6), {}, DuplicateEvent, "generator")
+        assert len(six) == 4095
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="16383 generators"):
+            product(ms)
+        assert time.perf_counter() - start < 1
 
     def test_tupling_commutes_with_projections(self):
         m1, m2 = free_monoid("a"), free_monoid("b")

@@ -683,6 +683,19 @@ class TestCli:
         assert "'(a,b,c)'" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_product_of_seven_factors_exits_one_at_once(self, tmp_path, capsys):
+        # 4^7 - 1 = 16 383 generators, refused before any is built
+        docs = {f"m{i}": {"kind": "monoid", "events": [f"{c}{i}" for c in "abc"], "independence": [[f"a{i}", f"b{i}"]]}
+                for i in range(7)}
+        bundle = tmp_path / "seven.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": docs}))
+        start = time.perf_counter()
+        rc = main(["monoid", "product", str(bundle), "--objects", *docs])
+        seconds = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "") and "[SizeLimit]" in captured.err
+        assert "Traceback" not in captured.err and seconds < 1
+
     @pytest.mark.parametrize("group, kind", [("space", "space"), ("asys", "system")])
     def test_colimit_name_clash_exits_one(self, tmp_path, capsys, group, kind):
         # "0:x@1:b" renders both the state x@1:b and x acted on by b; the
@@ -735,6 +748,8 @@ class TestCli:
         "U": {"kind": "space", "monoid": "m", "states": ["x0", "x1", "x2", "x3"],
               "action": {"x0": {"a": "x1"}, "x2": {"a": "x3"}}},
         "B": {"kind": "space", "monoid": "big", "states": ["z"], "action": {}},
+        "S12": {"kind": "space", "monoid": "m", "states": [f"x{i}" for i in range(12)], "action": {}},
+        "S13": {"kind": "space", "monoid": "m", "states": [f"x{i}" for i in range(13)], "action": {}},
     }
 
     def _iso_check(self, tmp_path, capsys, left, right, *more):
@@ -767,6 +782,13 @@ class TestCli:
 
     def test_iso_check_of_a_space_over_nine_events_exits_one(self, tmp_path, capsys):
         rc, out, err = self._iso_check(tmp_path, capsys, "B", "B")
+        assert (rc, out) == (1, "") and "[SizeLimit]" in err
+
+    def test_iso_check_of_spaces_of_other_sizes_answers_in_either_order(self, tmp_path, capsys):
+        # 13 states are over the search's limit, but sizes that differ answer first
+        for left, right in (("S12", "S13"), ("S13", "S12")):
+            assert self._iso_check(tmp_path, capsys, left, right) == (0, "not isomorphic\n", "")
+        rc, out, err = self._iso_check(tmp_path, capsys, "S13", "S13")
         assert (rc, out) == (1, "") and "[SizeLimit]" in err
 
     def _cycle_check(self, tmp_path, capsys, left, right):

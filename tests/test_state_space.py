@@ -39,11 +39,13 @@ from asyntrace.state_space import (
 )
 from asyntrace.trace_core import (
     STAR,
+    extend_normal_form,
     free_commutative_monoid,
     free_monoid,
     identity_hom,
     make_hom,
     make_monoid,
+    normal_form,
     normalize,
 )
 
@@ -233,6 +235,15 @@ class TestSpaceProduct:
             comp = oracles.compose_morphisms(proj, med)
             assert comp.state_part == leg.state_part
             assert comp.monoid_part.mapping == leg.monoid_part.mapping
+
+    def test_seven_factors_of_three_states_are_refused_at_once(self):
+        # 4^7 - 1 = 16 383 states, over fpcm_cat.PRODUCT_SIZE; the monoid
+        # product, of 2^7 - 1 generators, would pass
+        spaces = [make_space(free_monoid([f"e{i}"]), [f"x{i}", f"y{i}", f"z{i}"], {}) for i in range(7)]
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="16383 states"):
+            product(spaces)
+        assert time.perf_counter() - start < 1
 
 
 @st.composite
@@ -448,6 +459,34 @@ class TestSaturation:
 
 
 @st.composite
+def unordered_monoids(draw):
+    """Up to 4 events, any pairs independent, named so that name order
+    differs from declaration order: ``a``, ``ab``, ``b`` and ``ba`` are
+    prefixes of one another, declared in any order."""
+    events = tuple(draw(st.permutations(("a", "ab", "b", "ba")))[: draw(st.integers(1, 4))])
+    pairs = list(itertools.combinations(events, 2))
+    return make_monoid(events, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unordered_monoids(), st.data())
+def test_successors_insert_as_normal_form_does(m, data):
+    # saturate's row of a trace, over code strings, against the name tuples
+    word = st.lists(st.sampled_from(m.events), max_size=8)
+    u, v = (normal_form(data.draw(word), m) for _ in range(2))
+    code, insertion = state_space._coding(m)
+
+    def coded(w):
+        return "".join(map(code.__getitem__, w))
+
+    got = state_space._successors(coded(u), insertion)
+    assert got == [coded(extend_normal_form(u, e, m)) for e in m.events]
+    assert got == [coded(normal_form(u + (e,), m)) for e in m.events]
+    # code strings sort as the tuples of names do
+    assert (coded(u) < coded(v)) == (u < v)
+
+
+@st.composite
 def presentations(draw):
     """Up to 4 generators over up to 4 events, random rules to a generator or
     star, and a few identifications of arbitrary (uncanonical) words.
@@ -458,10 +497,8 @@ def presentations(draw):
     prefixes of one another, declared in any order.  Rules and
     identifications may also name one generator that is not declared, and
     it may sort anywhere among the declared ones."""
-    events = tuple(draw(st.permutations(("a", "ab", "b", "ba")))[: draw(st.integers(1, 4))])
-    pairs = list(itertools.combinations(events, 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    m = make_monoid(events, chosen)
+    m = draw(unordered_monoids())
+    events = m.events
     names = draw(st.permutations(("g10", "g2", "h", "g1", "k")))
     gens = tuple(names[: draw(st.integers(1, 4))])
     named = gens + (names[len(gens)],)
@@ -562,14 +599,19 @@ class TestSaturationReference:
         assert ("g", ("a", "b")) not in r.frontier
         assert_same_saturation(r, oracles.reference_saturate(p, 1))
 
-    def test_matches_reference_on_free_extension_of_two_systems(self, monkeypatch):
+    @pytest.mark.parametrize("reverse", [False, True], ids=["name-order", "reversed"])
+    def test_matches_reference_on_free_extension_of_two_systems(self, monkeypatch, reverse):
         # the discrete diagram of two 5-state systems over 3-letter monoids
-        # with one independent pair each, as in the colimits benchmark
+        # with one independent pair each, as in the colimits benchmark; with
+        # each monoid's events declared in reverse, the colimit's events are
+        # not declared in name order
         rng = random.Random(4336)
         objects = {}
         for o, letters, prefix in (("o0", "abc", "p"), ("o1", "def", "q")):
             m = make_monoid(letters, [rng.choice(list(itertools.combinations(letters, 2)))])
             s = oracles.random_space(rng, m, prefix=prefix, n=5)
+            if reverse:
+                m = make_monoid(m.events[::-1], m.pairs())
             objects[o] = async_system.WeakAsyncSystem(m, s.states, dict(s.action), s.states[0])
         seen = []
         real = state_space.saturate
@@ -597,15 +639,17 @@ class TestSaturationReference:
             s = oracles.random_space(rng, m, prefix=prefix, n=5)
             objects[o] = async_system.WeakAsyncSystem(m, s.states, dict(s.action), s.states[0])
         calls = []
-        real = state_space.extend_normal_form
+        real = state_space._successors
 
-        def counting(u, e, m):
-            calls.append((u, e))
-            return real(u, e, m)
+        def counting(t, insertion):
+            # one call fills a trace's row: one extension per event
+            calls.extend((t, e) for e, _, _ in insertion)
+            return real(t, insertion)
 
-        monkeypatch.setattr(state_space, "extend_normal_form", counting)
+        monkeypatch.setattr(state_space, "_successors", counting)
         _, got = async_system.colimit(Diagram(discrete(2), objects, {}), bound=3)
         assert len(got.space.states) == 937
+        assert calls
         assert len(calls) == len(set(calls))
         # the root of every state has a successor term of its own per event
         assert len(calls) < len(got.space.states) * len(got.space.monoid.events)
@@ -760,6 +804,12 @@ class TestIsomorphism:
         s = make_space(m, [f"x{i}" for i in range(13)], {})
         with pytest.raises(SizeLimit):
             is_isomorphic(s, s)
+
+    def test_spaces_of_other_sizes_answer_in_either_order(self):
+        # 13 states are over the limit, but sizes that differ answer first
+        m = free_monoid("a")
+        s12, s13 = (make_space(m, [f"x{i}" for i in range(n)], {}) for n in (12, 13))
+        assert is_isomorphic(s12, s13) is None and is_isomorphic(s13, s12) is None
 
     def test_refuses_an_invalid_space(self):
         m = free_monoid("a")

@@ -465,16 +465,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     return _build()
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The tree of ``_parsers()``, which ``_parse`` matches."""
-    return _parsers()[0]
-
-
 def _parse(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, scanning the command line once: when
-    its first one or two words name a row, that row's leaf parser parses the
-    rest, into the namespace the tree would fill; every other command line
-    goes to the tree."""
+    """``parse_args(argv)`` of the tree of ``_parsers()``, scanning the
+    command line once: when its first one or two words name a row, that
+    row's leaf parser parses the rest, into the namespace the tree would
+    fill; every other command line goes to the tree."""
     top, leaves = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     for n in (1, 2):

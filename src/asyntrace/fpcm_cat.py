@@ -380,10 +380,14 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     Working Mathematician, V.2): the generators of the objects' product, in
     its order and with its names, whose components agree along every arrow,
     ``h(x_src) == x_dst`` with star for the empty trace.  Two of them are
-    independent as in the product; the legs are the component maps."""
+    independent as in the product; the legs are the component maps.  With
+    no arrows, every family is compatible: the limit is the ``product``."""
     refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     ms = [d.on_objects[o] for o in objs]
+    if not d.shape.arrows:
+        prod = product(ms, flag)
+        return Cone(prod.monoid, dict(zip(objs, prod.projections)))
     maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
     gens = PointedGrid([m.events for m in ms]).matching(d.shape, maps, DuplicateEvent, "generator")
     rels = [pointed_relation(m, flag) for m in ms]
@@ -432,6 +436,9 @@ def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> 
     n = len(elements)
     if n > 64:
         raise SizeLimit("multiplication tables are limited to 64 elements")
+    bad = [x for x in elements if not isinstance(x, str)]
+    if bad:
+        raise NotAMonoid(f"carrier element {bad[0]!r} is not a name")
     if len(set(elements)) != n:
         raise NotAMonoid("duplicate carrier elements")
     idx = {x: i for i, x in enumerate(elements)}
@@ -439,7 +446,7 @@ def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> 
         raise NotAMonoid("table shape does not match the carrier")
     for row in table:
         for x in row:
-            if x not in idx:
+            if not isinstance(x, str) or x not in idx:
                 raise NotAMonoid(f"table entry {x!r} outside the carrier")
     def mul(x, y):
         return table[idx[x]][idx[y]]

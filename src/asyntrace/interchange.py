@@ -325,8 +325,9 @@ def dumps(payload: dict) -> str:
     and written by joins whose separators carry the quotes; a ``None`` goes
     through the placeholder ``"\\x00"``, which no plain name holds.  A dict
     is tried as a map of maps only when its first value, in key order, is a
-    dict of str values.  Other strings are quoted by ``json``'s C quoting, each
-    distinct name of a row list once.  A key that is not a str, or a value
+    dict of str values.  Anything else, a row list with a name that is not
+    plain included, is written item by item, each string quoted by
+    ``json``'s C quoting.  A key that is not a str, or a value
     that is not a str, int, bool, None, dict, list or tuple, raises
     ``TypeError``."""
     out: list = []
@@ -398,16 +399,9 @@ def _write(v, nl: str, out: list) -> None:
                 out += "[", inner, q, (q + sep + q).join(v if q else map(_quote, v)), q, nl, "]"
                 return
             (width,) = set(map(len, v))
-            if width and set(map(type, v)) <= {list, tuple}:
-                if _plain("".join(map("".join, v))):
-                    q, rows = '"', v
-                else:  # each distinct name quoted once
-                    q, flat = "", list(chain.from_iterable(v))
-                    names = set(flat)
-                    quoted = dict(zip(names, map(_quote, names)))
-                    rows = zip(*[map(quoted.__getitem__, flat)] * width)
-                between = q + inner + "]" + sep + "[" + inner + "  " + q
-                out += "[", inner, "[", inner, "  " + q, between.join(map((q + sep + "  " + q).join, rows)), q + inner, "]", nl, "]"
+            if width and set(map(type, v)) <= {list, tuple} and _plain("".join(map("".join, v))):
+                between = '"' + inner + "]" + sep + "[" + inner + '  "'
+                out += "[", inner, "[", inner, '  "', between.join(map(('"' + sep + '  "').join, v)), '"' + inner, "]", nl, "]"
                 return
         except (TypeError, ValueError):
             pass

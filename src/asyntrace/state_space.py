@@ -401,34 +401,12 @@ def _suffixes(traces: Sequence[str], events: Sequence[str]) -> list[str]:
     return tails
 
 
-def _exactly(items, kind, size=None) -> bool:
-    """Whether every item is of type ``kind`` itself (a subclass fails) and,
-    when ``size`` is given, of that length: the plain case, in bulk."""
-    return set(map(type, items)) <= {kind} and (size is None or set(map(len, items)) <= {size})
-
-
 def _is_term(t) -> bool:
     """Whether ``t`` is star or a (generator name, sequence of event names) pair."""
     return t == STAR or (
         isinstance(t, (tuple, list)) and len(t) == 2 and isinstance(t[0], str)
         and isinstance(t[1], (tuple, list)) and all(isinstance(x, str) for x in t[1])
     )
-
-
-def _plain_terms(pairs) -> Optional[list]:
-    """The terms other than star of identifications that are all tuples of
-    two terms, each star or a tuple of a str and a tuple of str; None when
-    one is not, so that the per-item scan names it."""
-    if not _exactly(pairs, tuple, 2):
-        return None
-    terms = [t for t in itertools.chain.from_iterable(pairs) if t != STAR]
-    if not _exactly(terms, tuple, 2):
-        return None
-    flat = list(itertools.chain.from_iterable(terms))
-    words = flat[1::2]
-    if _exactly(flat[::2], str) and _exactly(words, tuple) and _exactly(itertools.chain.from_iterable(words), str):
-        return terms
-    return None
 
 
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
@@ -440,11 +418,9 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     their explored successors, star absorbs.  EXACT when the settled classes
     are closed under every event.
 
-    The checks run in bulk: the generators, the rules and the
-    identifications each pass when the types of their items, taken as sets,
-    are exactly ``str`` and tuples of the right length.  Only when that fails
-    (a defect, or a ``str`` subclass or a list, which are accepted) does a
-    scan run, item by item, to name the first defect.
+    The generators, the rules and the identifications are checked in that
+    order, item by item, and the first defect is named; a ``str`` subclass
+    or a list where a tuple is expected is accepted.
 
     The call keeps a trace table.  A canonical trace is a code string
     (``_coding``), interned with an integer id, the empty trace first.  A
@@ -504,22 +480,18 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     m = p.monoid
     events = m.events
     rules, pairs = p.transitions, p.identifications
-    if not _exactly(p.generators, str):
-        bad = [g for g in p.generators if not isinstance(g, str)]
-        if bad:
-            raise MalformedRelation(f"generator {bad[0]!r} is not a name")
-    if not (_exactly(rules, tuple, 3) and _exactly(itertools.chain.from_iterable(rules), str)):
-        bad = [rule for rule in rules
-               if not (isinstance(rule, (tuple, list)) and len(rule) == 3 and all(isinstance(x, str) for x in rule))]
-        if bad:
-            raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
-    terms = _plain_terms(pairs)
-    if terms is None:
-        bad = next((pair for pair in pairs
-                    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_term, pair)))), None)
-        if bad is not None:
-            raise MalformedRelation(f"identification {bad!r} is not a pair of terms")
-        terms = [t for pair in pairs for t in pair if t != STAR]
+    bad = [g for g in p.generators if not isinstance(g, str)]
+    if bad:
+        raise MalformedRelation(f"generator {bad[0]!r} is not a name")
+    bad = [r for r in rules if not (isinstance(r, (tuple, list)) and len(r) == 3
+                                    and isinstance(r[0], str) and isinstance(r[1], str) and isinstance(r[2], str))]
+    if bad:
+        raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
+    bad = [pair for pair in pairs
+           if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and _is_term(pair[0]) and _is_term(pair[1]))]
+    if bad:
+        raise MalformedRelation(f"identification {bad[0]!r} is not a pair of terms")
+    terms = [t for pair in pairs for t in pair if t != STAR]
     flat = list(itertools.chain.from_iterable(rules))
     lhs, letters, rhs = flat[::3], flat[1::3], flat[2::3]
     term_gens = [t[0] for t in terms]

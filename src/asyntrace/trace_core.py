@@ -101,12 +101,6 @@ class TraceMonoid:
             for c, ds in enumerate(self._dependents)
         }
 
-    @cached_property
-    def _dependent_events(self) -> dict[str, frozenset[str]]:
-        """Per event, the set of events that depend on it (itself included)."""
-        events = self.events
-        return {e: frozenset(events[d] for d in ds) for e, ds in zip(events, self._dependents)}
-
     def index(self, e: str) -> int:
         try:
             return self._position[e]
@@ -171,10 +165,7 @@ def free_commutative_monoid(events: Sequence[str]) -> TraceMonoid:
 
 def check_word(letters: Sequence[str], m: TraceMonoid) -> tuple[str, ...]:
     letters = tuple(letters)
-    position = m._position
-    for x in letters:
-        if not isinstance(x, str) or x not in position:
-            raise _unknown_letter(letters, m)
+    _encode(letters, m)
     return letters
 
 
@@ -311,29 +302,23 @@ def _heap_normal_form(s: str, m: TraceMonoid) -> tuple[str, ...]:
 
 def extend_normal_form(u: tuple[str, ...], e: str, m: TraceMonoid) -> tuple[str, ...]:
     """``normal_form(u + (e,), m)`` for a word ``u`` that is already a normal
-    form, in one pass over ``u``.
+    form, by the insertion rule of :func:`normal_form` over the code string
+    of ``e`` followed by ``u``.
 
-    Precondition: ``u == normal_form(u, m)``; it is not checked.  The new
-    letter cannot move left of the last letter of ``u`` that depends on it,
-    say at position ``k - 1``.  Deleting that ``e`` from the normal form of
-    ``u.e`` leaves a word with no Anisimov-Knuth factor, so it is ``u``
-    itself: the result is ``u`` with ``e`` inserted at some position ``>= k``.
-    Of those, the least word puts ``e`` before the first letter of ``u[k:]``
-    whose code is greater than that of ``e``, or at the end if there is none.
+    Precondition: ``u == normal_form(u, m)``; it is not checked, but ``e``
+    and then the letters of ``u`` are.  The new letter cannot move left of
+    the last letter of ``u`` that depends on it, say at position ``k - 1``.
+    Deleting that ``e`` from the normal form of ``u.e`` leaves a word with
+    no Anisimov-Knuth factor, so it is ``u`` itself: the result is ``u``
+    with ``e`` inserted at some position ``>= k``.  Of those, the least word
+    puts ``e`` before the first letter of ``u[k:]`` whose code is greater
+    than that of ``e``, or at the end if there is none.
     """
-    position = m._position
-    try:
-        code = position[e]
-    except (KeyError, TypeError):
-        raise UnknownEvent(f"letter {e!r} not in alphabet {list(m.events)}") from None
-    dependent = m._dependent_events[e]
-    k = len(u)
-    while k and u[k - 1] not in dependent:
-        k -= 1
-    for j in range(k, len(u)):
-        if position[u[j]] > code:
-            return u[:j] + (e,) + u[j:]
-    return u + (e,)
+    s = _encode((e, *u), m)
+    independent, lower = m._insertion[s[0]]
+    t = s.rstrip(independent)  # stops at s[0] at the latest: e depends on itself
+    j = len(s) - 1 - len(s[len(t) :].lstrip(lower))
+    return (*u[:j], e, *u[j:])
 
 
 @dataclass(frozen=True)

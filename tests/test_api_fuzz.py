@@ -274,11 +274,12 @@ def test_equivalent(monoid, w1, w2):
 
 
 @settings(max_examples=300, deadline=None)
-@given(MONOIDS, st.lists(st.sampled_from("abc"), max_size=4), NAMES)
+@given(MONOIDS, st.lists(NAMES, max_size=4), NAMES)
 def test_extend_normal_form(monoid, word, letter):
     u = normal_form([x for x in word if x in monoid.events], monoid)
-    with contextlib.suppress(TraceError):
-        assert _names_are_strings(extend_normal_form(u, letter, monoid))
+    for prefix in (u, word):
+        with contextlib.suppress(TraceError):
+            assert _names_are_strings(extend_normal_form(prefix, letter, monoid))
 
 
 DIAGRAM_BASES = {  # base -> the object check and the constructions, each taking (diagram, flag)

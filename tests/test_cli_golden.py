@@ -218,7 +218,7 @@ def reparse(argv: list[str], fixture_path: str):
     rc, text, err = call(argv, fixture_path)
     assert (rc, err) == (0, "")
     parsed = interchange.parse(text)
-    args = cli._parser().parse_args([fixture_path if a == "{fixture}" else a for a in argv])
+    args = cli._parsers()[0].parse_args([fixture_path if a == "{fixture}" else a for a in argv])
     bundle = interchange.parse_file(args.bundle)
     inputs = cli._inputs(args.cmd, args, bundle) if args.cmd.options in cli.STYLES else (bundle,)
     out = args.cmd.handler(args, *inputs)

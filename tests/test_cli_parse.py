@@ -78,7 +78,7 @@ def _outcome(parse, argv):
 @pytest.mark.parametrize("argv", LINES, ids=[" ".join(argv) or "(empty)" for argv in LINES])
 def test_parsing_matches_the_tree(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    assert _outcome(cli._parse, argv) == _outcome(cli._parser().parse_args, argv)
+    assert _outcome(cli._parse, argv) == _outcome(cli._parsers()[0].parse_args, argv)
 
 
 def test_a_command_line_is_parsed_by_its_own_parser_only(tmp_path, monkeypatch, capsys):
@@ -90,7 +90,7 @@ def test_a_command_line_is_parsed_by_its_own_parser_only(tmp_path, monkeypatch, 
     }
     bundle = tmp_path / "b.json"
     bundle.write_text(json.dumps({"version": 1, "documents": docs}))
-    top = cli._parser()
+    top = cli._parsers()[0]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the top parser parsed a well-formed command line")

@@ -401,6 +401,19 @@ class TestRightAdjoint:
         with pytest.raises(NotAMonoid):
             right_adjoint_R(["a", "b"], [["a", "a"], ["a", "a"]])
 
+    @pytest.mark.parametrize(
+        "elements, table, message",
+        [
+            ([["1"]], [[["1"]]], r"carrier element \['1'\] is not a name"),
+            ([1], [[1]], "carrier element 1 is not a name"),
+            (["1"], [[["1"]]], r"table entry \['1'\] outside the carrier"),
+        ],
+        ids=["unhashable-element", "int-element", "unhashable-entry"],
+    )
+    def test_rejects_carrier_elements_that_are_not_names(self, elements, table, message):
+        with pytest.raises(NotAMonoid, match=message):
+            right_adjoint_R(elements, table)
+
     def test_size_limit(self):
         elements = [f"x{i}" for i in range(65)]
         with pytest.raises(SizeLimit):

@@ -145,6 +145,15 @@ class TestProductsAreDiscreteLimits:
         assert_same_space_cone(Cone(prod.space, dict(zip(cone.legs, prod.projections))), cone)
         assert list(prod.state_components) == list(cone.apex.states)
 
+    @pytest.mark.parametrize("flag", BOTH)
+    def test_discrete_limit_is_computed_by_product(self, monkeypatch, flag):
+        calls = []
+        product = fpcm_cat.product
+        monkeypatch.setattr(fpcm_cat, "product", lambda ms, flag: calls.append(len(ms)) or product(ms, flag))
+        ms = {"o0": free_monoid("ab"), "o1": make_monoid("xy", [("x", "y")])}
+        fpcm_cat.limit(Diagram(discrete(2), ms, {}), flag)
+        assert calls == [2]
+
 
 class TestColimitReference:
     @settings(max_examples=300, deadline=None)

@@ -433,8 +433,8 @@ class TestSaturation:
 
     @pytest.mark.parametrize(
         "pair",
-        [(("g", ()),), (("g",), ("g", ())), ("g", ("g", ())), (("g", 5), STAR), ((5, ()), ("g", ()))],
-        ids=["one-term", "short-term", "bare-generator", "trace-not-a-sequence", "generator-not-a-name"],
+        [(("g", ()),), (("g",), ("g", ())), ("g", ("g", ())), (("g", 5), STAR), ((5, ()), ("g", ())), None],
+        ids=["one-term", "short-term", "bare-generator", "trace-not-a-sequence", "generator-not-a-name", "none"],
     )
     def test_identification_that_is_not_a_pair_of_terms_is_named(self, pair):
         p = PresentedAction(free_monoid("ab"), ("g",), (), (pair,))

@@ -330,6 +330,11 @@ class TestNormalForm:
         with pytest.raises(UnknownEvent):
             extend_normal_form(("a",), "z", MUTEX)
 
+    @pytest.mark.parametrize("prefix", [("z",), (["x"],)], ids=["unknown", "unhashable"])
+    def test_extension_checks_the_prefix(self, prefix):
+        with pytest.raises(UnknownEvent):
+            extend_normal_form(prefix, "a", MUTEX)
+
     @settings(max_examples=100)
     @given(monoid_and_two_words)
     def test_equivalent_matches_oracle(self, mww):

@@ -9,6 +9,9 @@ and loses, and the gain-rule verdict of ROADMAP.md: the change wins at least
 9 of 10 pairs and its median beats the parent's by more than the parent's
 interquartile range.  With ``--out`` it writes the ``end_to_end`` block of a
 ``BENCH_<n>.json``, adding this workload to a file that already has others.
+The block records whether the runs could cache byte code: a child that
+inherits a non-empty ``PYTHONDONTWRITEBYTECODE`` compiles the package from
+source in every fresh interpreter, so its ``setup_s`` includes compiling.
 
 The two checkouts must hold byte-identical ``BENCHMARK.json`` and
 ``perfbench/*.py``; if they do not, the script runs nothing, names the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -105,6 +109,7 @@ def block(config: dict, seeds, results: dict) -> dict:
         "correct": all(r["correct"] for side in SIDES for r in results[side]),
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
+        "caches_byte_code": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "metrics": {},
     }
     for metric in config["end_to_end"]:

@@ -14,7 +14,6 @@ comma-category gluing of initial states as extra identifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import state_space
@@ -28,15 +27,18 @@ from .state_space import (
     validate_morphism,
     validate_space,
 )
-from .trace_core import STAR, BasicHom, extend_normal_form
+from .trace_core import STAR, BasicHom, TraceMonoid, extend_normal_form
 
 
-@dataclass
 class WeakAsyncSystem(StateSpace):
     """A state space with an initial state; ``action`` is the transition
     table, (state, event) -> state."""
 
-    initial: str  # state name or star
+    def __init__(
+        self, monoid: TraceMonoid, states: tuple[str, ...], action: dict[tuple[str, str], str], initial: str
+    ) -> None:
+        self.monoid, self.states, self.action = monoid, states, action
+        self.initial = initial  # state name or star
 
 
 WEAK = "WEAK"
@@ -164,7 +166,7 @@ def _pointed(cone: Cone, initial: str, end: str) -> Cone:
     (sharing the apex's action) and put at each leg's ``end``."""
     s = cone.apex
     apex = WeakAsyncSystem(s.monoid, s.states, s.action, initial)
-    return Cone(apex, {o: replace(m, **{end: apex}) for o, m in cone.legs.items()})
+    return Cone(apex, {o: StateSpaceMorphism(**{**vars(m), end: apex}) for o, m in cone.legs.items()})
 
 
 def product(systems: Sequence[WeakAsyncSystem]) -> Cone:

@@ -8,16 +8,15 @@ arrows, which is all the standard constructions need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import MalformedDiagram
+from .value import Value
 
 
-@dataclass(frozen=True)
-class DiagramShape:
-    objects: tuple[str, ...]
-    arrows: tuple[tuple[str, str, str], ...]  # (name, source, target)
+class DiagramShape(Value, frozen=True):
+    def __init__(self, objects: tuple[str, ...], arrows: tuple[tuple[str, str, str], ...]) -> None:
+        self.__dict__.update(objects=objects, arrows=arrows)  # an arrow is (name, source, target)
 
 
 def validate_shape(s: DiagramShape) -> list[str]:
@@ -58,24 +57,21 @@ def cospan() -> DiagramShape:
     return DiagramShape(("left", "right", "apex"), (("l", "left", "apex"), ("r", "right", "apex")))
 
 
-@dataclass
-class Cone:
+class Cone(Value):
     """A limit or colimit of a diagram: its apex, and one leg per diagram
     object.  For a limit each leg goes out of the apex to its object; for a
     colimit each goes into the apex from its object."""
 
-    apex: object
-    legs: dict  # diagram object -> morphism
+    def __init__(self, apex: object, legs: dict) -> None:
+        self.apex, self.legs = apex, legs  # legs: diagram object -> morphism
 
 
-@dataclass
-class Diagram:
+class Diagram(Value):
     """A shape's objects and arrows sent to monoids and homs, to spaces and
     their morphisms, or to systems and theirs."""
 
-    shape: DiagramShape
-    on_objects: dict
-    on_arrows: dict
+    def __init__(self, shape: DiagramShape, on_objects: dict, on_arrows: dict) -> None:
+        self.shape, self.on_objects, self.on_arrows = shape, on_objects, on_arrows
 
     def problems(self, noun: str, check_arrow: Callable, check_object: Optional[Callable] = None) -> list[str]:
         """The shape's problems, ``check_object``'s, each missing object, and

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -41,6 +40,7 @@ from .trace_core import (
     make_monoid,
     malformed_image,
 )
+from .value import Value
 
 
 class Category(Enum):
@@ -129,11 +129,12 @@ class PointedGrid:
         return names
 
 
-@dataclass
-class ProductResult:
-    monoid: TraceMonoid
-    projections: tuple[BasicHom, ...]
-    components: dict[str, tuple[str, ...]]  # generator name -> pointed tuple
+class ProductResult(Value):
+    def __init__(
+        self, monoid: TraceMonoid, projections: tuple[BasicHom, ...], components: dict[str, tuple[str, ...]]
+    ) -> None:
+        self.monoid, self.projections = monoid, projections
+        self.components = components  # generator name -> pointed tuple
 
 
 def pointed_relation(m: TraceMonoid, flag: Category) -> frozenset[tuple[str, str]]:
@@ -244,10 +245,9 @@ def tag(index: int, name: str) -> str:
     return f"{index}:{name}"
 
 
-@dataclass
-class CoproductResult:
-    monoid: TraceMonoid
-    injections: tuple[BasicHom, ...]
+class CoproductResult(Value):
+    def __init__(self, monoid: TraceMonoid, injections: tuple[BasicHom, ...]) -> None:
+        self.monoid, self.injections = monoid, injections
 
 
 def coproduct(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> CoproductResult:
@@ -302,11 +302,10 @@ def union_find(parent: dict, keys: dict):
     return find, union
 
 
-@dataclass
-class CoequalizerResult:
-    monoid: TraceMonoid
-    quotient: BasicHom
-    classes: dict[str, Optional[str]]  # target event -> class name, None if killed
+class CoequalizerResult(Value):
+    def __init__(self, monoid: TraceMonoid, quotient: BasicHom, classes: dict[str, Optional[str]]) -> None:
+        self.monoid, self.quotient = monoid, quotient
+        self.classes = classes  # target event -> class name, None if killed
 
 
 def _closure(target: TraceMonoid, equations, flag: Category) -> CoequalizerResult:
@@ -422,17 +421,19 @@ def colimit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
 # Right adjoint to the inclusion into Mon
 
 
-@dataclass
-class RightAdjointResult:
-    monoid: TraceMonoid
-    identity: str
-    counit: dict[str, str]  # generator -> carrier element (here the identity map)
+class RightAdjointResult(Value):
+    def __init__(self, monoid: TraceMonoid, identity: str, counit: dict[str, str]) -> None:
+        self.monoid, self.identity = monoid, identity
+        self.counit = counit  # generator -> carrier element (here the identity map)
 
 
 def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> RightAdjointResult:
     """Trace monoid on the non-identity elements, independent when they are
     distinct and commute in the multiplication table."""
-    elements = list(elements)
+    try:
+        elements, table = list(elements), [list(row) for row in table]
+    except TypeError:
+        raise NotAMonoid("the carrier, the table and each of its rows must be sequences") from None
     n = len(elements)
     if n > 64:
         raise SizeLimit("multiplication tables are limited to 64 elements")

@@ -10,7 +10,6 @@ states/initials; star-valued action entries are omitted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
@@ -20,6 +19,7 @@ from . import state_space as ss
 from .diagrams import Diagram, DiagramShape, validate_shape
 from .errors import DanglingReference, ParseError, SchemaError
 from .trace_core import STAR, BasicHom, TraceMonoid, make_hom, make_monoid
+from .value import Value
 
 VERSION = 1
 
@@ -27,17 +27,15 @@ VERSION = 1
 MORPHISM_KINDS = {"monoid": "hom", "space": "space_morphism", "system": "system_morphism"}
 
 
-@dataclass
-class MonoidTable:
-    elements: tuple[str, ...]
-    table: tuple[tuple[str, ...], ...]
+class MonoidTable(Value):
+    def __init__(self, elements: tuple[str, ...], table: tuple[tuple[str, ...], ...]) -> None:
+        self.elements, self.table = elements, table
 
 
-@dataclass
-class Bundle:
-    documents: dict  # name -> parsed object
-    kinds: dict  # name -> kind string
-    bases: dict = field(default_factory=dict)  # diagram name -> its base, the "over" field
+class Bundle(Value):
+    def __init__(self, documents: dict, kinds: dict, bases: Optional[dict] = None) -> None:
+        self.documents, self.kinds = documents, kinds  # name -> parsed object, name -> kind string
+        self.bases = {} if bases is None else bases  # diagram name -> its base, the "over" field
 
     def get(self, name: str, kind: Optional[str] = None):
         if not isinstance(name, str):

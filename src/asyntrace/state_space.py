@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -41,19 +40,18 @@ from .trace_core import (
     malformed_image,
     normal_form,
 )
+from .value import Value
 
 
-@dataclass
-class StateSpace:
+class StateSpace(Value):
     """Trace monoid acting on a pointed finite state set.
 
     ``action`` holds only the entries that do not lead to star; ``step``
     fills in the sink behaviour.
     """
 
-    monoid: TraceMonoid
-    states: tuple[str, ...]
-    action: dict[tuple[str, str], str]
+    def __init__(self, monoid: TraceMonoid, states: tuple[str, ...], action: dict[tuple[str, str], str]) -> None:
+        self.monoid, self.states, self.action = monoid, states, action
 
     def step(self, x: str, e: str) -> str:
         if x == STAR:
@@ -117,14 +115,14 @@ def validate_space(s: StateSpace) -> list[str]:
     return problems
 
 
-@dataclass
-class StateSpaceMorphism:
+class StateSpaceMorphism(Value):
     """Monoid part plus pointed state map, equivariant on generators."""
 
-    source: StateSpace
-    target: StateSpace
-    monoid_part: BasicHom
-    state_part: dict[str, str]  # proper source states -> target state or star
+    def __init__(
+        self, source: StateSpace, target: StateSpace, monoid_part: BasicHom, state_part: dict[str, str]
+    ) -> None:
+        self.source, self.target, self.monoid_part = source, target, monoid_part
+        self.state_part = state_part  # proper source states -> target state or star
 
     def state(self, x: str) -> str:
         if x == STAR:
@@ -185,12 +183,13 @@ def make_space_morphism(source, target, monoid_part, state_part, flag=Category.F
 # Products, equalizers, limits
 
 
-@dataclass
-class SpaceProductResult:
-    space: StateSpace
-    projections: tuple[StateSpaceMorphism, ...]
-    monoid_product: ProductResult
-    state_components: dict[str, tuple[str, ...]]  # state name -> pointed tuple
+class SpaceProductResult(Value):
+    def __init__(
+        self, space: StateSpace, projections: tuple[StateSpaceMorphism, ...], monoid_product: ProductResult,
+        state_components: dict[str, tuple[str, ...]],
+    ) -> None:
+        self.space, self.projections, self.monoid_product = space, projections, monoid_product
+        self.state_components = state_components  # state name -> pointed tuple
 
 
 def product(spaces: Sequence[StateSpace], flag: Category = Category.FPCM) -> SpaceProductResult:
@@ -310,8 +309,7 @@ EXACT = "EXACT"
 TRUNCATED = "TRUNCATED"
 
 
-@dataclass
-class PresentedAction:
+class PresentedAction(Value):
     """Generators-and-relations form of a state space.
 
     ``transitions`` are rules (generator, event, generator-or-star); several
@@ -320,14 +318,15 @@ class PresentedAction:
     the star sentinel.
     """
 
-    monoid: TraceMonoid
-    generators: tuple[str, ...]
-    transitions: tuple[tuple[str, str, str], ...]
-    identifications: tuple[tuple[Union[Term, str], Union[Term, str]], ...] = ()
+    def __init__(
+        self, monoid: TraceMonoid, generators: tuple[str, ...], transitions: tuple[tuple[str, str, str], ...],
+        identifications: tuple[tuple[Union[Term, str], Union[Term, str]], ...] = (),
+    ) -> None:
+        self.monoid, self.generators = monoid, generators
+        self.transitions, self.identifications = transitions, identifications
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(Value):
     """A materialized quotient: ``status`` is EXACT or TRUNCATED, ``space``
     holds the settled classes and their action, and ``class_map`` sends each
     input generator to its state or star.
@@ -339,10 +338,8 @@ class SaturationResult:
     of terms in tuple order; ``frontier_names()`` renders them (``_suffixes``).
     """
 
-    status: str
-    space: StateSpace
-    class_map: dict[str, str]
-    _buckets: tuple
+    def __init__(self, status: str, space: StateSpace, class_map: dict[str, str], _buckets: tuple) -> None:
+        self.status, self.space, self.class_map, self._buckets = status, space, class_map, _buckets
 
     @cached_property
     def frontier(self) -> tuple[Term, ...]:
@@ -664,10 +661,9 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
 # Colimits of space diagrams
 
 
-@dataclass
-class SpaceColimitResult:
-    saturation: SaturationResult
-    cocone: Cone
+class SpaceColimitResult(Value):
+    def __init__(self, saturation: SaturationResult, cocone: Cone) -> None:
+        self.saturation, self.cocone = saturation, cocone
 
 
 def build_presentation(

@@ -10,7 +10,6 @@ generator to a generator of the target or to the empty trace (encoded as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,14 +22,14 @@ from .errors import (
     ReflexivePair,
     UnknownEvent,
 )
+from .value import Value
 
 # Reserved sentinel used throughout for the basepoint / "undefined" element of
 # pointed sets.  Never a legal event or state name.
 STAR = "*"
 
 
-@dataclass(frozen=True)
-class TraceMonoid:
+class TraceMonoid(Value, frozen=True):
     """Finite alphabet with an irreflexive symmetric independence relation.
 
     ``events`` is kept in declaration order; that order is the total order
@@ -41,15 +40,13 @@ class TraceMonoid:
     The alphabet is indexed once: the position map on construction, the
     sorted pair list by ``make_monoid`` and the ``fpcm_cat`` constructions
     (on first use for a monoid built directly), the dependence tables on
-    first use.  These caches are plain instance attributes, not dataclass
-    fields, so they take no part in ``==``, ``hash`` or ``repr``.
+    first use.  These caches are plain instance attributes, not fields, so
+    they take no part in ``==``, ``hash`` or ``repr``.
     """
 
-    events: tuple[str, ...]
-    independence: frozenset[tuple[str, str]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.events)})
+    def __init__(self, events: tuple[str, ...], independence: frozenset[tuple[str, str]]) -> None:
+        self.__dict__.update(events=events, independence=independence)
+        self.__dict__["_position"] = {e: i for i, e in enumerate(events)}
 
     def _positions_of(self, pair: tuple[str, str]) -> tuple[int, int]:
         try:
@@ -321,16 +318,15 @@ def extend_normal_form(u: tuple[str, ...], e: str, m: TraceMonoid) -> tuple[str,
     return (*u[:j], e, *u[j:])
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Value, frozen=True):
     """A trace, held by its canonical (lex-least) representative.
 
     Build traces through :func:`normalize` or :func:`concat`; the constructor
     trusts that ``letters`` is already canonical.
     """
 
-    monoid: TraceMonoid
-    letters: tuple[str, ...]
+    def __init__(self, monoid: TraceMonoid, letters: tuple[str, ...]) -> None:
+        self.__dict__.update(monoid=monoid, letters=letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -405,8 +401,7 @@ def concat(t1: Trace, t2: Trace) -> Trace:
     return Trace(t1.monoid, normal_form(t1.letters + t2.letters, t1.monoid))
 
 
-@dataclass(frozen=True)
-class BasicHom:
+class BasicHom(Value, frozen=True):
     """Generator-level homomorphism; ``image`` is aligned with source events.
 
     ``None`` encodes the empty trace.  Validity (well-definedness on the
@@ -414,9 +409,8 @@ class BasicHom:
     the target, i.e. one image empty, or equal images, or independent images.
     """
 
-    source: TraceMonoid
-    target: TraceMonoid
-    image: tuple[Optional[str], ...]
+    def __init__(self, source: TraceMonoid, target: TraceMonoid, image: tuple[Optional[str], ...]) -> None:
+        self.__dict__.update(source=source, target=target, image=image)
 
     def __call__(self, e: str) -> Optional[str]:
         try:

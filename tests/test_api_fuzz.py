@@ -7,7 +7,9 @@ not ints >= 0, mixed with valid ones.  It calls ``make_monoid``,
 ``make_hom``, ``make_space``, ``make_space_morphism``, ``make_system``,
 ``async_system.make_morphism`` (on sources built with and without
 ``make_system``), ``normalize``, ``equivalent``,
-``extend_normal_form``, ``act_trace``, ``saturate`` or ``unfold`` on them;
+``extend_normal_form``, ``act_trace``, ``saturate``, ``unfold`` or
+``right_adjoint_R`` on them, the last with carriers, tables and rows that
+may not be lists;
 the morphisms get them as event images and state-map values.  Each call
 returns or raises a ``TraceError`` subclass, and a constructor that returns
 holds only names that are strings.
@@ -33,7 +35,7 @@ from asyntrace import async_system, state_space
 from asyntrace.async_system import WeakAsyncSystem, make_morphism, make_system, unfold, validate_system
 from asyntrace.diagrams import Diagram, DiagramShape, discrete
 from asyntrace.errors import MalformedDiagram, TraceError
-from asyntrace.fpcm_cat import Category
+from asyntrace.fpcm_cat import Category, right_adjoint_R
 from asyntrace.state_space import (
     PresentedAction,
     StateSpace,
@@ -115,6 +117,16 @@ def test_make_space(monoid, states, action):
 def test_make_system(monoid, states, initial, transitions):
     with contextlib.suppress(TraceError):
         assert _names_are_strings(make_system(states, initial, monoid, transitions).states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.lists(NAMES, max_size=3), JUNK),
+    st.one_of(st.lists(st.one_of(st.lists(NAMES, max_size=3), JUNK), max_size=3), JUNK),
+)
+def test_right_adjoint_R(elements, table):
+    with contextlib.suppress(TraceError):
+        assert _names_are_strings(right_adjoint_R(elements, table).monoid.events)
 
 
 @settings(max_examples=300, deadline=None)

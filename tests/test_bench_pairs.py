@@ -64,6 +64,18 @@ def test_judge_needs_paired_runs():
         bench_pairs.judge([1, 2], [1], "lower", 0.2)
 
 
+@pytest.mark.parametrize("value, cached", [(None, True), ("", True), ("1", False)], ids=["unset", "empty", "set"])
+def test_block_records_whether_the_runs_cache_byte_code(monkeypatch, value, cached):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    if value is not None:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    config = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    run = {"correct": True, "failed": 0, "attempted": 3, "metrics": {"setup_s": {"value": 0.07}}}
+    entry = bench_pairs.block(config, [1, 2], {"parent": [run, run], "change": [run, run]})
+    assert entry["caches_byte_code"] is cached
+    assert entry["metrics"]["setup_s"]["runs"] == {"parent": [0.07, 0.07], "change": [0.07, 0.07]}
+
+
 def _checkout(root: pathlib.Path, files: dict) -> pathlib.Path:
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)

@@ -414,6 +414,13 @@ class TestRightAdjoint:
         with pytest.raises(NotAMonoid, match=message):
             right_adjoint_R(elements, table)
 
+    @pytest.mark.parametrize(
+        "elements, table", [(["1"], 5), (["1"], [5]), (5, [["1"]])], ids=["table", "row", "carrier"]
+    )
+    def test_rejects_carrier_and_table_that_are_not_sequences(self, elements, table):
+        with pytest.raises(NotAMonoid, match="must be sequences"):
+            right_adjoint_R(elements, table)
+
     def test_size_limit(self):
         elements = [f"x{i}" for i in range(65)]
         with pytest.raises(SizeLimit):

@@ -7,11 +7,18 @@ bound by an ``import`` counts as used when the module reads it as a name
 function, method or class, one whose name has one leading underscore,
 counts as used when some module of the package reads its name, as a name
 or as an attribute.
+
+A cold start of the command line, in a fresh interpreter, loads neither
+``dataclasses`` nor ``inspect``: each costs milliseconds on every one-shot
+call.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +85,10 @@ def test_the_check_finds_unread_private_code():
 
 def test_no_unread_private_code():
     assert unread_private_definitions({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_cold_start_loads_no_dataclasses_nor_inspect():
+    code = "import sys, asyntrace.cli; asyntrace.cli.build_parser(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(asyntrace.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

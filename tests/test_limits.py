@@ -8,13 +8,13 @@ monoid colimit is judged by ``oracles.reference_colimit``, the coproduct,
 cotupling and coequalizer driver that it replaced.  Malformed diagrams over
 every base must end in a ``TraceError`` at every (co)limit."""
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyntrace import async_system, fpcm_cat, state_space
+from asyntrace.async_system import WeakAsyncSystem
 from asyntrace.diagrams import Cone, Diagram, DiagramShape, cospan, discrete, parallel_pair, span
 from asyntrace.errors import DuplicateEvent, InvalidSpace, MalformedDiagram, TraceError
 from asyntrace.fpcm_cat import Category
@@ -66,11 +66,11 @@ def random_system_diagram(rng, shape):
     random; each arrow the identity or the renaming between them."""
     a = oracles.random_system(rng, 3, 2)
     rename = {x: "r" + x for x in a.states}
-    b = dataclasses.replace(
-        a,
-        states=tuple(rename.values()),
-        initial=rename[a.initial],
-        action={(rename[x], e): rename[y] for (x, e), y in a.action.items()},
+    b = WeakAsyncSystem(
+        a.monoid,
+        tuple(rename.values()),
+        {(rename[x], e): rename[y] for (x, e), y in a.action.items()},
+        rename[a.initial],
     )
     on_objects = {o: rng.choice((a, b)) for o in shape.objects}
     on_arrows = {}
@@ -310,7 +310,7 @@ def malform_arrow(rng, base, arrow, how):
     if base == "space" and how == "unchecked state map":
         states = dict(arrow.state_part)
         states[next(iter(states))] = "zz"
-        return dataclasses.replace(arrow, state_part=states)
+        return StateSpaceMorphism(arrow.source, arrow.target, arrow.monoid_part, states)
     h = arrow if base == "monoid" else arrow.monoid_part
     if how == "short image":
         image = h.image[:-1]
@@ -318,8 +318,8 @@ def malform_arrow(rng, base, arrow, how):
         image = ("zz",) + h.image[1:]
     else:
         image = tuple(oracles.random_basic_hom_map(rng, h.source, h.target).values())
-    h = dataclasses.replace(h, image=image)
-    return h if base == "monoid" else dataclasses.replace(arrow, monoid_part=h)
+    h = BasicHom(h.source, h.target, image)
+    return h if base == "monoid" else StateSpaceMorphism(arrow.source, arrow.target, h, arrow.state_part)
 
 
 def malformed_diagram(rng, base, shape, flag, how):
@@ -336,7 +336,8 @@ def malformed_diagram(rng, base, shape, flag, how):
         del d.on_arrows[name]
     elif how == "swapped endpoints":
         a = d.on_arrows[name]
-        d.on_arrows[name] = dataclasses.replace(a, source=a.target, target=a.source)
+        rest = (a.image,) if base == "monoid" else (a.monoid_part, a.state_part)
+        d.on_arrows[name] = type(a)(a.target, a.source, *rest)
     elif how == "extra arrow":
         d.on_arrows["extra"] = malform_arrow(rng, base, d.on_arrows[name], "short image")
     else:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -15,6 +14,7 @@ from asyntrace.errors import (
     UnknownEvent,
 )
 from asyntrace.trace_core import (
+    BasicHom,
     TraceMonoid,
     apply,
     apply_word,
@@ -172,7 +172,11 @@ class TestMonoidIndex:
         assert m1 == m2
         assert hash(m1) == hash(m2)
         assert repr(m1) == repr(m2) == "TraceMonoid(['a', 'b', 'c'], [('a', 'b'), ('b', 'c')])"
-        assert [f.name for f in dataclasses.fields(m1)] == ["events", "independence"]
+        # the constructor takes exactly events, then independence
+        assert TraceMonoid(independence=m1.independence, events=m1.events) == TraceMonoid(m1.events, m1.independence) == m1
+        for args in ((m1.events,), (m1.events, m1.independence, m1.independence)):
+            with pytest.raises(TypeError):
+                TraceMonoid(*args)
         for m in (m1, m2, MUTEX, free_commutative_monoid("abcd")):
             oracles.check_monoid_order(m)
 
@@ -555,12 +559,12 @@ class TestBasicHom:
         assert apply_word(h, w) == apply(h, normalize(w, h.source))
 
     def test_apply_short_image(self):
-        h = dataclasses.replace(identity_hom(MUTEX), image=("a", "b"))
+        h = BasicHom(MUTEX, MUTEX, ("a", "b"))
         with pytest.raises(InvalidHom, match="image has 2 entries for 5 source events"):
             apply(h, normalize("ae", MUTEX))
 
     def test_apply_word_short_image(self):
-        h = dataclasses.replace(identity_hom(MUTEX), image=("a", "b"))
+        h = BasicHom(MUTEX, MUTEX, ("a", "b"))
         with pytest.raises(InvalidHom, match="image has 2 entries for 5 source events"):
             apply_word(h, ("a", "e"))
 

@@ -3,12 +3,16 @@
 
 Each pair runs ``perfbench/run.py --workload W --seed S`` once in each of two
 checkouts, on one fresh seed per pair; even pairs run the parent first, odd
-pairs the change.  The script prints, per end-to-end metric of
+pairs the change.  Several workloads run their pairs in turn, on the same
+seeds.  The script prints, per workload and end-to-end metric of
 ``BENCHMARK.json``, the quartiles of each side, the pairs the change wins
 and loses, and the gain-rule verdict of ROADMAP.md: the change wins at least
 9 of 10 pairs and its median beats the parent's by more than the parent's
-interquartile range.  With ``--out`` it writes the ``end_to_end`` block of a
-``BENCH_<n>.json``, adding this workload to a file that already has others.
+interquartile range.  With ``--out`` it writes each workload's block into
+the ``end_to_end`` part of a ``BENCH_<n>.json``, keeping the other
+workloads a file already has.  It exits 1 when a block is not correct,
+counts a failed operation on either side, or has a metric that regressed
+beyond its bound.
 The block records whether the runs could cache byte code: a child that
 inherits a non-empty ``PYTHONDONTWRITEBYTECODE`` compiles the package from
 source in every fresh interpreter, so its ``setup_s`` includes compiling.
@@ -17,7 +21,7 @@ The two checkouts must hold byte-identical ``BENCHMARK.json`` and
 ``perfbench/*.py``; if they do not, the script runs nothing, names the
 first file that differs and exits 2.  Run from anywhere:
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload colimits \\
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload colimits constructions words \\
         --first-seed 2301 --pairs 10 --out BENCH_23.json
 """
 
@@ -121,15 +125,37 @@ def block(config: dict, seeds, results: dict) -> dict:
     return out
 
 
+def faults(entry: dict) -> list[str]:
+    """Why a block fails the run: not correct, a failed operation, or a
+    metric that regressed beyond its bound."""
+    out = [] if entry["correct"] else ["not correct"]
+    if any(entry["failed"].values()):
+        out.append(f"failed operations {entry['failed']}")
+    return out + [f"{name} regressed beyond its bound" for name, m in entry["metrics"].items()
+                  if m["regression_beyond_bound"]]
+
+
+def report(workload: str, entry: dict) -> None:
+    print(f"{workload}: correct {entry['correct']}, failed {entry['failed']}")
+    for name, m in entry["metrics"].items():
+        p, c = m["parent"], m["change"]
+        print(f"  {name:16s} parent {p['q1']:.4f} {p['median']:.4f} {p['q3']:.4f}"
+              f"  change {c['q1']:.4f} {c['median']:.4f} {c['q3']:.4f}"
+              f"  {m['median_change_pct']:+.2f}%  wins {m['change_wins']}/{entry['pairs']}"
+              f"  gain rule {'met' if m['gain_rule_met'] else 'not met'}"
+              f"{'  REGRESSION beyond bound' if m['regression_beyond_bound'] else ''}"
+              f"{'  spread wider than bound' if m['spread_wider_than_bound'] else ''}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+", help="one or more; their pairs run in turn")
     ap.add_argument("--first-seed", type=int, required=True, help="pair i runs seed first-seed + i")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
-    ap.add_argument("--out", type=Path, help="BENCH_<n>.json to write the end_to_end block into")
+    ap.add_argument("--out", type=Path, help="BENCH_<n>.json to write the end_to_end blocks into")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -140,26 +166,23 @@ def main(argv=None) -> int:
     config = json.loads((args.parent / "BENCHMARK.json").read_text())
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
-    results: dict = {side: [] for side in SIDES}
-    for i, seed in enumerate(seeds):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            results[side].append(run_once(checkouts[side], args.workload, seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
-    entry = block(config, seeds, results)
-    print(f"{args.workload}: correct {entry['correct']}, failed {entry['failed']}")
-    for name, m in entry["metrics"].items():
-        p, c = m["parent"], m["change"]
-        print(f"  {name:16s} parent {p['q1']:.4f} {p['median']:.4f} {p['q3']:.4f}"
-              f"  change {c['q1']:.4f} {c['median']:.4f} {c['q3']:.4f}"
-              f"  {m['median_change_pct']:+.2f}%  wins {m['change_wins']}/{entry['pairs']}"
-              f"  gain rule {'met' if m['gain_rule_met'] else 'not met'}"
-              f"{'  REGRESSION beyond bound' if m['regression_beyond_bound'] else ''}"
-              f"{'  spread wider than bound' if m['spread_wider_than_bound'] else ''}")
-    if args.out:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        doc.setdefault("end_to_end", {})[args.workload] = entry
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+    failing = []
+    for workload in args.workload:
+        results: dict = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                results[side].append(run_once(checkouts[side], workload, seed, args.seconds))
+            print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} done", file=sys.stderr, flush=True)
+        entry = block(config, seeds, results)
+        report(workload, entry)
+        failing += [f"{workload}: {why}" for why in faults(entry)]
+        if args.out:
+            doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+            doc.setdefault("end_to_end", {})[workload] = entry
+            args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    for why in failing:
+        print(f"bench_pairs: {why}", file=sys.stderr)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

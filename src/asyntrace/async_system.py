@@ -109,22 +109,21 @@ def _condition_problems(m: StateSpaceMorphism) -> list[str]:
     """The three morphism conditions, for maps without ``_map_problems``."""
     a, b = m.source, m.target
     event_part = m.monoid_part.mapping
+    f = {**m.state_part, STAR: STAR}
     problems = []
-    if m.state(a.initial) != b.initial:
-        problems.append(
-            f"condition 1: initial state maps to {m.state(a.initial)!r}, expected {b.initial!r}"
-        )
+    if f[a.initial] != b.initial:
+        problems.append(f"condition 1: initial state maps to {f[a.initial]!r}, expected {b.initial!r}")
     # condition 2, in the pointed reading: along every transition, the image
     # state is the image source acted on by the image event (star absorbing).
     # For total state maps this is exactly "transitions map to transitions".
-    for (s1, e), s2 in sorted(a.action.items()):
-        fe = event_part[e]
-        expected = m.state(s1) if fe is None else b.step(m.state(s1), fe)
-        if m.state(s2) != expected:
-            problems.append(
-                f"condition 2: transition ({s1!r}, {e!r}, {s2!r}) maps to"
-                f" ({m.state(s1)!r}, {fe!r}, {m.state(s2)!r})"
-            )
+    step = b.action.get
+    moved = [((s1, e), s2) for (s1, e), s2 in a.action.items()  # sorted below, as they are few
+             if f[s2] != (f[s1] if event_part[e] is None or f[s1] == STAR else step((f[s1], event_part[e]), STAR))]
+    for (s1, e), s2 in sorted(moved):
+        problems.append(
+            f"condition 2: transition ({s1!r}, {e!r}, {s2!r}) maps to"
+            f" ({f[s1]!r}, {event_part[e]!r}, {f[s2]!r})"
+        )
     for x, y in a.monoid.pairs():
         fx, fy = event_part[x], event_part[y]
         if fx is not None and fy is not None and not b.monoid.independent(fx, fy):
@@ -180,8 +179,8 @@ def product(systems: Sequence[WeakAsyncSystem]) -> Cone:
 def limit(d: Diagram) -> Cone:
     """State-space limit pointed at the tuple of initial states (star when
     all of them are star), a compatible family by condition 1."""
-    refuse(diagram_problems(d))
-    cone = state_space.limit(d, Category.FPCM_PAR)
+    refuse(diagram_problems(d) or d.problems("system", lambda m: state_space._arrow_problems(m, Category.FPCM_PAR)))
+    cone = state_space._limit(d, Category.FPCM_PAR)
     combo = tuple(d.on_objects[o].initial for o in d.shape.objects)
     return _pointed(cone, STAR if all(x == STAR for x in combo) else render_tuple(combo), "source")
 
@@ -189,12 +188,12 @@ def limit(d: Diagram) -> Cone:
 def colimit(d: Diagram, bound: int = 8) -> tuple[Cone, SaturationResult]:
     """State-space colimit with all injected initial states glued into one
     class (star if any component initial is star)."""
-    refuse(diagram_problems(d))
+    refuse(diagram_problems(d) or d.problems("system", lambda m: state_space._arrow_problems(m, Category.FPCM_PAR)))
     systems = [d.on_objects[o] for o in d.shape.objects]
     initials = [(tag(i, a.initial), ()) for i, a in enumerate(systems) if a.initial != STAR]
     no_star = len(initials) == len(systems)
     glue = tuple(zip(initials, initials[1:])) if no_star else tuple((t, STAR) for t in initials)
-    res = state_space.colimit(d, Category.FPCM_PAR, bound, glue)
+    res = state_space._colimit(d, Category.FPCM_PAR, bound, glue)
     sat = res.saturation
     initial = sat.class_map[initials[0][0]] if initials and no_star else STAR
     return _pointed(res.cocone, initial, "target"), sat

@@ -431,7 +431,10 @@ def right_adjoint_R(elements: Sequence[str], table: Sequence[Sequence[str]]) -> 
     """Trace monoid on the non-identity elements, independent when they are
     distinct and commute in the multiplication table."""
     try:
-        elements, table = list(elements), [list(row) for row in table]
+        rows = list(table)
+        if isinstance(elements, str) or any(isinstance(row, str) for row in rows):
+            raise NotAMonoid("the carrier and each row of the table must be sequences of names, not a str")
+        elements, table = list(elements), [list(row) for row in rows]
     except TypeError:
         raise NotAMonoid("the carrier, the table and each of its rows must be sequences") from None
     n = len(elements)

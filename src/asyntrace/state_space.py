@@ -80,14 +80,17 @@ def act_trace(s: StateSpace, x: str, t: Union[Trace, Sequence[str]]) -> str:
 
 
 def validate_space(s: StateSpace) -> list[str]:
-    """The space's problems; a state, action key or action value that is
-    not made of names is reported alone, before anything reads it."""
+    """The space's problems; a state, action key or action value that is not made of
+    names is reported alone, before anything reads it.  Only the faulty entries are sorted."""
     problems = [f"state {x!r} is not a name" for x in s.states if not isinstance(x, str)]
+    columns: dict = {e: {} for e in s.monoid.events}  # event -> state other than star -> its step
     for key, y in s.action.items():
         if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], str)):
             problems.append(f"action key {key!r} is not a (state, event) pair of names")
         elif not isinstance(y, str):
             problems.append(f"action value {y!r} is not a name")
+        elif key[1] in columns and key[0] != STAR:
+            columns[key[1]][key[0]] = y
     if problems:
         return problems
     states = set(s.states)
@@ -95,18 +98,18 @@ def validate_space(s: StateSpace) -> list[str]:
         problems.append("duplicate state names")
     if STAR in states:
         problems.append(f"{STAR!r} is reserved and cannot be a state name")
-    events = set(s.monoid.events)
-    for (x, e), y in sorted(s.action.items()):
+    for (x, e), y in sorted([((x, e), y) for (x, e), y in s.action.items()
+                             if x not in states or e not in columns or y != STAR and y not in states]):
         if x not in states:
             problems.append(f"action entry on unknown state {x!r}")
-        if e not in events:
+        if e not in columns:
             problems.append(f"action entry on unknown event {e!r}")
         if y != STAR and y not in states:
             problems.append(f"action value {y!r} is not a state")
     for a, b in s.monoid.pairs():
+        by_a, by_b = columns[a].get, columns[b].get
         for x in s.states:
-            left = s.step(s.step(x, a), b)
-            right = s.step(s.step(x, b), a)
+            left, right = by_b(by_a(x, STAR), STAR), by_a(by_b(x, STAR), STAR)
             if left != right:
                 problems.append(
                     f"diamond violation at state {x!r} with pair ({a!r}, {b!r}):"
@@ -138,25 +141,32 @@ class StateSpaceMorphism(Value):
 
 
 def validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> list[str]:
+    """Unreadable parts alone; else FPCM_PAR independence, then equivariance read by source rows."""
     if m.monoid_part.source != m.source.monoid or m.monoid_part.target != m.target.monoid:
         return ["monoid part endpoints do not match the spaces"]
     bad = malformed_image(m.monoid_part)
     if bad is not None:
         return [f"monoid part: {bad}"]
-    problems = _state_map_problems(m.source.states, m)
+    states, events, f, get = m.source.states, m.source.monoid.events, m.state_part, m.source.action.get
+    problems = [f"source state {x!r} is not a name" for x in states if not isinstance(x, str)]
+    problems = problems or _state_map_problems(states, m)
+    if problems:
+        return problems
+    rows = [(x, [get((x, e), STAR) for e in events]) for x in states if x != STAR]  # star, a sink, has no row
+    inside = {*states, STAR}
+    problems = [f"source transition {(x, e)!r} -> {y!r} leads outside the source's states"
+                for x, row in rows for e, y in zip(events, row) if not (isinstance(y, str) and y in inside)]
     if problems:
         return problems
     if flag is Category.FPCM_PAR and not is_independence_preserving(m.monoid_part):
         problems.append("monoid part is not independence-preserving")
-    for x in tuple(m.source.states) + (STAR,):
-        for e in m.source.monoid.events:
-            fe = m.monoid_part(e)
-            expected = m.state(x) if fe is None else m.target.step(m.state(x), fe)
-            got = m.state(m.source.step(x, e))
+    step = m.target.action.get
+    for x, row in rows:
+        for e, fe, y in zip(events, m.monoid_part.image, row):
+            expected = f[x] if fe is None or f[x] == STAR else step((f[x], fe), STAR)
+            got = STAR if y == STAR else f[y]
             if got != expected:
-                problems.append(
-                    f"equivariance violation at ({x!r}, {e!r}): {got!r} != {expected!r}"
-                )
+                problems.append(f"equivariance violation at ({x!r}, {e!r}): {got!r} != {expected!r}")
     return problems
 
 
@@ -164,7 +174,7 @@ def _state_map_problems(states, *morphisms: StateSpaceMorphism) -> list[str]:
     """Per morphism, each of ``states`` that its state map misses or sends outside its target."""
     problems = []
     for m in morphisms:
-        targets = {*m.target.states, STAR}
+        targets = {STAR, *[y for y in m.target.states if isinstance(y, str)]}  # only a name is a value
         for x in states:
             if x not in m.state_part:
                 problems.append(f"state map missing for {x!r}")
@@ -248,26 +258,30 @@ def equalizer(
 
 
 def diagram_problems(d: Diagram, flag: Optional[Category] = None) -> list[str]:
-    """A space diagram's problems: each space's ``validate_space`` problems,
-    then per arrow, a collapsed independent pair under FPCM_PAR when the
-    monoid part can be read, and ``validate_morphism``'s problems."""
+    """A space diagram's problems: each space's ``validate_space``'s, then each arrow's ``_arrow_problems``."""
+    return d.problems("space", lambda m: _arrow_problems(m, flag), validate_space)
 
-    def check(m: StateSpaceMorphism) -> list[str]:
-        h, out = m.monoid_part, validate_morphism(m)
-        if flag is Category.FPCM_PAR and malformed_image(h) is None and not is_independence_preserving(h):
-            out.insert(0, "not independence-preserving")
-        return out
 
-    return d.problems("space", check, validate_space)
+def _arrow_problems(m: StateSpaceMorphism, flag: Optional[Category]) -> list[str]:
+    """An FPCM_PAR collapsed independent pair, if the monoid part reads, then ``validate_morphism``'s problems."""
+    h, out = m.monoid_part, validate_morphism(m)
+    if flag is Category.FPCM_PAR and malformed_image(h) is None and not is_independence_preserving(h):
+        out.insert(0, "not independence-preserving")
+    return out
 
 
 def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
+    """``_limit`` of a diagram that passes ``diagram_problems``."""
+    refuse(diagram_problems(d, flag))
+    return _limit(d, flag)
+
+
+def _limit(d: Diagram, flag: Category) -> Cone:
     """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
     the monoid parts acting on the states of the objects' product, in its
     order and with its names, whose components agree along every arrow,
     ``m(x_src) == x_dst``.  Generators act component by component
     (``_componentwise``); the legs are the component maps."""
-    refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     spaces = [d.on_objects[o] for o in objs]
     cone = fpcm_cat.limit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
@@ -407,17 +421,42 @@ def _is_term(t) -> bool:
 
 
 def saturate(p: PresentedAction, bound: int) -> SaturationResult:
-    """Materialize the quotient of a presented action up to trace depth
-    ``bound``.
+    """The quotient of a presented action up to trace depth ``bound`` (``_saturate``), checked by ``_check_items``."""
+    _check_items(p, bound)
+    return _saturate(p, bound)
 
-    Breadth-first congruence closure over terms (generator, canonical trace):
-    union-find seeded by rules and identifications, merging of classes merges
-    their explored successors, star absorbs.  EXACT when the settled classes
-    are closed under every event.
 
-    The generators, the rules and the identifications are checked in that
-    order, item by item, and the first defect is named; a ``str`` subclass
-    or a list where a tuple is expected is accepted.
+def _check_items(p: PresentedAction, bound: int) -> None:
+    """Name the first defect of the bound, the generators, the rules or the identifications, in that
+    order, item by item; a ``str`` subclass or a list where a tuple is expected is accepted."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise InvalidBound(f"saturation bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
+    rules, pairs = p.transitions, p.identifications
+    bad = [g for g in p.generators if not isinstance(g, str)]
+    if bad:
+        raise MalformedRelation(f"generator {bad[0]!r} is not a name")
+    bad = [r for r in rules if not (isinstance(r, (tuple, list)) and len(r) == 3
+                                    and isinstance(r[0], str) and isinstance(r[1], str) and isinstance(r[2], str))]
+    if bad:
+        raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
+    bad = [pair for pair in pairs
+           if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and _is_term(pair[0]) and _is_term(pair[1]))]
+    if bad:
+        raise MalformedRelation(f"identification {bad[0]!r} is not a pair of terms")
+    if STAR in p.generators or STAR in [r[0] for r in rules] or STAR in [t[0] for q in pairs for t in q if t != STAR]:
+        raise InvalidSpace(f"{STAR!r} is reserved and cannot be a generator name")
+    unknown = sorted({r[1] for r in rules}.difference(p.monoid.events))
+    if unknown:
+        raise UnknownEvent(f"rule event {unknown[0]!r} not in alphabet {list(p.monoid.events)}")
+
+
+def _saturate(p: PresentedAction, bound: int) -> SaturationResult:
+    """``saturate`` on checked items.  Breadth-first congruence closure over
+    terms (generator, canonical trace): union-find seeded by rules and
+    identifications, merging of classes merges their explored successors,
+    star absorbs.  EXACT when the settled classes are closed under every event.
 
     The call keeps a trace table.  A canonical trace is a code string
     (``_coding``), interned with an integer id, the empty trace first.  A
@@ -470,34 +509,12 @@ def saturate(p: PresentedAction, bound: int) -> SaturationResult:
     Generators whose frontier comes from the same lists, as the generators
     of one system in a free extension often do, share one bucket.
     """
-    if isinstance(bound, bool) or not isinstance(bound, int):
-        raise InvalidBound(f"saturation bound must be an int, got {bound!r}")
-    if bound < 0:
-        raise InvalidBound(f"saturation bound must be >= 0, got {bound}")
     m = p.monoid
     events = m.events
     rules, pairs = p.transitions, p.identifications
-    bad = [g for g in p.generators if not isinstance(g, str)]
-    if bad:
-        raise MalformedRelation(f"generator {bad[0]!r} is not a name")
-    bad = [r for r in rules if not (isinstance(r, (tuple, list)) and len(r) == 3
-                                    and isinstance(r[0], str) and isinstance(r[1], str) and isinstance(r[2], str))]
-    if bad:
-        raise MalformedRelation(f"rule {bad[0]!r} is not a (generator, event, target) triple of names")
-    bad = [pair for pair in pairs
-           if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and _is_term(pair[0]) and _is_term(pair[1]))]
-    if bad:
-        raise MalformedRelation(f"identification {bad[0]!r} is not a pair of terms")
-    terms = [t for pair in pairs for t in pair if t != STAR]
     flat = list(itertools.chain.from_iterable(rules))
     lhs, letters, rhs = flat[::3], flat[1::3], flat[2::3]
-    term_gens = [t[0] for t in terms]
-    if STAR in p.generators or STAR in lhs or STAR in term_gens:
-        raise InvalidSpace(f"{STAR!r} is reserved and cannot be a generator name")
-    unknown = sorted(set(letters).difference(events))
-    if unknown:
-        raise UnknownEvent(f"rule event {unknown[0]!r} not in alphabet {list(events)}")
-    named = {*p.generators, *lhs, *rhs, *term_gens}
+    named = {*p.generators, *lhs, *rhs, *[t[0] for pair in pairs for t in pair if t != STAR]}
     named.discard(STAR)
     gens = sorted(named)
     gen_index = {g: k for k, g in enumerate(gens)}
@@ -677,14 +694,11 @@ def build_presentation(
     state to star (the free extension in pointed sets forces it)."""
     objs = list(d.shape.objects)
     monoid = monoid_cocone.apex
-    generators = []
-    transitions = []
-    equations = []
+    generators, transitions, equations = [], [], []
     for i, o in enumerate(objs):
         space = d.on_objects[o]
         q = monoid_cocone.legs[o]
-        for x in space.states:
-            generators.append(tag(i, x))
+        generators.extend(tag(i, x) for x in space.states)
         for x in space.states:
             for e in space.monoid.events:
                 y = space.step(x, e)
@@ -700,11 +714,7 @@ def build_presentation(
         mor = d.on_arrows[name]
         for x in d.on_objects[src].states:
             y = mor.state(x)
-            lhs = (tag(index[src], x), ())
-            if y == STAR:
-                equations.append((lhs, STAR))
-            else:
-                equations.append((lhs, (tag(index[dst], y), ())))
+            equations.append(((tag(index[src], x), ()), STAR if y == STAR else (tag(index[dst], y), ())))
     equations.extend(identifications)
     return PresentedAction(monoid, tuple(generators), tuple(transitions), tuple(equations))
 
@@ -712,18 +722,21 @@ def build_presentation(
 def colimit(
     d: Diagram, flag: Category = Category.FPCM, bound: int = 8, identifications: tuple = ()
 ) -> SpaceColimitResult:
-    """Colimit by saturating the presentation of ``build_presentation``;
-    ``identifications`` equate further tagged terms, such as the initial
-    states of systems."""
+    """Colimit by saturating the presentation of ``build_presentation``; ``identifications`` equate
+    further tagged terms, such as the initial states of systems.  ``_colimit`` of a checked diagram."""
     refuse(diagram_problems(d, flag))
+    return _colimit(d, flag, bound, identifications)
+
+
+def _colimit(d: Diagram, flag: Category, bound: int, identifications: tuple) -> SpaceColimitResult:
+    """``colimit``'s body: of its presentation's items, only the caller's ``identifications`` are checked."""
     monoid_cocone = fpcm_cat.colimit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
-    sat = saturate(build_presentation(d, monoid_cocone, identifications), bound)
-    objs = list(d.shape.objects)
-    legs = {}
-    for i, o in enumerate(objs):
-        space = d.on_objects[o]
-        state_part = {x: sat.class_map[tag(i, x)] for x in space.states}
-        legs[o] = StateSpaceMorphism(space, sat.space, monoid_cocone.legs[o], state_part)
+    identifications = tuple(identifications)  # read twice: into the presentation and by the check
+    p = build_presentation(d, monoid_cocone, identifications)
+    _check_items(PresentedAction(p.monoid, (), (), identifications), bound)
+    sat = _saturate(p, bound)
+    legs = {o: StateSpaceMorphism(s, sat.space, monoid_cocone.legs[o], {x: sat.class_map[tag(i, x)] for x in s.states})
+            for i, (o, s) in enumerate((o, d.on_objects[o]) for o in d.shape.objects)}
     return SpaceColimitResult(sat, Cone(sat.space, legs))
 
 

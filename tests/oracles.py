@@ -24,8 +24,14 @@ the category laws and the universal properties, unchecked.
 ``commuting_pairs`` reads the paper's relations T and R off ``equivalent``,
 ``term_name`` names a term as ``saturate`` names its states, and
 ``presentation_error`` is the error that ``saturate``'s per-item checks
-raise for a malformed presentation.  ``relabelled_monoid`` and
-``relabelled_space`` make isomorphic copies under shuffled names and orders.
+raise for a malformed presentation.  ``reference_validate_space``,
+``reference_validate_morphism`` and ``reference_condition_problems`` are the
+per-entry validators that read the action tables through ``step``, ``state``
+and ``BasicHom.__call__`` and sort every entry, for the validators that read
+the tables by rows; ``leg_problems`` checks every leg of a returned (co)cone,
+the check that the constructions do not repeat at their hand-offs.
+``relabelled_monoid`` and ``relabelled_space`` make isomorphic copies under
+shuffled names and orders.
 """
 
 from __future__ import annotations
@@ -49,17 +55,20 @@ from asyntrace.state_space import (
     StateSpaceMorphism,
     Term,
 )
-from asyntrace.async_system import WeakAsyncSystem
+from asyntrace.async_system import WeakAsyncSystem, morphism_violations
 from asyntrace.errors import InvalidBound, InvalidSpace, MalformedRelation, MonoidMismatch, SizeLimit, UnknownEvent
 from asyntrace.trace_core import (
     STAR,
     BasicHom,
     TraceMonoid,
+    _invalid_pair,
     compose,
     equivalent,
     identity_hom,
+    is_independence_preserving,
     make_hom,
     make_monoid,
+    malformed_image,
     normal_form,
 )
 
@@ -243,6 +252,118 @@ def presentation_error(p: PresentedAction):
             if x is not None:
                 return UnknownEvent, f"letter {x!r} not in alphabet {list(m.events)}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-entry validators, and the legs of a returned cone
+
+
+def reference_validate_space(s: StateSpace) -> list[str]:
+    """``validate_space`` entry by entry: every action entry in sorted
+    order, and the diamonds through ``StateSpace.step``."""
+    problems = [f"state {x!r} is not a name" for x in s.states if not isinstance(x, str)]
+    for key, y in s.action.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], str)):
+            problems.append(f"action key {key!r} is not a (state, event) pair of names")
+        elif not isinstance(y, str):
+            problems.append(f"action value {y!r} is not a name")
+    if problems:
+        return problems
+    states = set(s.states)
+    if len(states) != len(s.states):
+        problems.append("duplicate state names")
+    if STAR in states:
+        problems.append(f"{STAR!r} is reserved and cannot be a state name")
+    events = set(s.monoid.events)
+    for (x, e), y in sorted(s.action.items()):
+        if x not in states:
+            problems.append(f"action entry on unknown state {x!r}")
+        if e not in events:
+            problems.append(f"action entry on unknown event {e!r}")
+        if y != STAR and y not in states:
+            problems.append(f"action value {y!r} is not a state")
+    for a, b in s.monoid.pairs():
+        for x in s.states:
+            left = s.step(s.step(x, a), b)
+            right = s.step(s.step(x, b), a)
+            if left != right:
+                problems.append(f"diamond violation at state {x!r} with pair ({a!r}, {b!r}): {left!r} != {right!r}")
+    return problems
+
+
+def reference_validate_morphism(m: StateSpaceMorphism, flag: Category = Category.FPCM) -> list[str]:
+    """``validate_morphism`` entry by entry, through ``step``, ``state`` and
+    ``BasicHom.__call__``, star included: source states that are not names,
+    or else the state map's problems, or else the source transitions that
+    leave the source's states, are reported alone."""
+    if m.monoid_part.source != m.source.monoid or m.monoid_part.target != m.target.monoid:
+        return ["monoid part endpoints do not match the spaces"]
+    bad = malformed_image(m.monoid_part)
+    if bad is not None:
+        return [f"monoid part: {bad}"]
+    states, events = m.source.states, m.source.monoid.events
+    problems = [f"source state {x!r} is not a name" for x in states if not isinstance(x, str)]
+    problems = problems or state_space._state_map_problems(states, m)
+    if problems:
+        return problems
+    for x in states:
+        for e in events:
+            y = m.source.step(x, e)
+            if not (isinstance(y, str) and (y == STAR or y in states)):
+                problems.append(f"source transition {(x, e)!r} -> {y!r} leads outside the source's states")
+    if problems:
+        return problems
+    if flag is Category.FPCM_PAR and not is_independence_preserving(m.monoid_part):
+        problems.append("monoid part is not independence-preserving")
+    for x in tuple(states) + (STAR,):
+        for e in events:
+            fe = m.monoid_part(e)
+            expected = m.state(x) if fe is None else m.target.step(m.state(x), fe)
+            got = m.state(m.source.step(x, e))
+            if got != expected:
+                problems.append(f"equivariance violation at ({x!r}, {e!r}): {got!r} != {expected!r}")
+    return problems
+
+
+def reference_condition_problems(m: StateSpaceMorphism) -> list[str]:
+    """``async_system._condition_problems`` entry by entry, through
+    ``state`` and ``step``, every transition in sorted order; for maps
+    that ``async_system._map_problems`` accepts."""
+    a, b = m.source, m.target
+    event_part = m.monoid_part.mapping
+    problems = []
+    if m.state(a.initial) != b.initial:
+        problems.append(f"condition 1: initial state maps to {m.state(a.initial)!r}, expected {b.initial!r}")
+    for (s1, e), s2 in sorted(a.action.items()):
+        fe = event_part[e]
+        expected = m.state(s1) if fe is None else b.step(m.state(s1), fe)
+        if m.state(s2) != expected:
+            problems.append(
+                f"condition 2: transition ({s1!r}, {e!r}, {s2!r}) maps to ({m.state(s1)!r}, {fe!r}, {m.state(s2)!r})"
+            )
+    for x, y in a.monoid.pairs():
+        fx, fy = event_part[x], event_part[y]
+        if fx is not None and fy is not None and not b.monoid.independent(fx, fy):
+            problems.append(f"condition 3: independent pair ({x!r}, {y!r}) maps to dependent pair")
+    return problems
+
+
+def leg_problems(cone: Cone, base: str, flag: Category = Category.FPCM) -> list[tuple[str, str]]:
+    """Every leg's defects as (object, problem), by the checks of its kind
+    of arrow: ``malformed_image`` and ``_invalid_pair`` for a ``"monoid"``
+    cone, ``validate_morphism`` in ``flag`` for a ``"space"`` one, and for
+    a ``"system"`` one ``morphism_violations`` then ``validate_morphism``
+    in FPCM_PAR.  Empty when every leg is an arrow of its category."""
+    out = []
+    for o, leg in cone.legs.items():
+        if base == "monoid":
+            found = [str(p) for p in (malformed_image(leg), _invalid_pair(leg)) if p is not None]
+        elif base == "space":
+            found = state_space.validate_morphism(leg, flag)
+        else:
+            found = morphism_violations(leg) + state_space.validate_morphism(leg, Category.FPCM_PAR)
+        out.extend((o, p) for p in found)
+    return out
 
 
 def term_name(t: Term) -> str:

@@ -296,6 +296,7 @@ def _diagram_cocones(d, x, flag):
 def _check_limit(rng, flag):
     d = _random_diagram(rng, flag)
     cone = monoid_limit(d, flag)
+    assert oracles.leg_problems(cone, "monoid") == []
     x = oracles.random_monoid(rng, 2, prefix="x")
     objs = list(d.shape.objects)
     candidates = enumerate_homs(x, cone.apex, flag)
@@ -310,6 +311,7 @@ def _check_limit(rng, flag):
 def _check_colimit(rng, flag):
     d = _random_diagram(rng, flag)
     cocone = monoid_colimit(d, flag)
+    assert oracles.leg_problems(cocone, "monoid") == []
     x = oracles.random_monoid(rng, 2, prefix="x")
     objs = list(d.shape.objects)
     candidates = enumerate_homs(cocone.apex, x, flag)

@@ -5,8 +5,9 @@ Hypothesis draws names that are not strings (numbers, None, bools, bytes,
 tuples, lists), letters outside the alphabet, and bounds or depths that are
 not ints >= 0, mixed with valid ones.  It calls ``make_monoid``,
 ``make_hom``, ``make_space``, ``make_space_morphism``, ``make_system``,
-``async_system.make_morphism`` (on sources built with and without
-``make_system``), ``normalize``, ``equivalent``,
+``async_system.make_morphism`` (the two morphism constructors on sources
+built with and without ``make_space`` or ``make_system``), ``normalize``,
+``equivalent``,
 ``extend_normal_form``, ``act_trace``, ``saturate``, ``unfold`` or
 ``right_adjoint_R`` on them, the last with carriers, tables and rows that
 may not be lists;
@@ -19,9 +20,16 @@ diagrams of spaces and systems built without a check: drawn states and
 action entries on unknown states or events, or with values outside the
 states, are mixed into valid tables.  A diagram with an object that its
 validator faults raises ``MalformedDiagram``; any other returns or raises a
-``TraceError`` subclass.  So do the space ``equalizer`` and ``space_tupling``
-of morphisms built without a check, whose state maps may miss a source state
-or hold junk.
+``TraceError`` subclass, and every leg of a returned (co)cone passes
+``oracles.leg_problems``.  So do the space ``equalizer`` and
+``space_tupling`` of morphisms built without a check, whose state maps may
+miss a source state or hold junk.
+
+``validate_space``, ``validate_morphism`` and the system morphism
+conditions, which read the action tables by rows, report exactly what their
+per-entry references in ``tests/oracles.py`` report, in the same order, on
+checked objects and on objects and arrows drawn as above: star and unknown
+states, unknown events, and keys or values that are not names.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from asyntrace.trace_core import (
     free_monoid,
     make_hom,
     make_monoid,
+    malformed_image,
     normal_form,
     normalize,
 )
@@ -222,11 +231,14 @@ def test_unfold(depth):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), SPACES, SPACES, st.sampled_from(Category))
-def test_make_space_morphism(data, source, target, flag):
+@given(st.data(), SPACES, st.sampled_from(Category), st.booleans())
+def test_make_space_morphism(data, target, flag, checked):
+    # half the sources are built without make_space, as unchecked_objects draws them
+    source = data.draw(SPACES if checked else unchecked_objects("space"))
     n = len(source.monoid.events)
     image = data.draw(st.one_of(st.lists(IMAGES, min_size=n, max_size=n), st.lists(IMAGES, max_size=3)))
-    state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in source.states}))
+    names = [x for x in source.states if not isinstance(x, list)]  # the ones that can key a state map
+    state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in names}))
     state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
     with contextlib.suppress(TraceError):
         make_space_morphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part, flag)
@@ -294,35 +306,56 @@ def test_extend_normal_form(monoid, word, letter):
             assert _names_are_strings(extend_normal_form(prefix, letter, monoid))
 
 
-DIAGRAM_BASES = {  # base -> the object check and the constructions, each taking (diagram, flag)
-    "space": (validate_space, (state_space.limit, lambda d, flag: state_space.colimit(d, flag, bound=2))),
-    "system": (validate_system, (lambda d, _: async_system.limit(d), lambda d, _: async_system.colimit(d, bound=2))),
+DIAGRAM_BASES = {  # base -> the object check and the constructions, each taking (diagram, flag) to a cone
+    "space": (validate_space, (state_space.limit, lambda d, flag: state_space.colimit(d, flag, bound=2).cocone)),
+    "system": (validate_system,
+               (lambda d, _: async_system.limit(d), lambda d, _: async_system.colimit(d, bound=2)[0])),
 }
 ONE_ARROW = DiagramShape(("o0", "o1"), (("f", "o0", "o1"),))
 
 
+def mostly(valid, other):
+    """``valid`` three draws in four, else ``other``."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 3 else valid)
+
+
 @st.composite
 def unchecked_objects(draw, base):
-    """A valid table with drawn states, action entries and, for a system, an
-    initial state mixed in, built without a check."""
+    """A table of ``TABLES``, built without a check, with drawn states, action
+    entries and, for a system, an initial state mixed in: mostly its own
+    names, star, an unknown state ``q`` and an unknown event ``c``, else
+    names that are not strings and keys that are not pairs."""
     m, states, initial, action = draw(st.sampled_from(TABLES))
-    states = (*states, *draw(st.lists(NAMES, max_size=1)))
-    action = {**action, **draw(st.dictionaries(PAIR_KEYS, NAMES, max_size=2))}
+    names = st.sampled_from([*states, STAR, "q"])
+    keys = mostly(st.tuples(names, st.sampled_from([*m.events, "c"])), PAIR_KEYS)
+    states = (*states, *draw(st.lists(mostly(names, NAMES), max_size=1)))
+    action = {**action, **draw(st.dictionaries(keys, mostly(names, NAMES), max_size=3))}
     if base == "space":
         return StateSpace(m, states, action)
-    return WeakAsyncSystem(m, states, action, draw(st.one_of(st.just(initial), NAMES)))
+    return WeakAsyncSystem(m, states, action, draw(mostly(st.just(initial), mostly(names, NAMES))))
+
+
+def _ends(data, base, checked):
+    """A source and a target, checked or drawn by ``unchecked_objects``; one object half the time."""
+    objects = (SPACES if base == "space" else SYSTEMS) if checked else unchecked_objects(base)
+    source = data.draw(objects)
+    return source, source if data.draw(st.booleans()) else data.draw(objects)
 
 
 def _unchecked_arrow(data, source, target):
-    """The identity when the ends are one object, half the time; else drawn
-    event images and state-map values."""
+    """The identity half the time when the ends are one object; else event
+    images and state-map values mostly in the target, and images of the
+    wrong length a quarter of the time."""
     names = [x for x in source.states if not isinstance(x, list)]  # the ones that can key a state map
     if source is target and data.draw(st.booleans()):
-        image, state_part = source.monoid.events, {x: x for x in names}
-    else:
-        n = len(source.monoid.events)
-        image = data.draw(st.lists(IMAGES, min_size=n, max_size=n))
-        state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in names}))
+        return StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, source.monoid.events),
+                                  {x: x for x in names})
+    images = mostly(st.sampled_from((*target.monoid.events, None)), IMAGES)
+    values = mostly(st.sampled_from((*target.states, STAR)), NAMES)
+    n = len(source.monoid.events)
+    image = data.draw(mostly(st.lists(images, min_size=n, max_size=n), st.lists(IMAGES, max_size=3)))
+    state_part = data.draw(st.fixed_dictionaries({x: values for x in names}))
+    state_part.update(data.draw(st.dictionaries(KEYS, values, max_size=2)))
     return StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part)
 
 
@@ -341,6 +374,38 @@ def test_diagram_limit_and_colimit(data, base, shape, flag, loop):
         if faulted:
             with pytest.raises(MalformedDiagram):
                 construction(d, flag)
-        else:
-            with contextlib.suppress(TraceError):
-                construction(d, flag)
+            continue
+        try:
+            cone = construction(d, flag)
+        except TraceError:
+            continue
+        # the construction checked the diagram once and handed it on: its legs are arrows
+        assert oracles.leg_problems(cone, base, flag) == []
+
+
+# The validators read the action tables by rows; the per-entry references of
+# tests/oracles.py read them through step, state and BasicHom.__call__.
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.booleans())
+def test_validate_space_matches_the_per_entry_reference(data, checked):
+    s = data.draw(SPACES if checked else unchecked_objects("space"))
+    assert validate_space(s) == oracles.reference_validate_space(s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from(Category))
+def test_validate_morphism_matches_the_per_entry_reference(data, checked, flag):
+    m = _unchecked_arrow(data, *_ends(data, "space", checked))
+    assert state_space.validate_morphism(m, flag) == oracles.reference_validate_morphism(m, flag)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.booleans())
+def test_condition_problems_match_the_per_entry_reference(data, checked):
+    m = _unchecked_arrow(data, *_ends(data, "system", checked))
+    if malformed_image(m.monoid_part) is not None:
+        return
+    problems = async_system._map_problems(m.source, m.target, m.monoid_part.mapping, m.state_part)
+    assert async_system.morphism_violations(m) == (problems or oracles.reference_condition_problems(m))

@@ -21,7 +21,7 @@ from asyntrace.async_system import (
     reachable,
     unfold,
 )
-from asyntrace import state_space
+from asyntrace import async_system, state_space
 from asyntrace.diagrams import Diagram, DiagramShape, cospan, discrete
 from asyntrace.errors import InvalidBound, InvalidSystem, MalformedDiagram, NotAMorphism, TraceError
 from asyntrace.fpcm_cat import Category, tag
@@ -420,7 +420,9 @@ class TestSystemDiagramIsASpaceDiagram:
 
     @staticmethod
     def spy(monkeypatch, name):
-        """The results of ``state_space.<name>`` from here on, in a list."""
+        """The results of ``state_space.<name>`` from here on, in a list; the
+        system (co)limit calls the space one's body, ``_limit`` or
+        ``_colimit``, once it has checked the diagram."""
         seen, real = [], getattr(state_space, name)
 
         def record(*args):
@@ -441,7 +443,7 @@ class TestSystemDiagramIsASpaceDiagram:
     def test_limit(self, shape, monkeypatch):
         d = self.diagram(shape)
         want = state_space.limit(d, Category.FPCM_PAR)
-        seen = self.spy(monkeypatch, "limit")
+        seen = self.spy(monkeypatch, "_limit")
         got = limit(d)
         assert (got.apex.states, got.apex.action) == (want.apex.states, want.apex.action)
         assert got.apex.action is seen[0].apex.action
@@ -452,12 +454,48 @@ class TestSystemDiagramIsASpaceDiagram:
         d = self.diagram(shape)
         initials = [(tag(i, d.on_objects[o].initial), ()) for i, o in enumerate(d.shape.objects)]
         want = state_space.colimit(d, Category.FPCM_PAR, 4, tuple(zip(initials, initials[1:]))).cocone
-        seen = self.spy(monkeypatch, "colimit")
+        seen = self.spy(monkeypatch, "_colimit")
         got, sat = colimit(d, bound=4)
         assert (got.apex.states, got.apex.action) == (want.apex.states, want.apex.action)
         assert got.apex.action is seen[0].cocone.apex.action
         assert got.apex.initial == sat.class_map[initials[0][0]]
         self.assert_same_legs(got, want, d, legs_out=False)
+
+
+class TestOneCheckPerCall:
+    """A system (co)limit checks each system once (``validate_system``, whose
+    ``validate_space`` the space check does not repeat) and each arrow as a
+    system morphism, then as a space morphism."""
+
+    @pytest.mark.parametrize("name", ["limit", "colimit", "product"])
+    def test_each_system_is_validated_once(self, name, monkeypatch):
+        d = TestSystemDiagramIsASpaceDiagram.diagram(cospan())
+        systems = [d.on_objects[o] for o in d.shape.objects]
+        run = {"limit": lambda: limit(d), "colimit": lambda: colimit(d, bound=2), "product": lambda: product(systems)}
+        seen, real = [], state_space.validate_space
+
+        def spy(s):
+            seen.append(s)
+            return real(s)
+
+        monkeypatch.setattr(state_space, "validate_space", spy)
+        monkeypatch.setattr(async_system, "validate_space", spy)
+        run[name]()
+        assert sorted(map(id, seen)) == sorted(map(id, systems))
+
+    def test_space_arrow_problems_still_refuse(self):
+        # a system morphism that is not polygonal passes morphism_violations,
+        # and the space check, run once after it, still refuses it
+        a = make_system(["u"], "u", free_monoid("a"), {})
+        b = make_system(["v"], "v", free_monoid("a"), {("v", "a"): "v"})
+        m = make_morphism(a, b, {"a": "a"}, {"u": "v"})
+        assert morphism_violations(m) == [] and validate_morphism(m)
+        d = Diagram(DiagramShape(("x", "y"), (("f", "x", "y"),)), {"x": a, "y": b}, {"f": m})
+        want = state_space.diagram_problems(d, Category.FPCM_PAR)
+        for construction in (limit, lambda d: colimit(d, bound=2)):
+            with pytest.raises(MalformedDiagram) as info:
+                construction(d)
+            assert str(info.value) == "; ".join(want)
 
 
 class TestExploration:

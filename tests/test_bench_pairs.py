@@ -1,8 +1,9 @@
-"""The statistics of ``scripts/bench_pairs.py`` on hand-made numbers, and
-its refusal to compare checkouts whose benchmarks differ; no benchmark runs
-here."""
+"""The statistics of ``scripts/bench_pairs.py`` on hand-made numbers, its
+run over several workloads with ``run_once`` stubbed, and its refusal to
+compare checkouts whose benchmarks differ; no benchmark runs here."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -111,3 +112,52 @@ def test_differing_benchmarks_exit_two_before_any_run(tmp_path, monkeypatch, cap
     argv = [str(parent), str(changed), "--workload", "words", "--first-seed", "1"]
     assert bench_pairs.main(argv) == 2
     assert "perfbench/tracer.py" in capsys.readouterr().err
+
+
+CONFIG = {"end_to_end": [{"name": "latency_p50_ms", "unit": "ref_ms", "better": "lower", "bound": 0.2}]}
+
+
+def _run(p50, correct=True, failed=0):
+    return {"correct": correct, "failed": failed, "attempted": 5, "metrics": {"latency_p50_ms": {"value": p50}}}
+
+
+@pytest.mark.parametrize(
+    "changed, code, why",
+    [
+        ({}, 0, None),
+        ({"correct": False}, 1, "constructions: not correct"),
+        ({"failed": 1}, 1, "constructions: failed operations"),
+        ({"p50": 1.3}, 1, "constructions: latency_p50_ms regressed beyond its bound"),
+    ],
+    ids=["clean", "incorrect", "failed", "regression"],
+)
+def test_several_workloads_run_in_turn_and_fail_on_a_bad_block(tmp_path, monkeypatch, capsys, changed, code, why):
+    # run_once is stubbed: the change's constructions runs take the drawn
+    # fault, every other run is clean at 1.0 ref_ms
+    files = {**BENCH, "BENCHMARK.json": json.dumps(CONFIG)}
+    parent, change = _checkout(tmp_path / "parent", files), _checkout(tmp_path / "change", files)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        if checkout == change and workload == "constructions":
+            return _run(changed.get("p50", 1.0), changed.get("correct", True), changed.get("failed", 0))
+        return _run(1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"end_to_end": {"words": "kept"}, "other": 1}))
+    argv = [str(parent), str(change), "--workload", "colimits", "constructions",
+            "--first-seed", "7", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    # each workload's pairs in turn, alternating which side runs first
+    assert calls == [(side, w, seed) for w in ("colimits", "constructions")
+                     for seed, sides in ((7, ("parent", "change")), (8, ("change", "parent"))) for side in sides]
+    doc = json.loads(out.read_text())
+    assert doc["other"] == 1 and doc["end_to_end"]["words"] == "kept"
+    assert [doc["end_to_end"][w]["seeds"] for w in ("colimits", "constructions")] == [[7, 8], [7, 8]]
+    printed = capsys.readouterr()
+    assert printed.out.startswith("colimits: correct True") and "\nconstructions: correct " in printed.out
+    assert (why is None) == ("bench_pairs:" not in printed.err)
+    if why is not None:
+        assert why in printed.err

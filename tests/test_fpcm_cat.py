@@ -421,6 +421,12 @@ class TestRightAdjoint:
         with pytest.raises(NotAMonoid, match="must be sequences"):
             right_adjoint_R(elements, table)
 
+    @pytest.mark.parametrize("elements, table", [(["1"], ["1"]), ("1g", ["1g", "g1"])], ids=["row", "carrier"])
+    def test_rejects_a_carrier_or_row_that_is_a_str(self, elements, table):
+        # a str would be read as its characters: ["1"] as the table [["1"]]
+        with pytest.raises(NotAMonoid, match="not a str"):
+            right_adjoint_R(elements, table)
+
     def test_size_limit(self):
         elements = [f"x{i}" for i in range(65)]
         with pytest.raises(SizeLimit):

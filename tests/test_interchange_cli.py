@@ -483,13 +483,13 @@ class TestCli:
         # the summary's frontier names are rendered from the saturation's
         # buckets; the tuple of (generator, trace) terms is never built
         results = []
-        real = state_space.saturate
+        real = state_space._saturate
 
         def spy(p, bound):
             results.append(real(p, bound))
             return results[-1]
 
-        monkeypatch.setattr(state_space, "saturate", spy)
+        monkeypatch.setattr(state_space, "_saturate", spy)
         argv = ["asys", "colimit", str(fixtures_dir / "systems.json"), "--diagram", "pair", "--bound", "2"]
         assert main([*argv, "--format", "json"]) == 0
         frontier = json.loads(capsys.readouterr().out)["summary"]["frontier"]

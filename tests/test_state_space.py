@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyntrace import async_system, state_space
+from asyntrace import async_system, fpcm_cat, state_space
 from asyntrace.diagrams import Diagram, DiagramShape, discrete, parallel_pair, span
 from asyntrace.errors import (
     InvalidBound,
@@ -182,6 +182,14 @@ class TestSpaceMorphisms:
         s = make_space(IND, ["x"], {})
         with pytest.raises(NotAMorphism, match="^state map sends 'x' outside the target$"):
             make_space_morphism(s, s, identity_hom(IND), {"x": ["x"]})
+
+    def test_source_transition_outside_its_states_is_not_a_morphism(self):
+        # a source built without make_space whose action leads outside its states
+        m = make_monoid("a")
+        source, target = StateSpace(m, ("x",), {("x", "a"): "zz"}), StateSpace(m, ("y",), {})
+        message = r"^source transition \('x', 'a'\) -> 'zz' leads outside the source's states$"
+        with pytest.raises(NotAMorphism, match=message):
+            make_space_morphism(source, target, make_hom(m, m, {"a": "a"}), {"x": "y"})
 
     def test_fpcm_par_requires_ip_monoid_part(self):
         src_m = make_monoid("ab", [("a", "b")])
@@ -614,13 +622,13 @@ class TestSaturationReference:
                 m = make_monoid(m.events[::-1], m.pairs())
             objects[o] = async_system.WeakAsyncSystem(m, s.states, dict(s.action), s.states[0])
         seen = []
-        real = state_space.saturate
+        real = state_space._saturate
 
         def spy(p, bound):
             seen.append(p)
             return real(p, bound)
 
-        monkeypatch.setattr(state_space, "saturate", spy)
+        monkeypatch.setattr(state_space, "_saturate", spy)
         _, got = async_system.colimit(Diagram(discrete(2), objects, {}), bound=3)
         names = got.frontier_names()
         assert (len(got.space.states), len(got.frontier), len(names)) == (937, 4336, 4336)
@@ -686,13 +694,13 @@ class TestSaturationReference:
              {"f": remap(lambda i: i), "g": remap(lambda i: (i + 1) % 6)}),
         ]
         seen = []
-        real = state_space.saturate
+        real = state_space._saturate
 
         def spy(p, bound):
             seen.append(p)
             return real(p, bound)
 
-        monkeypatch.setattr(state_space, "saturate", spy)
+        monkeypatch.setattr(state_space, "_saturate", spy)
         results = []
         for shape, sizes, initial, maps in diagrams:
             spaces = {o: covers[k] for o, k in sizes.items()}
@@ -775,6 +783,63 @@ class TestSpaceColimit:
                     got.setdefault(res.saturation.class_map[f"{i}:{x}"], set()).add((i, x))
             got.pop(STAR, None)
             assert classes == frozenset(frozenset(v) for v in got.values())
+
+
+class TestColimitChecksOnce:
+    """``colimit`` checks the diagram once and saturates the presentation
+    that ``build_presentation`` makes from it without scanning it: only the
+    caller's ``identifications`` and the bound are checked, with the errors
+    that ``saturate``'s per-item checks raise, in their order."""
+
+    @staticmethod
+    def diagram():
+        m = free_monoid("a")
+        one, two = make_space(m, ["u"], {}), make_space(m, ["v0", "v1"], {})
+        arrows = {f: make_space_morphism(one, two, identity_hom(m), {"u": v}) for f, v in (("f", "v0"), ("g", "v1"))}
+        return Diagram(parallel_pair(), {"src": one, "dst": two}, arrows)
+
+    def test_never_scans_the_presentation_it_builds(self, monkeypatch):
+        built, scanned = [], []
+        real_build, real_check = state_space.build_presentation, state_space._check_items
+
+        def build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def check(p, bound):
+            scanned.append(p)
+            return real_check(p, bound)
+
+        monkeypatch.setattr(state_space, "build_presentation", build)
+        monkeypatch.setattr(state_space, "_check_items", check)
+        glue = ((("1:v0", ()), ("1:v1", ("0:a",))),)
+        res = colimit(self.diagram(), bound=3, identifications=glue)
+        [p] = built
+        assert [(q.generators, q.transitions, q.identifications) for q in scanned] == [((), (), glue)]
+        monkeypatch.undo()
+        assert res.saturation == saturate(p, 3)
+
+    def test_identifications_from_an_iterator_are_checked(self):
+        with pytest.raises(MalformedRelation, match=r"^identification \('1:v0',\) is not a pair of terms$"):
+            colimit(self.diagram(), bound=2, identifications=iter([("1:v0",)]))
+
+    @pytest.mark.parametrize("glue", [
+        (("1:v0",),),
+        ((("1:v0", ()), ("1:v1", ("a",)), STAR),),
+        (((5, ()), STAR),),
+        ((("1:v0", ()), ("1:v1", "a")), [(STAR, ()), STAR]),
+        (((STAR, ()), STAR),),
+        ((("1:v0", ("b",)), STAR),),
+    ], ids=["short", "long", "generator", "str-word", "star", "letter"])
+    def test_a_malformed_identification_raises_as_saturate_did(self, glue):
+        d = self.diagram()
+        cocone = fpcm_cat.colimit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), Category.FPCM)
+        error, message = oracles.presentation_error(state_space.build_presentation(d, cocone, glue))
+        with pytest.raises(error) as info:
+            colimit(d, bound=2, identifications=glue)
+        assert str(info.value) == message
+        with pytest.raises(InvalidBound):  # the bound is checked first
+            colimit(d, bound=-1, identifications=glue)
 
 
 class TestIsomorphism:

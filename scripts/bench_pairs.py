@@ -94,15 +94,23 @@ def first_difference(parent: Path, change: Path):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its result line."""
+    """One ``perfbench/run.py`` run in ``checkout``; its result line, the
+    last line of its output.  A run whose last line is missing or is not a
+    JSON object, as after a crash, ends the script with a message that
+    names the checkout, workload, seed and exit code."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"bench_pairs: no result from {checkout} (exit {proc.returncode}): {proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(f"bench_pairs: no result from {checkout}, workload {workload}, seed {seed}"
+                         f" (exit {proc.returncode}): {proc.stderr.strip()}")
+    return result
 
 
 def block(config: dict, seeds, results: dict) -> dict:

@@ -24,6 +24,7 @@ from .state_space import (
     StateSpace,
     StateSpaceMorphism,
     SaturationResult,
+    _mapping,
     validate_morphism,
     validate_space,
 )
@@ -58,7 +59,7 @@ def validate_system(a: WeakAsyncSystem) -> list[str]:
 
 
 def make_system(states, initial, monoid, transitions) -> WeakAsyncSystem:
-    a = WeakAsyncSystem(monoid, tuple(states), dict(transitions), initial)
+    a = WeakAsyncSystem(monoid, tuple(states), _mapping(transitions, "the transitions", InvalidSystem), initial)
     refuse(validate_system(a), InvalidSystem)
     return a
 
@@ -134,7 +135,8 @@ def _condition_problems(m: StateSpaceMorphism) -> list[str]:
 def make_morphism(source, target, event_part, state_part) -> StateSpaceMorphism:
     """The system morphism with these event and state maps (an event to
     None is erased, a state to star is undefined), checked."""
-    event_part, state_part = dict(event_part), dict(state_part)
+    event_part = _mapping(event_part, "the event map", NotAMorphism)
+    state_part = _mapping(state_part, "the state map", NotAMorphism)
     refuse(_map_problems(source, target, event_part, state_part), NotAMorphism)
     image = tuple(event_part[e] for e in source.monoid.events)
     m = StateSpaceMorphism(source, target, BasicHom(source.monoid, target.monoid, image), state_part)

@@ -13,7 +13,6 @@ the arrows generate, by the same closure as coequalizers.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -59,7 +58,7 @@ def render_tuple(parts: Sequence[str]) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-PRODUCT_SIZE = 10_000  # elements of one product: 6 factors of 3 (4 095) pass, 7 (16 383) do not
+PRODUCT_SIZE = 10_000  # elements of one product or limit: 6 factors of 3 (4 095) pass, 7 (16 383) do not
 
 
 class PointedGrid:
@@ -162,24 +161,30 @@ def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> Produc
     FPCM_PAR.  Each factor's relation becomes, per axis index, the sorted
     offsets (axis index times stride) of its partners.  Folded from the last
     factor to the first, they give each element the ascending indices of the
-    elements related to it; the pairs ``u < v`` below the all-star index
-    come out in position order, which the monoid takes as they are.
+    elements related to it and of those above it; the outermost factor
+    builds only the latter, so each pair ``u < v`` is built once, as names
+    in position order.  The all-star element, the last index, ends each row.
     """
     ms = list(ms)
     if not ms:
         return ProductResult(TRIVIAL, (), {})
     grid = PointedGrid([m.events for m in ms])
     components = grid.matching(discrete(len(ms)), {}, DuplicateEvent, "generator")
-    related = [[0]]  # element index -> ascending related indices, over the factors folded so far
-    for m, axis, stride in reversed(list(zip(ms, grid.axes, grid.strides))):
+    related, above = [[0]], [[]]  # element index -> ascending related indices, all and those above it
+    for j, (m, axis, stride) in reversed(list(enumerate(zip(ms, grid.axes, grid.strides)))):
         rel = pointed_relation(m, flag)
         partners = [[i * stride for i, y in enumerate(axis) if (x, y) in rel] for x in axis]
-        related = [[dv + w for dv in ps for w in row] for ps in partners for row in related]
-    # every element is related to the all-star one, the last index n
-    n = grid.size
-    pairs = [(u, v) for u, row in enumerate(related[:n]) for v in row[bisect_right(row, u) : -1]]
-    del related
-    monoid = _ordered_monoid(tuple(components), pairs)
+        # above k * stride + r: k with the rows above r, if x ~ x, then each greater partner with all rows
+        steps = [[(k * stride, above)] * ((x, x) in rel) + [(dv, related) for dv in ps if dv > k * stride]
+                 for k, (x, ps) in enumerate(zip(axis, partners))]
+        above = [[dv + w for dv, rows in st for w in rows[r]] for st in steps for r in range(stride)]
+        if j:
+            related = [[dv + w for dv in ps for w in row] for ps in partners for row in related]
+    names = tuple(components)
+    pairs = tuple([(a, names[v]) for a, row in zip(names, above) for v in row[:-1]])
+    del related, above
+    monoid = TraceMonoid(names, frozenset(pairs))
+    monoid.__dict__["_pairs"] = pairs
     # a projection is valid by construction: independent generators have
     # components in the factor's pointed relation, which commute
     projections = tuple(
@@ -380,7 +385,8 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     its order and with its names, whose components agree along every arrow,
     ``h(x_src) == x_dst`` with star for the empty trace.  Two of them are
     independent as in the product; the legs are the component maps.  With
-    no arrows, every family is compatible: the limit is the ``product``."""
+    no arrows, every family is compatible: the limit is the ``product``.
+    More than ``PRODUCT_SIZE`` families raise ``SizeLimit`` before any pair."""
     refuse(diagram_problems(d, flag))
     objs = list(d.shape.objects)
     ms = [d.on_objects[o] for o in objs]
@@ -389,6 +395,8 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
         return Cone(prod.monoid, dict(zip(objs, prod.projections)))
     maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
     gens = PointedGrid([m.events for m in ms]).matching(d.shape, maps, DuplicateEvent, "generator")
+    if len(gens) > PRODUCT_SIZE:  # before the pair test, quadratic in them
+        raise SizeLimit(f"a limit of {len(gens)} generators is over the limit of {PRODUCT_SIZE}")
     rels = [pointed_relation(m, flag) for m in ms]
     kept = list(gens.values())
     pairs = [(i, j) for i, s in enumerate(kept) for j in range(i + 1, len(kept))

@@ -312,22 +312,24 @@ def shape_doc(s: DiagramShape) -> dict:
 
 def dumps(payload: dict) -> str:
     """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2)`` writes
-    it, plus a newline, byte for byte.  ``indent`` forces ``json``'s
-    pure-Python encoder, so this writer appends string pieces to one list,
-    joined once: no byte is copied again per nesting level.  Dict keys are
-    sorted.  A name is plain when it is printable ASCII without ``"`` or
-    ``\\``, which JSON writes as it is.  A list of equal-width rows of plain
-    names, a list of at least ``_BULK`` of them, a dict of at least
-    ``_BULK`` of them to them or ``None``, or to non-empty dicts of them to
-    them (a space's action), is checked by one pass over its joined names
-    and written by joins whose separators carry the quotes; a ``None`` goes
-    through the placeholder ``"\\x00"``, which no plain name holds.  A dict
-    is tried as a map of maps only when its first value, in key order, is a
-    dict of str values.  Anything else, a row list with a name that is not
-    plain included, is written item by item, each string quoted by
-    ``json``'s C quoting.  A key that is not a str, or a value
-    that is not a str, int, bool, None, dict, list or tuple, raises
-    ``TypeError``."""
+    it, plus a newline, byte for byte.  ``indent`` forces ``json``'s pure-Python
+    encoder, so this writer appends string pieces to one list, joined once: no
+    byte is copied again per nesting level.  Dict keys are sorted.  A name is
+    plain when it is printable ASCII without ``"`` or ``\\``, which JSON writes
+    as it is.  Plain names go by joins whose separators carry the quotes.  A
+    list of non-empty rows of names, lists or tuples, whose widths add up to
+    the first row's times their number, is joined once into the text it
+    writes, which must be ASCII and hold no byte that is not plain but the
+    separators' quotes and newlines, in their order.  A list of at least
+    ``_BULK`` names, or a dict of at least ``_BULK`` of them to them or
+    ``None``, or to non-empty dicts of them to them (a space's action), is
+    checked by one pass over its joined names; a ``None`` goes through the
+    placeholder ``"\\x00"``, which no plain name holds.  A dict is tried as a
+    map of maps only when its first value, in key order, is a dict of str
+    values.  Anything else, a row list with a name that is not plain included,
+    is written item by item, each string quoted by ``json``'s C quoting.  A key
+    that is not a str, or a value that is not a str, int, bool, None, dict, list
+    or tuple, raises ``TypeError``."""
     out: list = []
     _write(payload, "\n", out)
     out.append("\n")
@@ -340,9 +342,9 @@ _HOLE = {None: "\0"}  # a None value of a name map, written as a name until repl
 _BULK = 8  # a shorter list or map is written item by item, which costs less than a check and a join
 
 
-def _plain(names: str, holes: int = 0) -> bool:
-    """Whether ``names`` is plain but for exactly ``holes`` placeholder NULs."""
-    return names.isascii() and names.encode().translate(None, _PLAIN) == b"\0" * holes
+def _plain(text: str, rest: bytes = b"") -> bool:
+    """Whether ``text`` is ASCII and its bytes that are not plain are exactly ``rest``."""
+    return text.isascii() and text.encode().translate(None, _PLAIN) == rest
 
 
 def _write(v, nl: str, out: list) -> None:
@@ -365,7 +367,7 @@ def _write(v, nl: str, out: list) -> None:
             values = list(map(v.__getitem__, keys))
             try:  # TypeError: a key or value that is not a str, or a value that is unhashable
                 filled = list(map(_HOLE.get, values, values))
-                plain = _plain("".join(keys) + "".join(filled), values.count(None))
+                plain = _plain("".join(keys) + "".join(filled), b"\0" * values.count(None))
             except TypeError:
                 plain = False
             if plain:
@@ -391,17 +393,18 @@ def _write(v, nl: str, out: list) -> None:
     else:
         inner = nl + "  "
         sep = "," + inner
-        try:  # TypeError: an element that is not a str; ValueError: rows of unequal widths
+        try:  # TypeError: an element that is not a str, or a row without a length
             if not isinstance(v[0], (list, tuple)):
                 q = '"' if len(v) >= _BULK and _plain("".join(v)) else ""
                 out += "[", inner, q, (q + sep + q).join(v if q else map(_quote, v)), q, nl, "]"
                 return
-            (width,) = set(map(len, v))
-            if width and set(map(type, v)) <= {list, tuple} and _plain("".join(map("".join, v))):
-                between = '"' + inner + "]" + sep + "[" + inner + '  "'
-                out += "[", inner, "[", inner, '  "', between.join(map(('"' + sep + '  "').join, v)), '"' + inner, "]", nl, "]"
-                return
-        except (TypeError, ValueError):
+            if (width := len(v[0])) and sum(map(len, v)) == width * len(v) and set(map(type, v)) <= {list, tuple}:
+                text = ('"' + inner + "]" + sep + "[" + inner + '  "').join(map(('"' + sep + '  "').join, v))
+                # a separator leaves its quotes and its newlines, one within a row and three between rows
+                if _plain(text, b'"\n\n\n"'.join([b'"\n"' * (width - 1)] * len(v))):
+                    out += "[", inner, "[", inner, '  "', text, '"' + inner, "]", nl, "]"
+                    return
+        except TypeError:
             pass
         for i, x in enumerate(v):
             out.append(sep if i else "[" + inner)

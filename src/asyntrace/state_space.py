@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import fpcm_cat
 from .diagrams import Cone, Diagram, discrete, refuse
@@ -59,8 +59,15 @@ class StateSpace(Value):
         return self.action.get((x, e), STAR)
 
 
+def _mapping(value, what: str, error: type) -> dict:
+    """``value`` copied into a dict; ``error``, naming ``what``, if it is not a mapping."""
+    if not isinstance(value, Mapping):
+        raise error(f"{what} must be a mapping, not {type(value).__name__!r}")
+    return dict(value)
+
+
 def make_space(monoid: TraceMonoid, states: Sequence[str], action) -> StateSpace:
-    s = StateSpace(monoid, tuple(states), dict(action))
+    s = StateSpace(monoid, tuple(states), _mapping(action, "the action", InvalidSpace))
     refuse(validate_space(s), InvalidSpace)
     return s
 
@@ -184,7 +191,7 @@ def _state_map_problems(states, *morphisms: StateSpaceMorphism) -> list[str]:
 
 
 def make_space_morphism(source, target, monoid_part, state_part, flag=Category.FPCM) -> StateSpaceMorphism:
-    m = StateSpaceMorphism(source, target, monoid_part, dict(state_part))
+    m = StateSpaceMorphism(source, target, monoid_part, _mapping(state_part, "the state map", NotAMorphism))
     refuse(validate_morphism(m, flag), NotAMorphism)
     return m
 

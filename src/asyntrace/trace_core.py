@@ -38,10 +38,11 @@ class TraceMonoid(Value, frozen=True):
     position.
 
     The alphabet is indexed once: the position map on construction, the
-    sorted pair list by ``make_monoid`` and the ``fpcm_cat`` constructions
-    (on first use for a monoid built directly), the dependence tables on
-    first use.  These caches are plain instance attributes, not fields, so
-    they take no part in ``==``, ``hash`` or ``repr``.
+    sorted pair lists by ``make_monoid`` and the ``fpcm_cat`` constructions
+    (a product presets the name pairs only, and the position pairs follow
+    on first use, as both do for a monoid built directly), the dependence
+    tables on first use.  These caches are plain instance attributes, not
+    fields, so they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     def __init__(self, events: tuple[str, ...], independence: frozenset[tuple[str, str]]) -> None:
@@ -55,14 +56,13 @@ class TraceMonoid(Value, frozen=True):
             raise UnknownEvent(f"independence pair mentions unknown event {exc.args[0]!r}") from None
 
     @cached_property
-    def _pair_positions(self) -> tuple[tuple[int, int], ...]:
-        """The independent pairs as position pairs, in alphabet order."""
-        return tuple(sorted(map(self._positions_of, self.independence)))
+    def _pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(self.independence, key=self._positions_of))
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[str, str], ...]:
-        events = self.events
-        return tuple((events[i], events[j]) for i, j in self._pair_positions)
+    def _pair_positions(self) -> tuple[tuple[int, int], ...]:
+        """The independent pairs as position pairs, sorted, as ``_pairs`` is by them."""
+        return tuple([(self._position[a], self._position[b]) for a, b in self._pairs])
 
     @cached_property
     def _dependents(self) -> tuple[tuple[int, ...], ...]:

@@ -42,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 from asyntrace import async_system, state_space
 from asyntrace.async_system import WeakAsyncSystem, make_morphism, make_system, unfold, validate_system
 from asyntrace.diagrams import Diagram, DiagramShape, discrete
-from asyntrace.errors import MalformedDiagram, TraceError
+from asyntrace.errors import InvalidSpace, InvalidSystem, MalformedDiagram, NotAMorphism, TraceError
 from asyntrace.fpcm_cat import Category, right_adjoint_R
 from asyntrace.state_space import (
     PresentedAction,
@@ -90,6 +90,10 @@ TABLES = (  # (monoid, states, initial, action) of valid spaces and systems
     (free_monoid("ab"), "xy", "x", {("x", "a"): "y"}),
     (free_commutative_monoid("ab"), "x", STAR, {}),
 )
+# actions and maps that are not mappings: junk, triples, and lists of the pairs that a dict is built from
+NON_MAPPINGS = st.one_of(JUNK, st.lists(st.tuples(NAMES, NAMES, NAMES), max_size=2),
+                         st.lists(st.tuples(PAIR_KEYS, NAMES), min_size=1, max_size=2))
+ACTIONS = st.one_of(st.dictionaries(PAIR_KEYS, NAMES, max_size=4), NON_MAPPINGS)
 SPACES = st.sampled_from([make_space(m, states, action) for m, states, _, action in TABLES])
 SYSTEMS = st.sampled_from([make_system(states, initial, m, action) for m, states, initial, action in TABLES])
 
@@ -115,17 +119,38 @@ def test_make_hom(data, source, target):
 
 
 @settings(max_examples=300, deadline=None)
-@given(MONOIDS, st.lists(NAMES, max_size=4), st.dictionaries(PAIR_KEYS, NAMES, max_size=4))
+@given(MONOIDS, st.lists(NAMES, max_size=4), ACTIONS)
 def test_make_space(monoid, states, action):
     with contextlib.suppress(TraceError):
         assert _names_are_strings(make_space(monoid, states, action).states)
 
 
 @settings(max_examples=300, deadline=None)
-@given(MONOIDS, st.lists(NAMES, max_size=4), NAMES, st.dictionaries(PAIR_KEYS, NAMES, max_size=4))
+@given(MONOIDS, st.lists(NAMES, max_size=4), NAMES, ACTIONS)
 def test_make_system(monoid, states, initial, transitions):
     with contextlib.suppress(TraceError):
         assert _names_are_strings(make_system(states, initial, monoid, transitions).states)
+
+
+POINT = make_space(IND, ["x"], {})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_space(IND, ["s"], [("s", "a", "s")]), InvalidSpace, "the action must be a mapping, not 'list'"),
+        (lambda: make_system(["s"], "s", IND, [("s", "a", "s")]), InvalidSystem, "the transitions must be a mapping, not 'list'"),
+        (lambda: make_system(["s"], "s", IND, 5), InvalidSystem, "the transitions must be a mapping, not 'int'"),
+        (lambda: make_space_morphism(POINT, POINT, make_hom(IND, IND, {"a": "a", "b": "b"}), [("x", "x", "x")]),
+         NotAMorphism, "the state map must be a mapping, not 'list'"),
+        (lambda: make_morphism(make_system(["x"], "x", IND, {}), make_system(["x"], "x", IND, {}), ["a", "b"], {"x": "x"}),
+         NotAMorphism, "the event map must be a mapping, not 'list'"),
+    ],
+    ids=["space action", "system triples", "system int", "space state map", "system event map"],
+)
+def test_a_map_that_is_not_a_mapping_is_named(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,6 +265,8 @@ def test_make_space_morphism(data, target, flag, checked):
     names = [x for x in source.states if not isinstance(x, list)]  # the ones that can key a state map
     state_part = data.draw(st.fixed_dictionaries({x: NAMES for x in names}))
     state_part.update(data.draw(st.dictionaries(KEYS, NAMES, max_size=2)))
+    if data.draw(st.integers(0, 4)) == 0:
+        state_part = data.draw(NON_MAPPINGS)
     with contextlib.suppress(TraceError):
         make_space_morphism(source, target, BasicHom(source.monoid, target.monoid, tuple(image)), state_part, flag)
 

@@ -1,10 +1,12 @@
 """The statistics of ``scripts/bench_pairs.py`` on hand-made numbers, its
-run over several workloads with ``run_once`` stubbed, and its refusal to
-compare checkouts whose benchmarks differ; no benchmark runs here."""
+run over several workloads with ``run_once`` stubbed, ``run_once`` on
+stubbed child output, and its refusal to compare checkouts whose
+benchmarks differ; no benchmark runs here."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -161,3 +163,31 @@ def test_several_workloads_run_in_turn_and_fail_on_a_bad_block(tmp_path, monkeyp
     assert (why is None) == ("bench_pairs:" not in printed.err)
     if why is not None:
         assert why in printed.err
+
+
+@pytest.mark.parametrize(
+    "stdout, result",
+    [
+        ('# seed 5\n{"correct": true}\n', {"correct": True}),
+        ("", None),
+        ("# seed 5\n# warm-up round\n", None),
+        ('# seed 5\n{"correct": tr\n', None),
+        ("# seed 5\n3\n", None),
+    ],
+    ids=["result", "no output", "crash after comments", "cut line", "not an object"],
+)
+def test_run_once_names_the_run_that_gave_no_result(tmp_path, monkeypatch, stdout, result):
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.CompletedProcess(argv, 0 if result else 3, stdout, "Traceback: boom\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    if result is not None:
+        assert bench_pairs.run_once(tmp_path, "words", 5, 2.0) == result
+        assert argvs[0][1:] == ["perfbench/run.py", "--workload", "words", "--seed", "5", "--seconds", "2.0"]
+        return
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once(tmp_path, "words", 5, None)
+    assert str(exc.value) == f"bench_pairs: no result from {tmp_path}, workload words, seed 5 (exit 3): Traceback: boom"

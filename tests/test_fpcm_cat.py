@@ -160,6 +160,17 @@ class TestProductReference:
             assert "'(a,b,c)'" in msg and "('a,b', 'c')" in msg and "('a', 'b,c')" in msg
 
 
+
+class TestProductPairCaches:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_monoids(), min_size=1, max_size=4), st.sampled_from(BOTH))
+    def test_position_pairs_are_built_on_first_use(self, ms, flag):
+        # a product presets its name pairs only; no product path needs positions
+        m = product(ms, flag).monoid
+        assert "_pairs" in vars(m) and "_pair_positions" not in vars(m)
+        oracles.check_monoid_order(m)
+        assert "_pair_positions" in vars(m)
+
 class TestEqualizer:
     def test_fixed_subalphabet(self):
         src = free_monoid("ab")
@@ -333,6 +344,33 @@ class TestLimitsColimits:
         cone = limit(d, Category.FPCM)
         sub, _ = equalizer(f, g)
         assert monoids_isomorphic(cone.apex, sub) is not None
+
+    def test_limit_of_seven_arms_is_refused_before_its_pairs(self):
+        # each arm erases into the trivial monoid, so all 4^7 - 1 = 16 383
+        # families are compatible; the shape has arrows, so the walk lists them
+        arms = [make_monoid([f"{c}{i}" for c in "abc"], [(f"a{i}", f"b{i}")]) for i in range(7)]
+        objs = [f"o{i}" for i in range(7)]
+        shape = DiagramShape(("t", *objs), tuple((f"f{i}", o, "t") for i, o in enumerate(objs)))
+        erase = {f"f{i}": make_hom(m, TRIVIAL, dict.fromkeys(m.events)) for i, m in enumerate(arms)}
+        d = Diagram(shape, {"t": TRIVIAL, **dict(zip(objs, arms))}, erase)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="16383 generators"):
+            limit(d)
+        assert time.perf_counter() - start < 1
+
+    def test_limit_of_a_large_grid_that_keeps_little_is_computed(self):
+        # a one-event apex into seven three-event arms: 2 * 4^7 - 1 grid
+        # elements, over PRODUCT_SIZE, of which the one family of x is kept
+        arms = [make_monoid([f"{c}{i}" for c in "abc"], [(f"a{i}", f"b{i}")]) for i in range(7)]
+        objs = [f"o{i}" for i in range(7)]
+        apex = free_monoid("x")
+        shape = DiagramShape(("x", *objs), tuple((f"g{i}", "x", o) for i, o in enumerate(objs)))
+        d = Diagram(shape, {"x": apex, **dict(zip(objs, arms))},
+                    {f"g{i}": make_hom(apex, m, {"x": f"a{i}"}) for i, m in enumerate(arms)})
+        for flag in BOTH:
+            cone = limit(d, flag)
+            assert cone.apex.events == ("(x,a0,a1,a2,a3,a4,a5,a6)",)
+            assert cone.legs["o3"].image == ("a3",)
 
     def test_colimit_of_parallel_pair_is_coequalizer(self):
         _, tgt, f, g = coeq_example()

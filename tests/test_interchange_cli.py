@@ -17,6 +17,7 @@ from asyntrace.errors import (
     ParseError,
     SchemaError,
 )
+from asyntrace.fpcm_cat import product
 from asyntrace.trace_core import STAR, BasicHom, free_monoid, make_monoid
 
 import oracles
@@ -375,6 +376,49 @@ class TestDumps:
         assert ix.dumps(payload) == oracles.reference_dumps(payload)
         assert sorted(calls) == ["action", "doc", "events", "image", "independence"]
 
+    @pytest.mark.parametrize("row", [list, tuple])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_plain_row_lists_never_reach_quote(self, monkeypatch, width, row):
+        """A row list is written by its joins whatever its length, a
+        product's pairs included; the fallback writes the same bytes, so
+        only a spy on ``_quote`` tells the two paths apart."""
+        names = [f"e{i}" for i in range(5)]
+        pairs = product([make_monoid("ab", [("a", "b")]), free_monoid("cd")]).monoid.pairs()
+        payload = {"pairs": pairs, "rows": [row(names[(i + k) % 5] for k in range(width)) for i in range(3)]}
+        calls = []
+        quote = ix._quote
+        monkeypatch.setattr(ix, "_quote", lambda s: calls.append(s) or quote(s))
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+        assert len(pairs) > 10 and calls == ["pairs", "rows"]
+
+    @pytest.mark.parametrize("row", [list, tuple])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["a", "b"], ['c"', "d"], ["e", "f"]],
+            [["a", "b"], ["c\\", "d"], ["e", "f"]],
+            [["a", "b"], ["c\n", "d"], ["e", "f"]],
+            [["a", "b"], ["c\t", "d"], ["e", "f"]],
+            [["a", "b"], ["c", "dé"], ["e", "f"]],
+            [["a", "b"], [], ["e", "f"]],
+            [["a", "b"], "cd", ["e", "f"]],
+            [["a", "b"], ["c"], ["d", "e", "f"]],
+            [["a", "b"], ['c"\n"d'], ["e", "f"]],
+        ],
+        ids=["quote", "backslash", "newline", "tab", "non-ASCII", "empty row", "str row", "unequal widths", "stand-in separator"],
+    )
+    def test_a_row_list_with_one_defect_falls_back(self, monkeypatch, rows, row):
+        """Each defect sends the row list item by item, so its names reach
+        ``_quote``.  The widths of the last two add up to what equal widths
+        would; in the last, a name holds the quotes and newline of the
+        separator that its short row lacks."""
+        payload = [x if isinstance(x, str) else row(x) for x in rows]
+        calls = []
+        quote = ix._quote
+        monkeypatch.setattr(ix, "_quote", lambda s: calls.append(s) or quote(s))
+        assert ix.dumps(payload) == oracles.reference_dumps(payload)
+        assert "a" in calls
+
     @pytest.mark.parametrize(
         "payload",
         [1.5, {"a": [0.0]}, {"a", "b"}, [{"a"}], {1: "a"}, {"a": {None: "b"}}, {True: 1}, [("a", 2.0)], b"a"],
@@ -695,6 +739,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (1, "") and "[SizeLimit]" in captured.err
         assert "Traceback" not in captured.err and seconds < 1
+
+    def test_limit_of_seven_arms_exits_one_at_once(self, tmp_path, capsys):
+        # seven three-event arms erased into the trivial monoid: 16 383
+        # compatible families, refused before their pairs are tested
+        objs = [f"o{i}" for i in range(7)]
+        docs = {f"m{i}": {"kind": "monoid", "events": [f"{c}{i}" for c in "abc"], "independence": [[f"a{i}", f"b{i}"]]}
+                for i in range(7)}
+        docs["t"] = {"kind": "monoid", "events": []}
+        docs |= {f"h{i}": {"kind": "hom", "source": f"m{i}", "target": "t", "image": dict.fromkeys(docs[f"m{i}"]["events"])}
+                 for i in range(7)}
+        docs["star"] = {"kind": "shape", "objects": ["t", *objs], "arrows": [[f"f{i}", o, "t"] for i, o in enumerate(objs)]}
+        docs["d"] = {"kind": "diagram", "shape": "star", "over": "monoid", "objects": {"t": "t", **{o: f"m{i}" for i, o in enumerate(objs)}},
+                     "arrows": {f"f{i}": f"h{i}" for i in range(7)}}
+        bundle = tmp_path / "arms.json"
+        bundle.write_text(json.dumps({"version": 1, "documents": docs}))
+        start = time.perf_counter()
+        rc = main(["monoid", "limit", str(bundle), "--diagram", "d"])
+        seconds = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "") and "[SizeLimit]" in captured.err
+        assert "16383 generators" in captured.err and "Traceback" not in captured.err and seconds < 1
 
     @pytest.mark.parametrize("group, kind", [("space", "space"), ("asys", "system")])
     def test_colimit_name_clash_exits_one(self, tmp_path, capsys, group, kind):

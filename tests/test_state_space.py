@@ -254,6 +254,22 @@ class TestSpaceProduct:
         assert time.perf_counter() - start < 1
 
 
+    def test_limit_of_seven_arms_is_refused_before_its_pairs(self):
+        # one looping state per three-event arm, each mapped into a one-state
+        # space over the trivial monoid: fpcm_cat.limit refuses the 16 383
+        # compatible generators before it tests their pairs
+        arms = [make_monoid([f"{c}{i}" for c in "abc"], [(f"a{i}", f"b{i}")]) for i in range(7)]
+        spaces = [make_space(m, [f"s{i}"], {(f"s{i}", e): f"s{i}" for e in m.events}) for i, m in enumerate(arms)]
+        point = make_space(fpcm_cat.TRIVIAL, ["t"], {})
+        objs = [f"o{i}" for i in range(7)]
+        shape = DiagramShape(("t", *objs), tuple((f"f{i}", o, "t") for i, o in enumerate(objs)))
+        arrows = {f"f{i}": make_space_morphism(s, point, make_hom(s.monoid, fpcm_cat.TRIVIAL, dict.fromkeys(s.monoid.events)),
+                                               {f"s{i}": "t"}) for i, s in enumerate(spaces)}
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="16383 generators"):
+            limit(Diagram(shape, {"t": point, **dict(zip(objs, spaces))}, arrows))
+        assert time.perf_counter() - start < 1
+
 @st.composite
 def small_spaces(draw):
     """Up to 3 events with any pairs independent, up to 4 states, and a

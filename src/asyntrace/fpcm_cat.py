@@ -1,13 +1,13 @@
 """Finite limits and colimits of trace monoids, in two flavours.
 
 ``Category.FPCM`` works with all basic homomorphisms; ``Category.FPCM_PAR``
-restricts to independence-preserving ones.  Products compare components by
-``pointed_relation`` (the commutativity relation T for FPCM, the partial
-independence relation R for FPCM_PAR), equalizers by generator agreement,
-coproducts by tagged disjoint union, and coequalizers by congruence closure
-on target generators.  Limits are the compatible families of the product's
-generators; colimits are the objects' coproduct modulo the congruence that
-the arrows generate, by the same closure as coequalizers.
+restricts to independence-preserving ones.  A limit is the compatible
+families of the objects' product, and a product the limit of a discrete
+shape; both pair families componentwise in ``pointed_relation`` (the
+commutativity relation T for FPCM, the partial independence relation R
+for FPCM_PAR), by one fold.  Equalizers keep the generators two homs agree
+on, coproducts are tagged disjoint unions, and coequalizers and colimits
+(the objects' coproduct modulo the arrows' congruence) are closures.
 """
 
 from __future__ import annotations
@@ -91,12 +91,12 @@ class PointedGrid:
         grow one factor at a time, and an arrow is checked once both its ends
         are placed.  The first arrow from a placed factor into the new one
         fixes the new component, which is kept only if it lies on the axis.
+        More than ``PRODUCT_SIZE`` of them raise ``SizeLimit``, after the walk
+        (a discrete shape's before it).
 
-        ``render_tuple`` is not injective once names hold commas; a name
-        rendered from two tuples of the whole grid raises ``clash``.  So with
-        arrows and a comma, the names are checked by the walk of the
-        discrete shape.  That walk, a product, raises ``SizeLimit`` before
-        it starts when the grid has more than ``PRODUCT_SIZE`` elements."""
+        ``render_tuple`` is not injective once an axis holds names ``x`` and
+        ``x + "," + ...``; a name rendered from two tuples of the whole grid
+        raises ``clash``, checked with such names by the discrete walk."""
         index = {o: j for j, o in enumerate(shape.objects)}
         arrows = [(index[src], index[dst], maps[name]) for name, src, dst in shape.arrows]
         if not arrows and self.size > PRODUCT_SIZE:
@@ -115,8 +115,11 @@ class PointedGrid:
             if checks:
                 tuples = [t for t in tuples if all(f.get(t[s], STAR) == t[d] for s, d, f in checks)]
         tuples.pop()  # the all-star basepoint, last in index order, always matches
+        if len(tuples) > PRODUCT_SIZE:
+            raise SizeLimit(f"a limit of {len(tuples)} {what}s is over the limit of {PRODUCT_SIZE}")
         names = {render_tuple(t): t for t in tuples}
-        if arrows and any("," in x for axis in self.axes for x in axis):
+        if arrows and any(y[:i] in on for on in map(set, self.axes) for y in on if "," in y
+                          for i, c in enumerate(y) if c == ","):
             self.matching(discrete(len(self.axes)), {}, clash, what)
         elif len(names) < len(tuples):
             seen: dict = {}
@@ -126,6 +129,54 @@ class PointedGrid:
                     raise clash(f"product {what} name {name!r} renders both {seen[name]!r} and {t!r}")
                 seen[name] = t
         return names
+
+    def related_pairs(self, elements: dict[str, tuple[str, ...]], relations) -> tuple[tuple[str, str], ...]:
+        """The pairs of ``elements``, as listed by ``matching``, related by
+        ``relations[j]`` in every component ``j``: names in position order.
+        Folded from the last factor to the first, each suffix code ``g % span``
+        of a kept index ``g`` (the basepoint one, which ends each row) gets the
+        ascending codes related to it and above it, each pair built once.  A
+        code is an axis index times the stride plus a lower code; a partner's
+        rows are filtered to the lower codes kept under it, unless all are, as
+        on every level of a product."""
+        names = tuple(elements)
+        if len(names) < 2:
+            return ()
+        full = len(names) == self.size
+        if full:
+            kept = range(self.size + 1)
+        else:
+            offsets = [{x: i * s for i, x in enumerate(axis)} for axis, s in zip(self.axes, self.strides)]
+            kept = [sum(map(dict.__getitem__, offsets, t)) for t in elements.values()] + [self.size]
+        related, above = {0: [0]}, {0: []}  # suffix code -> ascending related codes, all and those above it
+        levels = [j for j, axis in enumerate(self.axes) if len(axis) > 1]  # star alone changes no row
+        for j in reversed(levels):
+            axis, stride, rel = self.axes[j], self.strides[j], relations[j]
+            if full:  # axis index -> the lower codes kept under it
+                lower = dict.fromkeys(range(len(axis)), range(stride))
+            else:
+                lower = {}
+                for u in sorted({g % (stride * len(axis)) for g in kept}):
+                    lower.setdefault(u // stride, []).append(u % stride)
+            # the codes a partner's rows keep: None, read whole, where every lower code is kept
+            fit = {i: None if len(rs) == len(above) else set(rs) for i, rs in lower.items()}
+            moves = {k: [(i * stride, related, fit[i]) for i in lower if (axis[k], axis[i]) in rel] for k in lower}
+            # above k * stride + r: k with the rows above r, if x ~ x, then each greater partner with all rows
+            steps = {k: [(dv, above if dv == k * stride else rows, f) for dv, rows, f in ms if dv >= k * stride]
+                     for k, ms in moves.items()}
+            above = _rows(steps, lower, stride)
+            if j != levels[0]:
+                related = _rows(moves, lower, stride)
+        name_of = names if full else dict(zip(kept, names))
+        return tuple([(a, name_of[v]) for a, g in zip(names, kept) for v in above[g][:-1]])
+
+
+def _rows(steps, lower, stride: int) -> dict[int, list[int]]:
+    """Code ``k * stride + r`` -> ``dv + w`` for each step ``(dv, rows, fit)``
+    of ``steps[k]`` and each ``w`` of ``rows[r]`` in ``fit`` (all if None)."""
+    return {k * stride + r: [dv + w for dv, rows, f in steps[k]
+                             for w in (rows[r] if f is None else filter(f.__contains__, rows[r]))]
+            for k, rs in lower.items() for r in rs}
 
 
 class ProductResult(Value):
@@ -151,47 +202,28 @@ def pointed_relation(m: TraceMonoid, flag: Category) -> frozenset[tuple[str, str
     return frozenset(rel)
 
 
-def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:
-    """Product of a finite family; the empty product is the trivial monoid,
-    and one of more than ``PRODUCT_SIZE`` generators raises ``SizeLimit``.
-
-    Two generators are independent when they are distinct and every pair of
-    components lies in the factor's pointed relation: the commutativity
-    relation T under FPCM, the partial independence relation R under
-    FPCM_PAR.  Each factor's relation becomes, per axis index, the sorted
-    offsets (axis index times stride) of its partners.  Folded from the last
-    factor to the first, they give each element the ascending indices of the
-    elements related to it and of those above it; the outermost factor
-    builds only the latter, so each pair ``u < v`` is built once, as names
-    in position order.  The all-star element, the last index, ends each row.
-    """
-    ms = list(ms)
-    if not ms:
-        return ProductResult(TRIVIAL, (), {})
+def _families(ms: list[TraceMonoid], shape, maps, flag: Category) -> ProductResult:
+    """The compatible families of ``ms`` along ``shape``, their pairs and the component maps."""
     grid = PointedGrid([m.events for m in ms])
-    components = grid.matching(discrete(len(ms)), {}, DuplicateEvent, "generator")
-    related, above = [[0]], [[]]  # element index -> ascending related indices, all and those above it
-    for j, (m, axis, stride) in reversed(list(enumerate(zip(ms, grid.axes, grid.strides)))):
-        rel = pointed_relation(m, flag)
-        partners = [[i * stride for i, y in enumerate(axis) if (x, y) in rel] for x in axis]
-        # above k * stride + r: k with the rows above r, if x ~ x, then each greater partner with all rows
-        steps = [[(k * stride, above)] * ((x, x) in rel) + [(dv, related) for dv in ps if dv > k * stride]
-                 for k, (x, ps) in enumerate(zip(axis, partners))]
-        above = [[dv + w for dv, rows in st for w in rows[r]] for st in steps for r in range(stride)]
-        if j:
-            related = [[dv + w for dv in ps for w in row] for ps in partners for row in related]
-    names = tuple(components)
-    pairs = tuple([(a, names[v]) for a, row in zip(names, above) for v in row[:-1]])
-    del related, above
-    monoid = TraceMonoid(names, frozenset(pairs))
-    monoid.__dict__["_pairs"] = pairs
-    # a projection is valid by construction: independent generators have
+    families = grid.matching(shape, maps, DuplicateEvent, "generator")
+    pairs = grid.related_pairs(families, [pointed_relation(m, flag) for m in ms])
+    apex = TraceMonoid(tuple(families), frozenset(pairs))
+    apex.__dict__["_pairs"] = pairs
+    # a component map is valid by construction: independent generators have
     # components in the factor's pointed relation, which commute
-    projections = tuple(
-        BasicHom(monoid, m, tuple(None if c[j] == STAR else c[j] for c in components.values()))
-        for j, m in enumerate(ms)
-    )
-    return ProductResult(monoid, projections, components)
+    legs = tuple(BasicHom(apex, m, tuple(None if c[j] == STAR else c[j] for c in families.values()))
+                 for j, m in enumerate(ms))
+    return ProductResult(apex, legs, families)
+
+
+def product(ms: Sequence[TraceMonoid], flag: Category = Category.FPCM) -> ProductResult:
+    """Product of a finite family: the limit of the discrete shape on it,
+    whose legs are the projections.  Two generators are independent when
+    they are distinct and every pair of components lies in the factor's
+    ``pointed_relation``.  The empty product is the trivial monoid, and one
+    of more than ``PRODUCT_SIZE`` generators raises ``SizeLimit``."""
+    ms = list(ms)
+    return _families(ms, discrete(len(ms)), {}, flag)
 
 
 def tupling(
@@ -383,28 +415,13 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
     """The limit as the compatible families (Mac Lane, Categories for the
     Working Mathematician, V.2): the generators of the objects' product, in
     its order and with its names, whose components agree along every arrow,
-    ``h(x_src) == x_dst`` with star for the empty trace.  Two of them are
-    independent as in the product; the legs are the component maps.  With
-    no arrows, every family is compatible: the limit is the ``product``.
-    More than ``PRODUCT_SIZE`` families raise ``SizeLimit`` before any pair."""
+    ``h(x_src) == x_dst`` with star for the empty trace, and the product's
+    pairs among them; the legs are the component maps.  More than
+    ``PRODUCT_SIZE`` families raise ``SizeLimit`` before any pair."""
     refuse(diagram_problems(d, flag))
-    objs = list(d.shape.objects)
-    ms = [d.on_objects[o] for o in objs]
-    if not d.shape.arrows:
-        prod = product(ms, flag)
-        return Cone(prod.monoid, dict(zip(objs, prod.projections)))
     maps = {a: {e: v for e, v in zip(h.source.events, h.image) if v is not None} for a, h in d.on_arrows.items()}
-    gens = PointedGrid([m.events for m in ms]).matching(d.shape, maps, DuplicateEvent, "generator")
-    if len(gens) > PRODUCT_SIZE:  # before the pair test, quadratic in them
-        raise SizeLimit(f"a limit of {len(gens)} generators is over the limit of {PRODUCT_SIZE}")
-    rels = [pointed_relation(m, flag) for m in ms]
-    kept = list(gens.values())
-    pairs = [(i, j) for i, s in enumerate(kept) for j in range(i + 1, len(kept))
-             if all(map(frozenset.__contains__, rels, zip(s, kept[j])))]
-    apex = _ordered_monoid(tuple(gens), pairs)
-    legs = {o: BasicHom(apex, m, tuple(None if t[j] == STAR else t[j] for t in gens.values()))
-            for j, (o, m) in enumerate(zip(objs, ms))}
-    return Cone(apex, legs)
+    res = _families([d.on_objects[o] for o in d.shape.objects], d.shape, maps, flag)
+    return Cone(res.monoid, dict(zip(d.shape.objects, res.projections)))
 
 
 def colimit(d: Diagram, flag: Category = Category.FPCM) -> Cone:

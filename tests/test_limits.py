@@ -35,7 +35,8 @@ from oracles import enumerate_homs
 
 BOTH = (Category.FPCM, Category.FPCM_PAR)
 PATH = DiagramShape(("o0", "o1", "o2"), (("f", "o0", "o1"), ("g", "o1", "o2")))
-SHAPES = (discrete(2), discrete(3), span(), cospan(), parallel_pair(), PATH)
+STAR3 = DiagramShape(("a0", "a1", "a2", "t"), (("f0", "a0", "t"), ("f1", "a1", "t"), ("f2", "a2", "t")))
+SHAPES = (discrete(2), discrete(3), span(), cospan(), parallel_pair(), PATH, STAR3)
 
 
 def random_monoid_diagram(rng, shape, flag):
@@ -146,13 +147,17 @@ class TestProductsAreDiscreteLimits:
         assert list(prod.state_components) == list(cone.apex.states)
 
     @pytest.mark.parametrize("flag", BOTH)
-    def test_discrete_limit_is_computed_by_product(self, monkeypatch, flag):
+    def test_products_and_limits_share_one_pair_fold(self, monkeypatch, flag):
         calls = []
-        product = fpcm_cat.product
-        monkeypatch.setattr(fpcm_cat, "product", lambda ms, flag: calls.append(len(ms)) or product(ms, flag))
+        fold = fpcm_cat.PointedGrid.related_pairs
+        monkeypatch.setattr(fpcm_cat.PointedGrid, "related_pairs",
+                            lambda grid, *args: calls.append(len(grid.axes)) or fold(grid, *args))
         ms = {"o0": free_monoid("ab"), "o1": make_monoid("xy", [("x", "y")])}
+        one_arrow = DiagramShape(("o0", "o1"), (("f", "o0", "o1"),))
+        fpcm_cat.product(list(ms.values()), flag)
         fpcm_cat.limit(Diagram(discrete(2), ms, {}), flag)
-        assert calls == [2]
+        fpcm_cat.limit(Diagram(one_arrow, ms, {"f": make_hom(ms["o0"], ms["o1"], {"a": "x", "b": None})}), flag)
+        assert calls == [2, 2, 2]
 
 
 class TestColimitReference:

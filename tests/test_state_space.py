@@ -270,6 +270,21 @@ class TestSpaceProduct:
             limit(Diagram(shape, {"t": point, **dict(zip(objs, spaces))}, arrows))
         assert time.perf_counter() - start < 1
 
+    def test_limit_of_eight_state_arms_is_refused_after_the_walk(self):
+        # three states per arm over the trivial monoid, each mapped to star in
+        # a one-state space: no generator, but 4^8 - 1 = 65 535 compatible states
+        spaces = [make_space(fpcm_cat.TRIVIAL, [f"{c}{i}" for c in "pqr"], {}) for i in range(8)]
+        point = make_space(fpcm_cat.TRIVIAL, ["t"], {})
+        objs = [f"o{i}" for i in range(8)]
+        shape = DiagramShape(("t", *objs), tuple((f"f{i}", o, "t") for i, o in enumerate(objs)))
+        erase = identity_hom(fpcm_cat.TRIVIAL)
+        arrows = {f"f{i}": make_space_morphism(s, point, erase, dict.fromkeys(s.states, STAR))
+                  for i, s in enumerate(spaces)}
+        start = time.perf_counter()
+        with pytest.raises(SizeLimit, match="a limit of 65535 states is over the limit of 10000"):
+            limit(Diagram(shape, {"t": point, **dict(zip(objs, spaces))}, arrows))
+        assert time.perf_counter() - start < 1
+
 @st.composite
 def small_spaces(draw):
     """Up to 3 events with any pairs independent, up to 4 states, and a

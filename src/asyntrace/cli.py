@@ -9,23 +9,24 @@ Exit codes: 0 on success, 1 on a domain error (invalid homomorphism,
 diamond violation, size limit, ...), 2 on usage, parse, or schema errors.
 
 Every command is one row of ``COMMANDS``: its words, its handler and its
-options.  One loop over the table builds the argparse tree, and ``main``
-builds it once per process, together with each row's own parser by the
-row's words.  A command line whose first words name a row is parsed once,
-by that row's parser; the tree parses every other one (no command, ``-h``,
-an unknown command, a group word alone).  The shared code fetches the
-documents that a row's option style names, writes the output bundle and
-emits it, so a handler holds only its construction, its summary and its
-text lines.
+options.  A line that names a row and gives one bundle and that row's
+options, each once by its exact name with a value argparse is certain to
+take, is scanned against the row alone, into the namespace the argparse
+tree would make of it, without importing argparse.  The tree, built once
+per process by one loop over the table, parses every other line: help,
+errors, abbreviations, ``--opt=value``, ``--``, repeated options.  The
+shared code fetches the documents that a row's option style names, writes
+the output bundle and emits it, so a handler holds only its construction,
+its summary and its text lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import re
 import sys
+import types
 from typing import Callable, NamedTuple, Sequence
 
 from . import async_system as asys
@@ -408,6 +409,8 @@ STYLES = {"objects": ("--objects",), "pair": ("--left", "--right"), "diagram": (
 
 # argparse settings by option name; any other option is a required string
 OPTIONS = {
+    "--output": {"help": "write output to this file instead of stdout"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
     "--category": {"choices": ("fpcm", "fpcm-par"), "default": "fpcm"},
     "--objects": {"nargs": "+", "required": True},
     "--bound": {"type": int, "default": 8},
@@ -421,26 +424,31 @@ KINDS = {
     "system": ("system", ix.system_morphism_doc),
 }
 
+_ROWS = {cmd.words: cmd for cmd in COMMANDS}
 
-def _add_command(sub, cmd: Command) -> argparse.ArgumentParser:
+
+def _options(cmd: Command) -> dict:
+    """``cmd``'s options after its bundle, in help order, with their ``OPTIONS`` settings."""
+    names = ("--output", "--format", *(("--category",) if cmd.category else ()),
+             *STYLES.get(cmd.options, cmd.options), *cmd.extra)
+    return {name: OPTIONS.get(name, {"required": True}) for name in names}
+
+
+def _add_command(sub, cmd: Command) -> None:
     p = sub.add_parser(cmd.words[-1], **({"help": cmd.help} if cmd.help else {}))
     p.add_argument("bundle", help="path to a JSON bundle")
-    p.add_argument("--output", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    names = (("--category",) if cmd.category else ()) + STYLES.get(cmd.options, cmd.options) + cmd.extra
-    for name in names:
-        p.add_argument(name, **OPTIONS.get(name, {"required": True}))
+    for name, settings in _options(cmd).items():
+        p.add_argument(name, **settings)
     p.set_defaults(cmd=cmd)
-    return p
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict]:
-    """A fresh parser with one subcommand per row of ``COMMANDS``, and the
-    leaf parser of each row by its words."""
+def build_parser():
+    """A fresh argparse parser with one subcommand per row of ``COMMANDS``."""
+    import argparse
+
     top = argparse.ArgumentParser(prog="asyntrace")
     sub = top.add_subparsers(dest="command", required=True)
     groups: dict = {}
-    leaves: dict = {}
     for cmd in COMMANDS:
         parent = sub
         if len(cmd.words) == 2:
@@ -449,40 +457,60 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
                 grp = sub.add_parser(group, help=GROUPS[group])
                 groups[group] = grp.add_subparsers(dest="subcommand", required=True)
             parent = groups[group]
-        leaves[cmd.words] = _add_command(parent, cmd)
-    return top, leaves
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser with one subcommand per row of ``COMMANDS``."""
-    return _build()[0]
+        _add_command(parent, cmd)
+    return top
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser ``main`` uses and its leaves: built on the first call,
-    reused after."""
-    return _build()
+def _tree():
+    """The tree that ``_parse`` falls back on, built once per process."""
+    return build_parser()
 
 
-def _parse(argv) -> argparse.Namespace:
-    """``parse_args(argv)`` of the tree of ``_parsers()``, scanning the
-    command line once: when its first one or two words name a row, that
-    row's leaf parser parses the rest, into the namespace the tree would
-    fill; every other command line goes to the tree."""
-    top, leaves = _parsers()
+def _scan(argv: list):
+    """The namespace that the tree makes of ``argv`` when that is certain,
+    else None: the first one or two words name a row, and the rest is one
+    bundle and that row's options, each once by its exact name, the required
+    ones all there, each with a value (for ``nargs``, those up to the next
+    option) that takes its type and choices; no value starts with ``-``."""
+    cmd = _ROWS.get(tuple(argv[:1])) or _ROWS.get(tuple(argv[:2]))
+    if cmd is None:
+        return None
+    options, given, bundles = _options(cmd), {}, []
+    i, n = len(cmd.words), len(argv)
+    while i < n:
+        word, i = argv[i], i + 1
+        if word[:1] != "-":
+            bundles.append(word)
+            continue
+        settings = options.get(word)
+        if settings is None or word in given:
+            return None
+        many, end = "nargs" in settings, i
+        while end < n and argv[end][:1] != "-" and (many or end == i):
+            end += 1
+        if end == i:
+            return None
+        value, i = argv[i:end] if many else argv[i], end
+        if "type" in settings:
+            try:  # argparse's own conversion, so what it refuses goes to the tree
+                value = settings["type"](value)
+            except ValueError:
+                return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        given[word] = value
+    if len(bundles) != 1 or any(s.get("required") and name not in given for name, s in options.items()):
+        return None
+    ns = dict(zip(("command", "subcommand"), cmd.words), bundle=bundles[0], cmd=cmd)
+    ns.update((name[2:].replace("-", "_"), given.get(name, s.get("default"))) for name, s in options.items())
+    return types.SimpleNamespace(**ns)
+
+
+def _parse(argv):
+    """``parse_args(argv)`` of the tree, which parses only what ``_scan`` does not take."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    for n in (1, 2):
-        leaf = leaves.get(tuple(argv[:n]))
-        if leaf is not None:
-            break
-    else:
-        return top.parse_args(argv)
-    words = argparse.Namespace(**dict(zip(("command", "subcommand"), argv[:n])))
-    args, extras = leaf.parse_known_args(argv[n:], words)
-    if extras:
-        top.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    return _scan(argv) or _tree().parse_args(argv)
 
 
 def _inputs(cmd: Command, args, bundle) -> tuple:

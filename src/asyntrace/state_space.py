@@ -213,18 +213,12 @@ def product(spaces: Sequence[StateSpace], flag: Category = Category.FPCM) -> Spa
     """Monoid product acting componentwise on the product of pointed state
     sets; only the all-star tuple plays the basepoint, and more than
     ``fpcm_cat.PRODUCT_SIZE`` states raise ``SizeLimit``.  It is the limit of
-    the discrete diagram: ``_componentwise`` over ``fpcm_cat.product``,
-    whose result it keeps for ``space_tupling``."""
+    the discrete diagram: ``_pointwise`` over ``fpcm_cat.product``, whose
+    result it keeps for ``space_tupling``."""
     spaces = list(spaces)
     mp = fpcm_cat.product([s.monoid for s in spaces], flag)
-    grid = PointedGrid([s.states for s in spaces])
-    state_components = grid.matching(discrete(len(spaces)), {}, InvalidSpace, "state")
-    space = _componentwise(spaces, mp.monoid, state_components, [h.image for h in mp.projections])
-    projections = tuple(
-        StateSpaceMorphism(space, s, mp.projections[j], {x: t[j] for x, t in state_components.items()})
-        for j, s in enumerate(spaces)
-    )
-    return SpaceProductResult(space, projections, mp, state_components)
+    space, projections, states = _pointwise(spaces, discrete(len(spaces)), {}, mp.monoid, mp.projections)
+    return SpaceProductResult(space, projections, mp, states)
 
 
 def space_tupling(
@@ -284,40 +278,37 @@ def limit(d: Diagram, flag: Category = Category.FPCM) -> Cone:
 
 
 def _limit(d: Diagram, flag: Category) -> Cone:
-    """The limit as the compatible families, pointwise: ``fpcm_cat.limit`` of
-    the monoid parts acting on the states of the objects' product, in its
-    order and with its names, whose components agree along every arrow,
-    ``m(x_src) == x_dst``.  Generators act component by component
-    (``_componentwise``); the legs are the component maps."""
+    """The limit as the compatible families, pointwise (``_pointwise``):
+    ``fpcm_cat.limit`` of the monoid parts acting on the states of the
+    objects' product whose components agree along every arrow,
+    ``m(x_src) == x_dst``."""
     objs = list(d.shape.objects)
-    spaces = [d.on_objects[o] for o in objs]
     cone = fpcm_cat.limit(d.map(lambda s: s.monoid, lambda m: m.monoid_part), flag)
     maps = {a: m.state_part for a, m in d.on_arrows.items()}
-    states = PointedGrid([s.states for s in spaces]).matching(d.shape, maps, InvalidSpace, "state")
-    apex = _componentwise(spaces, cone.apex, states, [cone.legs[o].image for o in objs])
-    legs = {
-        o: StateSpaceMorphism(apex, s, cone.legs[o], {x: t[j] for x, t in states.items()})
-        for j, (o, s) in enumerate(zip(objs, spaces))
-    }
-    return Cone(apex, legs)
+    apex, legs, _ = _pointwise([d.on_objects[o] for o in objs], d.shape, maps, cone.apex, [cone.legs[o] for o in objs])
+    return Cone(apex, dict(zip(objs, legs)))
 
 
-def _componentwise(spaces: list[StateSpace], monoid: TraceMonoid, states: dict, images: list) -> StateSpace:
-    """``monoid`` acting on ``states``, name -> tuple of components, closed
-    under the action: a generator whose image in factor ``j`` is
-    ``images[j]``'s entry acts on component ``j`` by that event, or not at
-    all for None.  Entries that reach a tuple outside ``states`` (the
-    all-star one) are left out."""
+def _pointwise(spaces: list[StateSpace], shape, maps: dict, monoid: TraceMonoid, homs) -> tuple:
+    """The apex, its legs over ``homs`` and its states, name -> tuple: the
+    compatible families of the ``spaces``' states along ``shape``, in their
+    product's order and names, under ``monoid`` acting on component ``j`` by
+    a generator's image under ``homs[j]`` (not at all for None).  Entries
+    reaching the all-star tuple, outside the states, are left out."""
+    states = PointedGrid([s.states for s in spaces]).matching(shape, maps, InvalidSpace, "state")
     name_of = {t: x for x, t in states.items()}
     columns = list(zip(*states.values()))  # factor -> its component of every state
     steps = [{u: {x: s.step(x, u) for x in (*s.states, STAR)} for u in s.monoid.events} for s in spaces]
     targets = []  # generator -> the state each state goes to, None for star
-    for us in zip(*images):
+    for us in zip(*[h.image for h in homs]):
         parts = [col if u is None else map(step[u].__getitem__, col) for step, col, u in zip(steps, columns, us)]
         targets.append(map(name_of.get, zip(*parts)))
     events = monoid.events
     action = {(x, e): y for x, ys in zip(states, zip(*targets)) for e, y in zip(events, ys) if y is not None}
-    return StateSpace(monoid, tuple(states), action)
+    apex = StateSpace(monoid, tuple(states), action)
+    legs = tuple(StateSpaceMorphism(apex, s, h, {x: t[j] for x, t in states.items()})
+                 for j, (s, h) in enumerate(zip(spaces, homs)))
+    return apex, legs, states
 
 
 # ---------------------------------------------------------------------------

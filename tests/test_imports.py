@@ -10,12 +10,15 @@ or as an attribute.
 
 A cold start of the command line, in a fresh interpreter, loads neither
 ``dataclasses`` nor ``inspect``: each costs milliseconds on every one-shot
-call.
+call.  A well-formed call loads no ``argparse`` either, while a malformed
+one still gets argparse's own usage error.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import asyntrace
+from asyntrace import cli
 
 MODULES = sorted(Path(asyntrace.__file__).parent.glob("*.py"))
 
@@ -92,3 +96,19 @@ def test_cold_start_loads_no_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(Path(asyntrace.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_a_well_formed_call_loads_no_argparse(fixtures_dir, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = ("import sys; from asyntrace import cli; rc = cli.main(sys.argv[1:]); "
+            "print('argparse' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    env = {**os.environ, "PYTHONPATH": str(Path(asyntrace.__file__).parent.parent)}
+    argv = ["monoid", "product", str(fixtures_dir / "product.json"), "--objects", "ma", "mb"]
+    run = [subprocess.run([sys.executable, "-c", code, *line], env=env, capture_output=True, text=True)
+           for line in (argv, argv + ["--format", "xml"])]
+    assert (run[0].returncode, run[0].stderr) == (0, "False\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        cli._tree().parse_args(argv + ["--format", "xml"])
+    assert "invalid choice: 'xml'" in err.getvalue()
+    assert (run[1].returncode, run[1].stderr) == (2, err.getvalue())
